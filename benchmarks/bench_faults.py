@@ -5,12 +5,15 @@ Two measurements:
 
 * **fault-free overhead** — the PR-1 plan-cache workload (Table-1
   row-block views against every physical layout at every paper size)
-  written and read back through the engine's fast path (no injector,
-  replication 1: the exact pre-fault code) and through the robust path
-  armed with an *empty* fault plan (fates drawn, replica sets checked,
-  zero faults fired; CRCs are stamped lazily so intact payloads skip
-  the hash).  The wall-clock gap is the full price of the hooks — the
-  aggregate must stay under 5% — and the bytes must match.
+  written and read back through the engine with no injector and with
+  an injector armed with an *empty* fault plan.  Both run the one
+  round-based pipeline; the injector adds an operation id, a fate draw
+  and a crashed-set lookup per message, with zero faults fired (CRCs
+  are stamped lazily, so intact payloads skip the hash).  The
+  wall-clock gap is the full price of being armed — the aggregate must
+  stay under 5% — and the bytes must match.  (The row keys
+  ``fast_wall_us`` / ``robust_wall_us`` date from when these were two
+  code paths; they now mean "no injector" / "empty-plan injector".)
 * **recovery latency vs drop rate** — a replicated (k=2) write under
   drop rates 0/5/10/20%: modelled write-to-disk completion and retry
   counts, normalised to the 0% run.  This is the curve an operator
@@ -28,6 +31,7 @@ import gc
 import json
 import os
 import statistics
+import subprocess
 import time
 
 import numpy as np
@@ -45,6 +49,31 @@ RESULT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_faults.json",
 )
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def _commit() -> str:
+    """The commit the measured tree sits on (``+dirty`` when the tree
+    has uncommitted changes); ``unknown`` outside a git checkout."""
+    root = os.path.dirname(RESULT_PATH)
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return head + ("+dirty" if dirty else "")
 
 
 def _run_write_read(plan, replication=1, seed=0, n_bytes=N_BYTES, policy=None):
@@ -113,19 +142,20 @@ def _run_table1_pair(plan, n, ph):
 
 def measure_fault_free(repeats: int = 9, inner: int = 6) -> dict:
     """Armed-but-idle overhead across every Table-1 pair (PR-1's
-    plan-cache workload): fast path vs robust path with an empty plan.
+    plan-cache workload): no injector vs an empty-plan injector on the
+    engine's one pipeline ("fast" / "robust" in the result keys).
 
     Shared machines drift on a seconds timescale, which swamps a
     per-pair A-then-B comparison; the drift-robust estimator is the
     **median of adjacent-window ratios**: each repetition times one
-    fast and one robust window back-to-back (``inner`` runs each,
+    plain and one armed window back-to-back (``inner`` runs each,
     order alternating), so both sides of a ratio see the same machine
     state, and the median discards preempted windows.  The per-pair
-    baseline is the best fast window (noise only ever adds time).
+    baseline is the best plain window (noise only ever adds time).
     """
     rows = []
     fast_total = extra_total = 0.0
-    # A GC cycle landing inside one path's timed window but not the
+    # A GC cycle landing inside one side's timed window but not the
     # other's dwarfs the effect being measured; collect between
     # windows, never during them.
     gc_was_enabled = gc.isenabled()
@@ -228,6 +258,8 @@ def measure(repeats: int = 9, budget: float = 0.05) -> dict:
     assert all(r["latency_overhead"] >= -1e-9 for r in recovery)
     return {
         "benchmark": "faults",
+        "cpus": _cpus(),
+        "commit": _commit(),
         "nprocs": NPROCS,
         "n_bytes": N_BYTES,
         "repeats": repeats,

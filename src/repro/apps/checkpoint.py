@@ -50,8 +50,9 @@ def reshard(
     An ``injector`` (a :class:`repro.faults.FaultInjector`) subjects the
     per-transfer moves to the engine's checksum-verify-retry loop.  A
     ``backend`` (:class:`~repro.mp.pool.ProcessPoolExecutorBackend`)
-    scatters the fault-free conversion across worker processes —
-    byte-identical, destination elements partitioned over workers.
+    scatters the conversion across worker processes (an injector's
+    fates are settled first) — byte-identical, destination elements
+    partitioned over workers.
     """
     if total_bytes is None:
         total_bytes = old_partition.displacement + sum(p.size for p in pieces)

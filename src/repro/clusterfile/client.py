@@ -40,7 +40,7 @@ def parallel_write(
     derived from the operation's span tree (``result.trace``).
 
     ``backend`` (a :class:`~repro.mp.pool.ProcessPoolExecutorBackend`)
-    moves the fault-free server-side work into worker processes.
+    moves the server-side work into worker processes.
     """
     return IOEngine(cluster, injector, retry_policy, backend=backend).write(
         cfile, requests, to_disk=to_disk

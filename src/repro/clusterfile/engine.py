@@ -27,17 +27,18 @@ with modelled simulation-clock events (NIC, CPU, disk), and the Table
 provably the same measurements.
 
 Because every data path crosses this one seam, cross-cutting failure
-handling lives here too (:mod:`repro.faults`): when an engine carries a
-:class:`~repro.faults.FaultInjector`, corrupted payloads are caught by
-CRC32 checksums verified before any scatter (stamped lazily — the
+handling lives here too (:mod:`repro.faults`).  Every operation is one
+round-based loop: resolve each message's live replicas, draw its fate,
+serve it, price it, run the transport, and retransmit what was lost
+under a :class:`~repro.faults.RetryPolicy` (timeout + capped, jittered
+exponential backoff, per-message budget).  Corrupted payloads are caught
+by CRC32 checksums verified before any scatter (stamped lazily — the
 injector is the simulation's only corruption source, so intact messages
-never pay the hash), lost or corrupt messages
-are retransmitted under a :class:`~repro.faults.RetryPolicy` (timeout +
-capped, jittered exponential backoff, per-message budget), reads fail
-over to replica subfiles when a node is crashed, and writes degrade
-gracefully to the live replicas.  With no injector and replication 1
-the engine runs the exact fault-free code path — not one extra branch
-or checksum on the hot loop.
+never pay the hash), reads fail over to replica subfiles when a node is
+crashed, and writes degrade gracefully to the live replicas.  No
+injector and replication 1 is not a separate path but the degenerate
+case of the same loop: one round, one replica per message, every fate
+ok, no checksum.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import numpy as np
 
 from ..core.partition import Partition
 from ..faults import (
-    ChecksumError,
     FaultInjector,
     NoLiveReplica,
     RetryBudgetExceeded,
@@ -70,7 +70,7 @@ from ..simulation.disk import write_time_for_segments
 from ..simulation.metrics import ScatterBreakdown, WriteBreakdown
 from ..simulation.network import NetworkModel
 from .file_model import ClusterFile
-from .server import IOServer
+from .server import IOServer, serve_request
 from .view import View
 
 __all__ = [
@@ -140,6 +140,11 @@ class OperationResult:
 
 @dataclass
 class _Message:
+    """One logical request of an operation, plus the state of its
+    current attempt (rewritten every retry round)."""
+
+    req: WriteRequest
+    link: object
     compute: int
     subfile: int
     l_s: int
@@ -153,11 +158,16 @@ class _Message:
     #: meets injected corruption; verified by the receiver before any
     #: scatter (``None`` = never corrupted, nothing to verify).
     crc: Optional[int] = None
-
-
-#: The fate of every message under an injector with no rules (shared
-#: so the robust loops don't build a tuple per message).
-_FATE_OK: Tuple[str, float] = ("ok", 0.0)
+    #: ``(replica, io_node, disk_factor)`` this attempt is addressed to.
+    targets: Sequence[Tuple[int, int, float]] = ()
+    #: ``"ok"``, ``"drop"`` or ``"corrupt"``, and any injected delay.
+    fate: str = "ok"
+    delay_s: float = 0.0
+    #: The bytes in flight: the request payload (or the injector's
+    #: corrupted copy of it) on writes, the server's reply on reads.
+    wire: Optional[np.ndarray] = None
+    #: ``(cache_s, disk_s)`` per target that served this attempt.
+    costs: Sequence[Tuple[float, float]] = ()
 
 
 def _op_trace_id() -> str:
@@ -165,6 +175,19 @@ def _op_trace_id() -> str:
     (a service worker executing a batch binds the head ticket's) or a
     fresh one for direct engine use."""
     return current_trace_id() or new_trace_id()
+
+
+def _begin_op(injector: Optional[FaultInjector], op: str, /, **attrs):
+    """Start one operation: ``(op_id, root span attributes)``.
+
+    The operation id — and the ``begin_op`` lock behind it — exists
+    only under an injector; fates and crashed sets are functions of it.
+    """
+    op_id = None
+    if injector is not None:
+        op_id = attrs["op_id"] = injector.begin_op(op)
+    attrs["trace_id"] = _op_trace_id()
+    return op_id, attrs
 
 
 #: Histogram handles per op, cached because the registry lookup (name
@@ -349,9 +372,9 @@ def breakdowns_from_trace(
       spans (every replica write and every retransmission attempt
       counts — the work was really done).
 
-    The whole tree is walked, so robust-path spans nested under
-    ``retry`` groups contribute exactly like the flat fault-free
-    layout.
+    The whole tree is walked, so spans nested under ``retry`` groups
+    (or grafted from pool workers) contribute exactly like round 0's
+    flat layout.
     """
     per_compute: Dict[int, WriteBreakdown] = {}
     per_io: Dict[int, ScatterBreakdown] = {}
@@ -405,12 +428,11 @@ class IOEngine:
     shuffles go through the module-level :func:`run_shuffle` (no
     cluster needed).
 
-    With a :class:`~repro.faults.FaultInjector` (and/or a replicated
-    file) the engine takes the **robust** path: payload CRC32s, the
-    retry-round loop under ``retry_policy`` (default
+    A :class:`~repro.faults.FaultInjector` and/or a replicated file
+    add work to the one round loop — payload CRC32s, retransmission
+    rounds under ``retry_policy`` (default
     :class:`~repro.faults.RetryPolicy`), replica fan-out on writes and
-    failover on reads.  Without either, the original fault-free code
-    runs untouched.
+    failover on reads — they do not select a different one.
     """
 
     def __init__(
@@ -425,9 +447,8 @@ class IOEngine:
         self.injector = injector
         self.retry_policy = retry_policy or RetryPolicy()
         #: Optional :class:`~repro.mp.pool.ProcessPoolExecutorBackend`.
-        #: When set, the fault-free fast paths fan the server-side work
-        #: out across worker processes (stores must live in shared
-        #: memory); the robust paths always run parent-side.
+        #: When set, every round's server-side work runs in the worker
+        #: processes (stores must live in shared memory).
         self.backend = backend
 
     # -- client-side phases --------------------------------------------------
@@ -522,6 +543,8 @@ class IOEngine:
                                 )
                     messages.append(
                         _Message(
+                            req,
+                            link,
                             view.compute_node,
                             link.subfile,
                             l_s,
@@ -532,62 +555,6 @@ class IOEngine:
                     )
         return messages
 
-    def _exchange(
-        self, messages: List[_Message], service_costs: List[Tuple[float, float]]
-    ) -> Tuple[int, int]:
-        """Price and run the request/ack exchange; returns traffic.
-
-        ``service_costs[i]`` is ``(cache_s, disk_s)`` for message ``i``.
-        Completion timelines land on the ``transport`` span's
-        ``done_bc`` / ``done_disk`` attributes (the cache-only and
-        write-through clocks; the disk stage extends the cache one).
-        """
-        net = self.cluster.network
-        memory = self.cluster.config.memory
-        header = self.cluster.config.header_bytes
-        sim_msgs: List[SimMessage] = []
-        n_messages = 0
-        payload_bytes = 0
-        for msg, (cache_s, disk_s) in zip(messages, service_costs):
-            io_node = self.cluster.io_node_for(msg.subfile)
-            compute_name = f"compute{msg.compute}"
-            # The §8.1 loop runs per subfile: the gather for this message
-            # happens after the previous message went out, so its
-            # (modelled) copy cost sits on the client's critical path.
-            prep_s = (
-                memory.copy_time(int(msg.payload.size), msg.view_runs)
-                if msg.view_runs > 1
-                else 0.0
-            )
-            # Sender NIC serialises this node's outgoing messages.
-            send_s = net.send_time(compute_name, io_node.name, header) + (
-                net.send_time(compute_name, io_node.name, int(msg.payload.size))
-            )
-            ack_s = net.model.latency_s + header / net.model.bandwidth_Bps
-            sim_msgs.append(
-                SimMessage(
-                    key=msg.compute,
-                    lane=("nic", msg.compute),
-                    lane_s=prep_s + send_s,
-                    stages=(
-                        (io_node.cpu, cache_s, "bc"),
-                        (io_node.disk_queue, disk_s, "disk"),
-                    ),
-                    ack_s=ack_s,
-                )
-            )
-            n_messages += 1 if msg.payload.size == 0 else 2
-            payload_bytes += int(msg.payload.size)
-
-        with open_span(
-            "transport", messages=n_messages, payload_bytes=payload_bytes
-        ) as tspan:
-            done = self.transport.run(sim_msgs, trace_span=tspan)
-        tspan.annotate(
-            done_bc=done.get("bc", {}), done_disk=done.get("disk", {})
-        )
-        return n_messages, payload_bytes
-
     # -- parallel write / read ----------------------------------------------
 
     def write(
@@ -596,10 +563,14 @@ class IOEngine:
         requests: Sequence[WriteRequest],
         to_disk: bool = False,
     ) -> OperationResult:
-        """All compute nodes write their view intervals concurrently."""
-        if self.injector is None and cfile.replication == 1:
-            return self._write_fast(cfile, requests, to_disk)
-        return self._write_robust(cfile, requests, to_disk)
+        """All compute nodes write their view intervals concurrently.
+
+        Each message fans out to every *live* replica of its subfile
+        (fewer than ``replication`` marks the operation degraded);
+        checksum verification precedes any store scatter, so
+        retransmitting a message is idempotent.
+        """
+        return self._run("write", cfile, requests, to_disk)
 
     def read(
         self,
@@ -609,107 +580,179 @@ class IOEngine:
     ) -> OperationResult:
         """The reverse-symmetric read operation (§8.1: "the write and
         read are reverse symmetrical").  Request buffers are filled in
-        place."""
-        if self.injector is None and cfile.replication == 1:
-            return self._read_fast(cfile, requests, from_disk)
-        return self._read_robust(cfile, requests, from_disk)
+        place.
 
-    def _write_fast(
+        Each message is served by the lowest-index *live* replica of
+        its subfile; when that is not the primary, a ``failover`` span
+        marks the switch.  A reply dropped or corrupted in flight is
+        re-requested next round — reads have no side effects — and the
+        user buffer is only ever written with a checksum-verified reply.
+        """
+        return self._run("read", cfile, requests, from_disk)
+
+    def _run(
         self,
+        op: str,
         cfile: ClusterFile,
         requests: Sequence[WriteRequest],
-        to_disk: bool,
+        disk: bool,
     ) -> OperationResult:
-        """The fault-free write: byte- and timing-identical to the
-        pre-faults engine (no checksum, no replica fan-out)."""
-        with open_span(
-            "parallel_write", op="write", to_disk=to_disk,
-            trace_id=_op_trace_id(),
-        ) as root:
-            messages = self._prepare(requests, gather_payload=True)
-            req_by_view = {req.view.compute_node: req for req in requests}
-            if self.backend is not None:
-                service_costs = self._mp_serve_write(
-                    cfile, req_by_view, messages, to_disk, root
-                )
-            else:
-                servers = self._servers(cfile)
-                service_costs = []
-                for msg in messages:
-                    view = req_by_view[msg.compute].view
-                    io_index = self.cluster.io_node_for(msg.subfile).index
-                    with open_span(
-                        "server.write", subfile=msg.subfile, io_node=io_index
-                    ) as sp:
-                        cost = servers[msg.subfile].write(
-                            msg.l_s,
-                            msg.r_s,
-                            msg.payload,
-                            view.links[msg.subfile].proj_subfile,
-                            to_disk=to_disk,
-                        )
-                    sp.annotate(
-                        bytes=cost.nbytes,
-                        runs=cost.runs,
-                        cache_s=cost.cache_s,
-                        disk_s=cost.disk_s,
-                    )
-                    service_costs.append((cost.cache_s, cost.disk_s))
-            n_messages, payload_bytes = self._exchange(messages, service_costs)
-        return self._finish(root, "write", n_messages, payload_bytes)
+        """The round loop behind :meth:`write` and :meth:`read`.
 
-    def _read_fast(
-        self,
-        cfile: ClusterFile,
-        requests: Sequence[WriteRequest],
-        from_disk: bool,
-    ) -> OperationResult:
-        """The fault-free read path (see :meth:`_write_fast`)."""
-        with open_span(
-            "parallel_read", op="read", from_disk=from_disk,
-            trace_id=_op_trace_id(),
-        ) as root:
-            messages = self._prepare(requests, gather_payload=False)
-            req_by_view = {req.view.compute_node: req for req in requests}
-            if self.backend is not None:
-                service_costs = self._mp_serve_read(
-                    cfile, req_by_view, messages, from_disk, root
-                )
-            else:
-                servers = self._servers(cfile)
-                service_costs = []
-                for msg in messages:
-                    req = req_by_view[msg.compute]
-                    link = req.view.links[msg.subfile]
-                    io_index = self.cluster.io_node_for(msg.subfile).index
-                    with open_span(
-                        "server.read", subfile=msg.subfile, io_node=io_index
-                    ) as sp:
-                        payload, cost = servers[msg.subfile].read(
-                            msg.l_s, msg.r_s, link.proj_subfile,
-                            from_disk=from_disk,
-                        )
-                    sp.annotate(
-                        bytes=cost.nbytes,
-                        runs=cost.runs,
-                        cache_s=cost.cache_s,
-                        disk_s=cost.disk_s,
+        Round 0 sends every message; a round's drops/corruptions are
+        retransmitted in the next round, which starts ``timeout_s +
+        backoff_s(round)`` later on the modelled clock.  With no
+        injector and ``replication=1`` this is one round, one replica
+        per message, every fate ok.
+        """
+        write = op == "write"
+        injector = self.injector
+        policy = self.retry_policy
+        k = cfile.replication
+        op_id, attrs = _begin_op(
+            injector, op, op=op, **{"to_disk" if write else "from_disk": disk}
+        )
+        with open_span(f"parallel_{op}", **attrs) as root:
+            pending = self._prepare(requests, gather_payload=write)
+            n_messages = 0
+            payload_bytes = 0
+            degraded = False
+            # Replica liveness and server bindings are functions of
+            # (subfile, op_id) only — constant across messages and retry
+            # rounds of one operation — so resolve each subfile once.
+            live_by_subfile: Dict[int, Sequence[Tuple[int, int, float]]] = {}
+            servers: Dict[Tuple[int, int], IOServer] = {}
+            round_start = 0.0
+            round_idx = 0
+            while True:
+                if round_idx > policy.max_retries:
+                    raise RetryBudgetExceeded(
+                        f"{op} op {op_id}: {len(pending)} message(s) still "
+                        f"failing after {policy.max_retries} retries"
                     )
-                    msg.payload = payload
-                    service_costs.append((cost.cache_s, cost.disk_s))
-                    self._scatter_reply(root, req, link, msg, payload)
-            n_messages, payload_bytes = self._exchange(messages, service_costs)
-        return self._finish(root, "read", n_messages, payload_bytes)
+                group = (
+                    open_span("retry", round=round_idx, messages=len(pending))
+                    if round_idx
+                    else contextlib.nullcontext(root)
+                )
+                with group as group_span:
+                    if round_idx:
+                        obs_metrics.inc("faults.retry.rounds")
+                        obs_metrics.inc("faults.retry.messages", len(pending))
+                    for msg in pending:
+                        live = live_by_subfile.get(msg.subfile)
+                        if live is None:
+                            live = live_by_subfile[msg.subfile] = (
+                                self._live_replicas(msg.subfile, k, op_id)
+                            )
+                        msg.fate, msg.delay_s = (
+                            injector.message_fate(
+                                op_id, op, msg.compute, msg.subfile, round_idx
+                            )
+                            if injector is not None
+                            else ("ok", 0.0)
+                        )
+                        if write:
+                            msg.targets = live
+                            if len(live) < k:
+                                degraded = True
+                            self._send_request(msg, op_id, round_idx)
+                        else:
+                            msg.targets = live[:1]
+                            if live[0][0] and round_idx == 0:
+                                self._fail_over(root, msg.subfile, live[0])
+                    # A dropped request never reaches a server; a read
+                    # request always does — it is the *reply* that
+                    # meets the fate.
+                    shipped = (
+                        [m for m in pending if m.fate != "drop"]
+                        if write
+                        else pending
+                    )
+                    self._serve(
+                        op, cfile, shipped, disk, round_idx, servers,
+                        group_span,
+                    )
+                    failed: List[_Message] = []
+                    sim_msgs: List[SimMessage] = []
+                    for msg in pending:
+                        if not write:
+                            self._receive_reply(root, msg, op_id, round_idx)
+                        if msg.fate != "ok":
+                            failed.append(msg)
+                        sim_msgs.extend(self._fanout_messages(msg))
+                        size = int(msg.payload.size)
+                        copies = len(msg.targets)
+                        n_messages += (2 if size else 1) * copies
+                        payload_bytes += size * copies
+                    with open_span(
+                        "transport", messages=len(sim_msgs), round=round_idx
+                    ) as tspan:
+                        done = self.transport.run(sim_msgs, trace_span=tspan)
+                    tspan.annotate(
+                        done_bc=done.get("bc", {}),
+                        done_disk=done.get("disk", {}),
+                        round_start_s=round_start,
+                    )
+                if not failed:
+                    break
+                # Only an injector fails a message, so one exists here.
+                round_start += policy.timeout_s + policy.backoff_s(
+                    round_idx, seed=injector.plan.seed, token=(op, op_id)
+                )
+                pending = failed
+                round_idx += 1
+            if write:
+                root.annotate(degraded=degraded)
+                if degraded:
+                    obs_metrics.inc("faults.degraded.writes")
+        return self._finish(root, op, n_messages, payload_bytes)
 
-    @staticmethod
-    def _scatter_reply(
-        root: Span, req: WriteRequest, link, msg: _Message, payload: np.ndarray
+    # -- per-message direction hooks ------------------------------------------
+
+    def _send_request(self, msg: _Message, op_id, round_idx: int) -> None:
+        """Write direction: put the payload on the wire, corrupted when
+        the attempt's fate says so.
+
+        CRCs are stamped lazily, only once a message actually meets
+        corruption: for intact payloads the verify is a tautology (the
+        injector is the sole corruption source), so hashing them would
+        tax every fault-free run.
+        """
+        msg.wire = msg.payload
+        if msg.fate != "corrupt":
+            return
+        if msg.crc is None:
+            msg.crc = checksum(msg.payload)
+        msg.wire = self.injector.corrupt_payload(
+            msg.payload, op_id, "write", msg.compute, msg.subfile, round_idx
+        )
+        if checksum(msg.wire) == msg.crc:
+            msg.fate = "ok"  # empty payload: nothing to flip
+
+    def _receive_reply(
+        self, root: Span, msg: _Message, op_id, round_idx: int
     ) -> None:
-        """Client-side scatter of a read reply into the user buffer, the
-        mirror of the write-side gather (measured)."""
+        """Read direction: verify the reply the attempt's fate left on
+        the wire and scatter it into the user buffer (measured, the
+        mirror of the write-side gather)."""
+        payload = msg.payload = msg.wire
+        if msg.fate == "corrupt":
+            # Lazy CRC, as in _send_request: only a corrupted reply
+            # needs the reference checksum.
+            received = self.injector.corrupt_payload(
+                payload, op_id, "read", msg.compute, msg.subfile, round_idx
+            )
+            if checksum(received) != checksum(payload):
+                obs_metrics.inc("faults.checksum_failures")
+            else:
+                msg.fate = "ok"  # empty reply: nothing to flip
+        if msg.fate != "ok":
+            return
+        req, proj = msg.req, msg.link.proj_view
         t0 = time.perf_counter()
-        starts, lengths = link.proj_view.segments_in(req.lo, req.hi)
-        run = link.proj_view.contiguous_run_in(req.lo, req.hi)
+        starts, lengths = proj.segments_in(req.lo, req.hi)
+        run = proj.contiguous_run_in(req.lo, req.hi)
         if run is not None:
             req.buf[run[0] - req.lo : run[1] - req.lo + 1] = payload
         else:
@@ -723,13 +766,99 @@ class IOEngine:
                 runs=int(starts.size),
             )
 
-    # -- multiprocess fan-out (fault-free fast paths only) --------------------
+    def _fail_over(self, root: Span, subfile: int, serving) -> None:
+        """Mark a read served by a non-primary replica."""
+        replica, node_idx, _factor = serving
+        obs_metrics.inc("faults.failover.reads")
+        root.child(
+            "failover",
+            subfile=subfile,
+            from_node=self.cluster.io_node_for(subfile).index,
+            to_node=node_idx,
+            replica=replica,
+        )
 
-    def _mp_jobs(
-        self, cfile: ClusterFile, req_by_view: Dict[int, WriteRequest],
-        messages: List[_Message],
-    ) -> Tuple[List[List[dict]], List[List[int]]]:
-        """Group per-message server jobs by owning worker.
+    # -- replicas, servers, pricing ------------------------------------------
+
+    def _live_replicas(
+        self, subfile: int, k: int, op_id, role: str = ""
+    ) -> Tuple[Tuple[int, int, float], ...]:
+        """``(replica, io_node, disk_factor)`` for every replica of a
+        subfile whose node is up for this operation (at least one, or
+        :class:`~repro.faults.NoLiveReplica`)."""
+        n_io = len(self.cluster.io)
+        nodes = replica_nodes(subfile, k, n_io) if k > 1 else (subfile % n_io,)
+        injector = self.injector
+        if injector is None:
+            return tuple((r, n, 1.0) for r, n in enumerate(nodes))
+        crashed = injector.crashed_nodes(op_id)
+        live = tuple(
+            (r, n, injector.disk_factor(n))
+            for r, n in enumerate(nodes)
+            if n not in crashed
+        )
+        if not live:
+            raise NoLiveReplica(
+                f"all {k} replica(s) of {role}subfile {subfile} are down"
+            )
+        return live
+
+    def _serve(
+        self,
+        op: str,
+        cfile: ClusterFile,
+        shipped: List[_Message],
+        disk: bool,
+        attempt: int,
+        servers: Dict[Tuple[int, int], IOServer],
+        parent_span: Span,
+    ) -> None:
+        """Hand one round's messages to their I/O servers, leaving each
+        message's ``costs`` (and, for reads, the reply on its ``wire``).
+
+        The only step that knows where servers live: in this process,
+        or in the worker pool (one packed exchange per round; worker
+        span trees graft under ``parent_span``).
+        """
+        if self.backend is not None:
+            self._serve_in_pool(op, cfile, shipped, disk, attempt, parent_span)
+            return
+        for msg in shipped:
+            replicas = []
+            for r, node_idx, disk_factor in msg.targets:
+                server = servers.get((msg.subfile, r))
+                if server is None:
+                    server = servers[msg.subfile, r] = IOServer(
+                        self.cluster.io[node_idx],
+                        cfile.replica_stores(msg.subfile)[r],
+                        self.cluster.config,
+                    )
+                replicas.append((r, server, disk_factor))
+            msg.costs, reply = serve_request(
+                op,
+                replicas,
+                msg.l_s,
+                msg.r_s,
+                msg.link.proj_subfile.segments_in(msg.l_s, msg.r_s),
+                msg.wire,
+                disk,
+                msg.crc,
+                attempt,
+            )
+            if reply is not None:
+                msg.wire = reply
+
+    def _serve_in_pool(
+        self,
+        op: str,
+        cfile: ClusterFile,
+        shipped: List[_Message],
+        disk: bool,
+        attempt: int,
+        parent_span: Span,
+    ) -> None:
+        """Group the round's server jobs by owning worker and run them
+        in one packed exchange.
 
         The parent resolves everything a worker cannot cheaply (or
         picklably) compute itself — the projection's segment arrays come
@@ -739,125 +868,69 @@ class IOEngine:
         """
         backend = self.backend
         jobs: List[List[dict]] = [[] for _ in range(backend.processes)]
-        order: List[List[int]] = [[] for _ in range(backend.processes)]
-        for i, msg in enumerate(messages):
-            store = cfile.stores[msg.subfile]
-            shm_name = getattr(store, "shm_name", None)
-            if shm_name is None:
-                raise ValueError(
-                    "multiprocess execution needs shared-memory subfile "
-                    "stores; build the Clusterfile with "
-                    "SharedMemoryStorage (or workers_mode='process')"
+        routed: List[List[_Message]] = [[] for _ in range(backend.processes)]
+        for msg in shipped:
+            stores = cfile.replica_stores(msg.subfile)
+            replicas = []
+            for r, node_idx, disk_factor in msg.targets:
+                shm_name = getattr(stores[r], "shm_name", None)
+                if shm_name is None:
+                    raise ValueError(
+                        "multiprocess execution needs shared-memory subfile "
+                        "stores; build the Clusterfile with "
+                        "SharedMemoryStorage (or workers_mode='process')"
+                    )
+                replicas.append(
+                    (r, node_idx, disk_factor, shm_name, stores[r].capacity)
                 )
-            link = req_by_view[msg.compute].view.links[msg.subfile]
-            starts, lengths = link.proj_subfile.segments_in(msg.l_s, msg.r_s)
+            starts, lengths = msg.link.proj_subfile.segments_in(
+                msg.l_s, msg.r_s
+            )
             nbytes = int(lengths.sum()) if lengths.size else 0
+            if op == "write" and nbytes != int(msg.wire.size):
+                # The worker slices its packed block by ``nbytes``: a
+                # mismatch would misalign every later payload.
+                raise ValueError(
+                    f"subfile {msg.subfile}: payload of "
+                    f"{int(msg.wire.size)} bytes does not match the "
+                    f"projection's {nbytes}"
+                )
             w = backend.worker_for(msg.subfile, cfile.num_subfiles)
             jobs[w].append(
                 {
-                    "store": shm_name,
-                    "capacity": store.capacity,
                     "subfile": msg.subfile,
                     "l_s": msg.l_s,
                     "r_s": msg.r_s,
                     "starts": starts,
                     "lengths": lengths,
                     "nbytes": nbytes,
-                    "io_node": self.cluster.io_node_for(msg.subfile).index,
+                    "replicas": replicas,
+                    "crc": msg.crc,
+                    "attempt": attempt,
                 }
             )
-            order[w].append(i)
-        return jobs, order
-
-    def _mp_serve_write(
-        self,
-        cfile: ClusterFile,
-        req_by_view: Dict[int, WriteRequest],
-        messages: List[_Message],
-        to_disk: bool,
-        root: Span,
-    ) -> List[Tuple[float, float]]:
-        """Fan the server-side write loop out across the pool: payloads
-        leave in one packed all-to-all round, per-message costs come
-        back with the worker span trees (grafted under ``root``)."""
-        backend = self.backend
-        jobs, order = self._mp_jobs(cfile, req_by_view, messages)
-        for w in range(backend.processes):
-            for j, i in enumerate(order[w]):
-                if jobs[w][j]["nbytes"] != int(messages[i].payload.size):
-                    raise ValueError(
-                        f"subfile {jobs[w][j]['subfile']}: payload of "
-                        f"{int(messages[i].payload.size)} bytes does not "
-                        f"match the projection's {jobs[w][j]['nbytes']}"
-                    )
-        outbox = [
-            (w + 1, messages[i].payload)
-            for w in range(backend.processes)
-            for i in order[w]
-        ]
+            routed[w].append(msg)
         with backend.lock:
-            results = backend.exchange_write(jobs, outbox, to_disk, root)
-        service_costs: List[Tuple[float, float]] = (
-            [(0.0, 0.0)] * len(messages)
-        )
+            if op == "write":
+                outbox = [
+                    (w + 1, msg.wire)
+                    for w in range(backend.processes)
+                    for msg in routed[w]
+                ]
+                results = backend.exchange_write(
+                    jobs, outbox, disk, parent_span
+                )
+            else:
+                results, inbox = backend.exchange_read(jobs, disk, parent_span)
         for w, res in enumerate(results):
-            for j, i in enumerate(order[w]):
-                cost = res["costs"][j]
-                service_costs[i] = (cost[0], cost[1])
-        return service_costs
+            off = 0
+            for msg, job, costs in zip(routed[w], jobs[w], res["costs"]):
+                msg.costs = costs
+                if op == "read":
+                    msg.wire = inbox[w + 1][off : off + job["nbytes"]]
+                    off += job["nbytes"]
 
-    def _mp_serve_read(
-        self,
-        cfile: ClusterFile,
-        req_by_view: Dict[int, WriteRequest],
-        messages: List[_Message],
-        from_disk: bool,
-        root: Span,
-    ) -> List[Tuple[float, float]]:
-        """The read mirror: reply payloads arrive packed per worker;
-        scatters into the user buffers run parent-side in the original
-        message order, exactly like the serial loop."""
-        backend = self.backend
-        jobs, order = self._mp_jobs(cfile, req_by_view, messages)
-        with backend.lock:
-            results, inbox = backend.exchange_read(jobs, from_disk, root)
-        service_costs: List[Tuple[float, float]] = (
-            [(0.0, 0.0)] * len(messages)
-        )
-        for w, res in enumerate(results):
-            block, off = inbox[w + 1], 0
-            for j, i in enumerate(order[w]):
-                nbytes = jobs[w][j]["nbytes"]
-                messages[i].payload = block[off : off + nbytes]
-                off += nbytes
-                cost = res["costs"][j]
-                service_costs[i] = (cost[0], cost[1])
-        for msg in messages:
-            req = req_by_view[msg.compute]
-            link = req.view.links[msg.subfile]
-            self._scatter_reply(root, req, link, msg, msg.payload)
-        return service_costs
-
-    # -- robust (fault-injected / replicated) paths ---------------------------
-
-    def _live_replicas(
-        self, injector: FaultInjector, subfile: int, k: int, op_id: int
-    ) -> List[Tuple[int, int]]:
-        """``(replica, io_node)`` pairs whose node is up for this op."""
-        nodes = replica_nodes(subfile, k, len(self.cluster.io))
-        crashed = injector.crashed_nodes(op_id)
-        if not crashed:
-            return list(enumerate(nodes))
-        return [(r, n) for r, n in enumerate(nodes) if n not in crashed]
-
-    def _fanout_messages(
-        self,
-        msg: _Message,
-        replicas: Sequence[Tuple[int, int]],
-        costs: Sequence[Tuple[float, float]],
-        fate: str,
-        delay_s: float,
-    ) -> List[SimMessage]:
+    def _fanout_messages(self, msg: _Message) -> List[SimMessage]:
         """Price one logical message attempt as :class:`SimMessage` s.
 
         The sender's NIC serialises one copy per destination replica
@@ -867,417 +940,45 @@ class IOEngine:
         completion, so the retry layer's timeout is what ends it.
         """
         net = self.cluster.network
-        memory = self.cluster.config.memory
         header = self.cluster.config.header_bytes
+        size = int(msg.payload.size)
+        # The §8.1 loop runs per subfile: the gather for this message
+        # happens after the previous message went out, so its
+        # (modelled) copy cost sits on the client's critical path.
         prep_s = (
-            memory.copy_time(int(msg.payload.size), msg.view_runs)
+            self.cluster.config.memory.copy_time(size, msg.view_runs)
             if msg.view_runs > 1
             else 0.0
         )
         compute_name = f"compute{msg.compute}"
-        lost = fate != "ok"
+        ack_s = net.model.latency_s + header / net.model.bandwidth_Bps
+        lost = msg.fate != "ok"
         out: List[SimMessage] = []
-        for j, (_r, node_idx) in enumerate(replicas):
+        for j, (_r, node_idx, _factor) in enumerate(msg.targets):
             io_node = self.cluster.io[node_idx]
+            # Sender NIC serialises this node's outgoing messages.
             send_s = net.send_time(compute_name, io_node.name, header) + (
-                net.send_time(compute_name, io_node.name, int(msg.payload.size))
+                net.send_time(compute_name, io_node.name, size)
             )
-            lane_s = (prep_s if j == 0 else 0.0) + send_s
-            if lost or j >= len(costs):
-                out.append(
-                    SimMessage(
-                        key=msg.compute,
-                        lane=("nic", msg.compute),
-                        lane_s=lane_s,
-                        post_lane_s=delay_s,
-                        dropped=True,
-                    )
+            stages = ()
+            if not lost:
+                cache_s, disk_s = msg.costs[j]
+                stages = (
+                    (io_node.cpu, cache_s, "bc"),
+                    (io_node.disk_queue, disk_s, "disk"),
                 )
-                continue
-            cache_s, disk_s = costs[j]
-            ack_s = net.model.latency_s + header / net.model.bandwidth_Bps
             out.append(
                 SimMessage(
                     key=msg.compute,
                     lane=("nic", msg.compute),
-                    lane_s=lane_s,
-                    post_lane_s=delay_s,
-                    stages=(
-                        (io_node.cpu, cache_s, "bc"),
-                        (io_node.disk_queue, disk_s, "disk"),
-                    ),
+                    lane_s=(prep_s if j == 0 else 0.0) + send_s,
+                    post_lane_s=msg.delay_s,
+                    stages=stages,
                     ack_s=ack_s,
+                    dropped=lost,
                 )
             )
         return out
-
-    def _write_robust(
-        self,
-        cfile: ClusterFile,
-        requests: Sequence[WriteRequest],
-        to_disk: bool,
-    ) -> OperationResult:
-        """Write with checksums, replica fan-out, and retry rounds.
-
-        Round 0 sends every message; a round's drops/corruptions are
-        retransmitted in the next round, which starts ``timeout_s +
-        backoff_s(round)`` later on the modelled clock.  Checksum
-        verification precedes any store scatter, so retransmitting a
-        message is idempotent, and each message fans out to every
-        *live* replica of its subfile (fewer than ``replication``
-        marks the operation degraded).
-        """
-        injector = self.injector or FaultInjector()
-        policy = self.retry_policy
-        op_id = injector.begin_op("write")
-        k = cfile.replication
-        # With zero rules every fate is "ok" and every disk factor is
-        # 1.0 — skip those per-message queries so an armed-but-idle
-        # injector stays cheap.
-        armed = bool(injector.plan.rules)
-        with open_span(
-            "parallel_write", op="write", to_disk=to_disk, op_id=op_id,
-            trace_id=_op_trace_id(),
-        ) as root:
-            messages = self._prepare(requests, gather_payload=True)
-            req_by_view = {req.view.compute_node: req for req in requests}
-            n_messages = 0
-            payload_bytes = 0
-            degraded = False
-            pending = list(range(len(messages)))
-            # Replica liveness and server bindings are functions of
-            # (subfile, op_id) only — constant across messages and retry
-            # rounds of one operation — so resolve each subfile once.
-            live_by_subfile: Dict[int, List[Tuple[int, int]]] = {}
-            servers_by_subfile: Dict[int, List[IOServer]] = {}
-            round_start = 0.0
-            round_idx = 0
-            while pending:
-                if round_idx > policy.max_retries:
-                    raise RetryBudgetExceeded(
-                        f"write op {op_id}: {len(pending)} message(s) still "
-                        f"failing after {policy.max_retries} retries"
-                    )
-                group = (
-                    open_span("retry", round=round_idx, messages=len(pending))
-                    if round_idx
-                    else contextlib.nullcontext()
-                )
-                with group:
-                    if round_idx:
-                        obs_metrics.inc("faults.retry.rounds")
-                        obs_metrics.inc("faults.retry.messages", len(pending))
-                    failed: List[int] = []
-                    sim_msgs: List[SimMessage] = []
-                    for i in pending:
-                        msg = messages[i]
-                        view = req_by_view[msg.compute].view
-                        live = live_by_subfile.get(msg.subfile)
-                        if live is None:
-                            live = live_by_subfile[msg.subfile] = (
-                                self._live_replicas(
-                                    injector, msg.subfile, k, op_id
-                                )
-                            )
-                        if not live:
-                            raise NoLiveReplica(
-                                f"all {k} replica(s) of subfile "
-                                f"{msg.subfile} are down"
-                            )
-                        if len(live) < k:
-                            degraded = True
-                        fate, delay_s = (
-                            injector.message_fate(
-                                op_id,
-                                "write",
-                                msg.compute,
-                                msg.subfile,
-                                round_idx,
-                            )
-                            if armed
-                            else _FATE_OK
-                        )
-                        payload = msg.payload
-                        if fate == "corrupt":
-                            # CRCs are stamped lazily, only once a message
-                            # actually meets corruption: for intact
-                            # payloads the verify is a tautology (the
-                            # injector is the sole corruption source), so
-                            # hashing them would tax every fault-free run.
-                            if msg.crc is None:
-                                msg.crc = checksum(msg.payload)
-                            payload = injector.corrupt_payload(
-                                msg.payload,
-                                op_id,
-                                "write",
-                                msg.compute,
-                                msg.subfile,
-                                round_idx,
-                            )
-                            if checksum(payload) == msg.crc:
-                                fate = "ok"  # empty payload: nothing to flip
-                        costs: List[Tuple[float, float]] = []
-                        servers = servers_by_subfile.get(msg.subfile)
-                        if servers is None:
-                            stores = cfile.replica_stores(msg.subfile)
-                            servers = servers_by_subfile[msg.subfile] = [
-                                IOServer(
-                                    self.cluster.io[node_idx],
-                                    stores[r],
-                                    self.cluster.config,
-                                )
-                                for r, node_idx in live
-                            ]
-                        if fate != "drop":
-                            for (r, node_idx), server in zip(live, servers):
-                                with open_span(
-                                    "server.write",
-                                    subfile=msg.subfile,
-                                    io_node=node_idx,
-                                ) as sp:
-                                    if r or round_idx:
-                                        sp.annotate(
-                                            replica=r, attempt=round_idx
-                                        )
-                                    try:
-                                        cost = server.write(
-                                            msg.l_s,
-                                            msg.r_s,
-                                            payload,
-                                            view.links[msg.subfile].proj_subfile,
-                                            to_disk=to_disk,
-                                            crc=msg.crc,
-                                        )
-                                    except ChecksumError:
-                                        obs_metrics.inc(
-                                            "faults.checksum_failures"
-                                        )
-                                        sp.annotate(error="checksum")
-                                        break
-                                disk_s = (
-                                    cost.disk_s
-                                    * injector.disk_factor(node_idx)
-                                    if armed
-                                    else cost.disk_s
-                                )
-                                sp.annotate(
-                                    bytes=cost.nbytes,
-                                    runs=cost.runs,
-                                    cache_s=cost.cache_s,
-                                    disk_s=disk_s,
-                                )
-                                costs.append((cost.cache_s, disk_s))
-                        if fate != "ok":
-                            failed.append(i)
-                        sim_msgs.extend(
-                            self._fanout_messages(msg, live, costs, fate, delay_s)
-                        )
-                        per_copy = 1 if msg.payload.size == 0 else 2
-                        n_messages += per_copy * len(live)
-                        payload_bytes += int(msg.payload.size) * len(live)
-                    with open_span(
-                        "transport", messages=len(sim_msgs), round=round_idx
-                    ) as tspan:
-                        done = self.transport.run(sim_msgs, trace_span=tspan)
-                    tspan.annotate(
-                        done_bc=done.get("bc", {}),
-                        done_disk=done.get("disk", {}),
-                        round_start_s=round_start,
-                    )
-                if failed:
-                    round_start += policy.timeout_s + policy.backoff_s(
-                        round_idx,
-                        seed=injector.plan.seed,
-                        token=("write", op_id),
-                    )
-                pending = failed
-                round_idx += 1
-            root.annotate(degraded=degraded)
-            if degraded:
-                obs_metrics.inc("faults.degraded.writes")
-        return self._finish(root, "write", n_messages, payload_bytes)
-
-    def _read_robust(
-        self,
-        cfile: ClusterFile,
-        requests: Sequence[WriteRequest],
-        from_disk: bool,
-    ) -> OperationResult:
-        """Read with reply checksums, replica failover, and retries.
-
-        Each message is served by the lowest-index *live* replica of
-        its subfile; when that is not the primary, a ``failover`` span
-        marks the switch.  A reply dropped or corrupted in flight is
-        re-requested next round — reads have no side effects, so the
-        retry is trivially idempotent — and the user buffer is only
-        ever written with a checksum-verified reply.
-        """
-        injector = self.injector or FaultInjector()
-        policy = self.retry_policy
-        op_id = injector.begin_op("read")
-        k = cfile.replication
-        armed = bool(injector.plan.rules)  # see _write_robust
-        with open_span(
-            "parallel_read", op="read", from_disk=from_disk, op_id=op_id,
-            trace_id=_op_trace_id(),
-        ) as root:
-            messages = self._prepare(requests, gather_payload=False)
-            req_by_view = {req.view.compute_node: req for req in requests}
-            n_messages = 0
-            payload_bytes = 0
-            pending = list(range(len(messages)))
-            # As in _write_robust: liveness and the serving replica's
-            # server are per-(subfile, op) invariants, resolved once.
-            live_by_subfile: Dict[int, List[Tuple[int, int]]] = {}
-            server_by_subfile: Dict[int, IOServer] = {}
-            round_start = 0.0
-            round_idx = 0
-            while pending:
-                if round_idx > policy.max_retries:
-                    raise RetryBudgetExceeded(
-                        f"read op {op_id}: {len(pending)} message(s) still "
-                        f"failing after {policy.max_retries} retries"
-                    )
-                group = (
-                    open_span("retry", round=round_idx, messages=len(pending))
-                    if round_idx
-                    else contextlib.nullcontext()
-                )
-                with group:
-                    if round_idx:
-                        obs_metrics.inc("faults.retry.rounds")
-                        obs_metrics.inc("faults.retry.messages", len(pending))
-                    failed: List[int] = []
-                    sim_msgs: List[SimMessage] = []
-                    for i in pending:
-                        msg = messages[i]
-                        req = req_by_view[msg.compute]
-                        link = req.view.links[msg.subfile]
-                        live = live_by_subfile.get(msg.subfile)
-                        if live is None:
-                            live = live_by_subfile[msg.subfile] = (
-                                self._live_replicas(
-                                    injector, msg.subfile, k, op_id
-                                )
-                            )
-                        if not live:
-                            raise NoLiveReplica(
-                                f"all {k} replica(s) of subfile "
-                                f"{msg.subfile} are down"
-                            )
-                        r, node_idx = live[0]
-                        if r != 0 and round_idx == 0:
-                            obs_metrics.inc("faults.failover.reads")
-                            primary = replica_nodes(
-                                msg.subfile, k, len(self.cluster.io)
-                            )[0]
-                            root.child(
-                                "failover",
-                                subfile=msg.subfile,
-                                from_node=primary,
-                                to_node=node_idx,
-                                replica=r,
-                            )
-                        server = server_by_subfile.get(msg.subfile)
-                        if server is None:
-                            server = server_by_subfile[msg.subfile] = IOServer(
-                                self.cluster.io[node_idx],
-                                cfile.replica_stores(msg.subfile)[r],
-                                self.cluster.config,
-                            )
-                        with open_span(
-                            "server.read",
-                            subfile=msg.subfile,
-                            io_node=node_idx,
-                        ) as sp:
-                            if r or round_idx:
-                                sp.annotate(replica=r, attempt=round_idx)
-                            payload, cost = server.read(
-                                msg.l_s,
-                                msg.r_s,
-                                link.proj_subfile,
-                                from_disk=from_disk,
-                            )
-                        disk_s = (
-                            cost.disk_s * injector.disk_factor(node_idx)
-                            if armed
-                            else cost.disk_s
-                        )
-                        sp.annotate(
-                            bytes=cost.nbytes,
-                            runs=cost.runs,
-                            cache_s=cost.cache_s,
-                            disk_s=disk_s,
-                        )
-                        fate, delay_s = (
-                            injector.message_fate(
-                                op_id,
-                                "read",
-                                msg.compute,
-                                msg.subfile,
-                                round_idx,
-                            )
-                            if armed
-                            else _FATE_OK
-                        )
-                        if fate == "corrupt":
-                            # Lazy CRC: only a corrupted reply needs the
-                            # reference checksum (see _write_robust).
-                            crc = checksum(payload)
-                            received = injector.corrupt_payload(
-                                payload,
-                                op_id,
-                                "read",
-                                msg.compute,
-                                msg.subfile,
-                                round_idx,
-                            )
-                            if checksum(received) != crc:
-                                obs_metrics.inc("faults.checksum_failures")
-                                sp.annotate(error="checksum")
-                            else:
-                                fate = "ok"  # empty reply: nothing to flip
-                        msg.payload = payload
-                        if fate == "ok":
-                            self._scatter_reply(root, req, link, msg, payload)
-                        else:
-                            failed.append(i)
-                        costs = (
-                            [(cost.cache_s, disk_s)] if fate == "ok" else []
-                        )
-                        sim_msgs.extend(
-                            self._fanout_messages(
-                                msg, [(r, node_idx)], costs, fate, delay_s
-                            )
-                        )
-                        n_messages += 1 if payload.size == 0 else 2
-                        payload_bytes += int(payload.size)
-                    with open_span(
-                        "transport", messages=len(sim_msgs), round=round_idx
-                    ) as tspan:
-                        done = self.transport.run(sim_msgs, trace_span=tspan)
-                    tspan.annotate(
-                        done_bc=done.get("bc", {}),
-                        done_disk=done.get("disk", {}),
-                        round_start_s=round_start,
-                    )
-                if failed:
-                    round_start += policy.timeout_s + policy.backoff_s(
-                        round_idx,
-                        seed=injector.plan.seed,
-                        token=("read", op_id),
-                    )
-                pending = failed
-                round_idx += 1
-        return self._finish(root, "read", n_messages, payload_bytes)
-
-    def _servers(self, cfile: ClusterFile) -> Dict[int, IOServer]:
-        return {
-            s: IOServer(
-                self.cluster.io_node_for(s), cfile.stores[s], self.cluster.config
-            )
-            for s in range(cfile.num_subfiles)
-        }
 
     def _finish(
         self, root: Span, op: str, n_messages: int, payload_bytes: int
@@ -1342,126 +1043,22 @@ class IOEngine:
         source subfile, wire between distinct I/O nodes, scatter into
         the destination subfile — data movement real, timing simulated.
 
-        With an injector (or replica mirrors) each transfer reads from
-        the first live source replica, verifies the payload checksum,
-        retries dropped/corrupt transfers under the retry policy, and
-        writes every live destination replica.
+        Each transfer reads from the first live source replica, retries
+        dropped/corrupt attempts under the retry policy, and writes
+        every live destination replica.  The gather happens once — the
+        source bytes never change mid-relayout, so a retried transfer
+        re-sends the same verified payload; only the *wire* fate is
+        re-drawn per attempt.  No injector and no mirrors is the case of
+        one source, one destination, zero retries.
 
         Returns ``(bytes_moved, cross_node_messages, makespan_s,
         trace)``.
         """
-        if self.injector is not None or src_mirrors or dst_mirrors:
-            return self._relayout_robust(
-                plan,
-                old,
-                new_physical,
-                length,
-                src_stores,
-                dst_stores,
-                src_mirrors,
-                dst_mirrors,
-            )
-        with open_span(
-            "relayout", transfers=len(plan.transfers), length=length,
-            trace_id=_op_trace_id(),
-        ) as root:
-            sim_msgs: List[SimMessage] = []
-            bytes_moved = 0
-            cross = 0
-            for t in plan.transfers:
-                src_len = old.element_length(t.src_element, length)
-                dst_len = new_physical.element_length(t.dst_element, length)
-                if src_len == 0 or dst_len == 0:
-                    continue
-                src_segs = t.src_projection.segments_in(0, src_len - 1)
-                dst_segs = t.dst_projection.segments_in(0, dst_len - 1)
-                nbytes = int(src_segs[1].sum()) if src_segs[1].size else 0
-                if nbytes == 0:
-                    continue
-
-                # Real data movement.
-                with open_span(
-                    "move",
-                    src=t.src_element,
-                    dst=t.dst_element,
-                    bytes=nbytes,
-                ):
-                    payload = gather_segments(
-                        src_stores[t.src_element].view(0, src_len - 1), src_segs
-                    )
-                    scatter_segments(
-                        dst_stores[t.dst_element].view(0, dst_len - 1),
-                        dst_segs,
-                        payload,
-                    )
-                bytes_moved += nbytes
-
-                # Simulated timing: read at source, wire, write at
-                # destination.
-                src_node = self.cluster.io_node_for(t.src_element)
-                dst_node = self.cluster.io_node_for(t.dst_element)
-                read_s = write_time_for_segments(
-                    src_node.disk,
-                    zip(src_segs[0].tolist(), src_segs[1].tolist()),
-                )
-                if src_node.index != dst_node.index:
-                    wire_s = self.cluster.network.send_time(
-                        src_node.name, dst_node.name, nbytes
-                    )
-                    cross += 1
-                else:
-                    wire_s = 0.0
-                write_s = write_time_for_segments(
-                    dst_node.disk,
-                    zip(dst_segs[0].tolist(), dst_segs[1].tolist()),
-                )
-                sim_msgs.append(
-                    SimMessage(
-                        key=t.dst_element,
-                        lane=("disk-read", src_node.index),
-                        lane_s=read_s,
-                        post_lane_s=wire_s,
-                        stages=((dst_node.disk_queue, write_s, "disk"),),
-                    )
-                )
-
-            with open_span("transport", messages=cross) as tspan:
-                done = self.transport.run(sim_msgs, trace_span=tspan)
-            makespan_s = max(done.get("disk", {}).values(), default=0.0)
-            root.annotate(bytes_moved=bytes_moved, makespan_s=makespan_s)
-        obs_metrics.inc("engine.relayout.ops")
-        obs_metrics.inc("engine.relayout.bytes_moved", bytes_moved)
-        obs_metrics.inc("engine.relayout.cross_node_messages", cross)
-        _observe_op(root, "relayout", bytes_moved)
-        return bytes_moved, cross, makespan_s, root
-
-    def _relayout_robust(
-        self,
-        plan: RedistributionPlan,
-        old: Partition,
-        new_physical: Partition,
-        length: int,
-        src_stores: Sequence,
-        dst_stores: Sequence,
-        src_mirrors: Optional[Sequence[Sequence]],
-        dst_mirrors: Optional[Sequence[Sequence]],
-    ) -> Tuple[int, int, float, Span]:
-        """Re-layout under faults: per-transfer checksum + retry, source
-        failover, destination replica fan-out.
-
-        The gather from the chosen live source replica happens once —
-        the source bytes never change mid-relayout, so a retried
-        transfer re-sends the same verified payload; only the *wire*
-        fate is re-drawn per attempt.
-        """
-        injector = self.injector or FaultInjector()
-        policy = self.retry_policy
-        op_id = injector.begin_op("relayout")
-        n_io = len(self.cluster.io)
-        with open_span(
-            "relayout", transfers=len(plan.transfers), length=length,
-            op_id=op_id, trace_id=_op_trace_id(),
-        ) as root:
+        injector = self.injector
+        op_id, attrs = _begin_op(
+            injector, "relayout", transfers=len(plan.transfers), length=length
+        )
+        with open_span("relayout", **attrs) as root:
             sim_msgs: List[SimMessage] = []
             bytes_moved = 0
             cross = 0
@@ -1480,51 +1077,26 @@ class IOEngine:
                 # Source side: first live replica serves the gather.
                 src_replicas = [src_stores[t.src_element]]
                 if src_mirrors:
-                    src_replicas += list(src_mirrors[t.src_element])
-                src_nodes = replica_nodes(
-                    t.src_element, len(src_replicas), n_io
+                    src_replicas += src_mirrors[t.src_element]
+                src_live = self._live_replicas(
+                    t.src_element, len(src_replicas), op_id, "source "
                 )
-                src_live = [
-                    (r, n)
-                    for r, n in enumerate(src_nodes)
-                    if not injector.node_crashed(n, op_id)
-                ]
-                if not src_live:
-                    raise NoLiveReplica(
-                        f"all {len(src_replicas)} replica(s) of source "
-                        f"subfile {t.src_element} are down"
-                    )
-                r_src, src_node_idx = src_live[0]
+                r_src, src_node_idx, src_factor = src_live[0]
+                src_node = self.cluster.io[src_node_idx]
                 if r_src != 0:
-                    obs_metrics.inc("faults.failover.reads")
-                    root.child(
-                        "failover",
-                        subfile=t.src_element,
-                        from_node=src_nodes[0],
-                        to_node=src_node_idx,
-                        replica=r_src,
-                    )
+                    self._fail_over(root, t.src_element, src_live[0])
 
                 # Destination side: every live replica gets the bytes.
                 dst_replicas = [dst_stores[t.dst_element]]
                 if dst_mirrors:
-                    dst_replicas += list(dst_mirrors[t.dst_element])
-                dst_nodes = replica_nodes(
-                    t.dst_element, len(dst_replicas), n_io
+                    dst_replicas += dst_mirrors[t.dst_element]
+                dst_live = self._live_replicas(
+                    t.dst_element, len(dst_replicas), op_id, "destination "
                 )
-                dst_live = [
-                    (r, n)
-                    for r, n in enumerate(dst_nodes)
-                    if not injector.node_crashed(n, op_id)
-                ]
-                if not dst_live:
-                    raise NoLiveReplica(
-                        f"all {len(dst_replicas)} replica(s) of destination "
-                        f"subfile {t.dst_element} are down"
-                    )
                 if len(dst_live) < len(dst_replicas):
                     degraded = True
 
+                # Real data movement.
                 with open_span(
                     "move",
                     src=t.src_element,
@@ -1534,57 +1106,19 @@ class IOEngine:
                     payload = gather_segments(
                         src_replicas[r_src].view(0, src_len - 1), src_segs
                     )
-                    crc = None  # stamped lazily on first corruption
-                    attempt = 0
-                    extra_s = 0.0
-                    delay_s = 0.0
-                    while True:
-                        fate, delay_s = injector.message_fate(
-                            op_id,
-                            "relayout",
-                            t.src_element,
-                            t.dst_element,
-                            attempt,
-                        )
-                        if fate == "corrupt":
-                            if crc is None:
-                                crc = checksum(payload)
-                            received = injector.corrupt_payload(
-                                payload,
-                                op_id,
-                                "relayout",
-                                t.src_element,
-                                t.dst_element,
-                                attempt,
-                            )
-                            if checksum(received) == crc:
-                                fate = "ok"  # empty: nothing to flip
-                            else:
-                                obs_metrics.inc("faults.checksum_failures")
-                        if fate == "ok":
-                            break
-                        attempt += 1
-                        if attempt > policy.max_retries:
-                            raise RetryBudgetExceeded(
-                                f"relayout transfer {t.src_element}->"
-                                f"{t.dst_element} still failing after "
-                                f"{policy.max_retries} retries"
-                            )
-                        obs_metrics.inc("faults.retry.messages")
-                        extra_s += policy.timeout_s + policy.backoff_s(
-                            attempt - 1,
-                            seed=injector.plan.seed,
-                            token=(
-                                "relayout",
-                                op_id,
-                                t.src_element,
-                                t.dst_element,
-                            ),
-                        )
-                    if attempt:
-                        obs_metrics.inc("faults.retry.rounds", attempt)
-                        mv.child("retry", messages=attempt, rounds=attempt)
-                    for r_dst, _node in dst_live:
+                    retries, delay_s, backoff_s = _transfer_retries(
+                        injector,
+                        self.retry_policy,
+                        op_id,
+                        "relayout",
+                        t.src_element,
+                        t.dst_element,
+                        lambda: payload,
+                    )
+                    if retries:
+                        obs_metrics.inc("faults.retry.rounds", retries)
+                        mv.child("retry", messages=retries, rounds=retries)
+                    for r_dst, _node, _factor in dst_live:
                         scatter_segments(
                             dst_replicas[r_dst].view(0, dst_len - 1),
                             dst_segs,
@@ -1594,13 +1128,11 @@ class IOEngine:
 
                 # Simulated timing: read once at the live source, wire
                 # to each live destination replica, write there.
-                src_node = self.cluster.io[src_node_idx]
-                read_s = write_time_for_segments(
+                read_s = src_factor * write_time_for_segments(
                     src_node.disk,
                     zip(src_segs[0].tolist(), src_segs[1].tolist()),
-                ) * injector.disk_factor(src_node_idx)
-                first = True
-                for _r_dst, dst_node_idx in dst_live:
+                )
+                for j, (_r_dst, dst_node_idx, dst_factor) in enumerate(dst_live):
                     dst_node = self.cluster.io[dst_node_idx]
                     if src_node_idx != dst_node_idx:
                         wire_s = self.cluster.network.send_time(
@@ -1609,20 +1141,19 @@ class IOEngine:
                         cross += 1
                     else:
                         wire_s = 0.0
-                    write_s = write_time_for_segments(
+                    write_s = dst_factor * write_time_for_segments(
                         dst_node.disk,
                         zip(dst_segs[0].tolist(), dst_segs[1].tolist()),
-                    ) * injector.disk_factor(dst_node_idx)
+                    )
                     sim_msgs.append(
                         SimMessage(
                             key=t.dst_element,
                             lane=("disk-read", src_node_idx),
-                            lane_s=read_s if first else 0.0,
-                            post_lane_s=wire_s + delay_s + extra_s,
+                            lane_s=read_s if j == 0 else 0.0,
+                            post_lane_s=wire_s + delay_s + backoff_s,
                             stages=((dst_node.disk_queue, write_s, "disk"),),
                         )
                     )
-                    first = False
 
             with open_span("transport", messages=cross) as tspan:
                 done = self.transport.run(sim_msgs, trace_span=tspan)
@@ -1639,6 +1170,59 @@ class IOEngine:
         obs_metrics.inc("engine.relayout.cross_node_messages", cross)
         _observe_op(root, "relayout", bytes_moved)
         return bytes_moved, cross, makespan_s, root
+
+
+def _transfer_retries(
+    injector: Optional[FaultInjector],
+    policy: RetryPolicy,
+    op_id,
+    op: str,
+    src: int,
+    dst: int,
+    packed,
+) -> Tuple[int, float, float]:
+    """Draw one transfer's wire fates until an attempt is delivered.
+
+    A re-layout or shuffle transfer re-sends the same packed bytes (its
+    source is never modified mid-operation), so only the fate is
+    re-drawn per attempt; ``packed()`` yields those bytes and is called
+    only if an attempt is corrupted (the CRC is stamped lazily).  Fates
+    are a pure function of ``(seed, op_id, transfer, attempt)``.
+
+    Returns ``(retries, delay_s, backoff_s)``: retransmissions needed,
+    the injected delay of the delivered attempt, and the modelled
+    timeout + backoff the failed ones cost.  No injector: ``(0, 0, 0)``.
+    """
+    if injector is None:
+        return 0, 0.0, 0.0
+    payload = crc = None
+    attempt = 0
+    backoff_s = 0.0
+    while True:
+        fate, delay_s = injector.message_fate(op_id, op, src, dst, attempt)
+        if fate == "corrupt":
+            if crc is None:
+                payload = packed()
+                crc = checksum(payload)
+            received = injector.corrupt_payload(
+                payload, op_id, op, src, dst, attempt
+            )
+            if checksum(received) == crc:
+                fate = "ok"  # empty: nothing to flip
+            else:
+                obs_metrics.inc("faults.checksum_failures")
+        if fate == "ok":
+            return attempt, delay_s, backoff_s
+        attempt += 1
+        if attempt > policy.max_retries:
+            raise RetryBudgetExceeded(
+                f"{op} transfer {src}->{dst} still failing after "
+                f"{policy.max_retries} retries"
+            )
+        obs_metrics.inc("faults.retry.messages")
+        backoff_s += policy.timeout_s + policy.backoff_s(
+            attempt - 1, seed=injector.plan.seed, token=(op, op_id, src, dst)
+        )
 
 
 # --------------------------------------------------------------------------
@@ -1672,53 +1256,28 @@ def _shuffle_fate_accounting(
 
     Fates are a pure function of ``(seed, op_id, transfer, attempt)``,
     so retry counts and budget failures are identical whichever executor
-    variant later moves the data; the packed payload is gathered only to
-    answer the corrupt-checksum question exactly as the serial robust
-    loop would."""
+    later moves the data; a transfer's packed payload is gathered only
+    to answer a corrupt attempt's checksum question."""
     retries = 0
     for t in plan.transfers:
-        src_len = src_buffers[t.src_element].size
-        if src_len == 0:
+        src = src_buffers[t.src_element]
+        if src.size == 0:
             continue
-        src_segs = t.src_projection.segments_in(0, src_len - 1)
-        nbytes = int(src_segs[1].sum()) if src_segs[1].size else 0
-        if nbytes == 0:
+        src_segs = t.src_projection.segments_in(0, src.size - 1)
+        if not (src_segs[1].size and int(src_segs[1].sum())):
             continue
-        packed = gather_segments(src_buffers[t.src_element], src_segs)
-        crc = None
-        attempt = 0
-        while True:
-            fate, _delay_s = injector.message_fate(
-                op_id, "shuffle", t.src_element, t.dst_element, attempt
-            )
-            if fate == "corrupt":
-                if crc is None:
-                    crc = checksum(packed)
-                received = injector.corrupt_payload(
-                    packed,
-                    op_id,
-                    "shuffle",
-                    t.src_element,
-                    t.dst_element,
-                    attempt,
-                )
-                if checksum(received) == crc:
-                    fate = "ok"  # empty: nothing to flip
-                else:
-                    obs_metrics.inc("faults.checksum_failures")
-            if fate == "ok":
-                break
-            attempt += 1
-            if attempt > policy.max_retries:
-                raise RetryBudgetExceeded(
-                    f"shuffle transfer {t.src_element}->"
-                    f"{t.dst_element} still failing after "
-                    f"{policy.max_retries} retries"
-                )
-            obs_metrics.inc("faults.retry.messages")
-        if attempt:
-            retries += attempt
-            root.child("retry", messages=attempt)
+        attempts, _delay_s, _backoff_s = _transfer_retries(
+            injector,
+            policy,
+            op_id,
+            "shuffle",
+            t.src_element,
+            t.dst_element,
+            lambda: gather_segments(src, src_segs),
+        )
+        if attempts:
+            retries += attempts
+            root.child("retry", messages=attempts)
     return retries
 
 
@@ -1812,18 +1371,18 @@ def run_shuffle(
     network model is supplied.  Used by two-phase collective I/O
     (phase-1 shuffle) and by checkpoint resharding (no network — ranks
     convert their own pieces).  ``window_bytes`` selects the out-of-core
-    executor (fixed file windows, bounded temporary memory);
-    ``parallel`` the thread-pool executor — both are byte-identical to
-    the serial path, with or without faults.
+    executor (fixed file windows, bounded temporary memory),
+    ``parallel`` the thread-pool executor, ``backend`` the worker pool
+    — all byte-identical to the serial executor, with or without
+    faults.
 
-    With an injector, each transfer's packed payload is checksummed and
-    its wire fate drawn per attempt; dropped/corrupt transfers re-send
-    the same packed bytes (source buffers are never modified by the
-    shuffle, so the re-gather is idempotent) until the retry budget
-    runs out.  Fate draws depend only on the plan seed, the operation
-    id and the transfer identity — never on the executor variant — so
-    retry counts are reproducible across variants.  Injector ``None``
-    is the exact pre-faults path.
+    With an injector, each transfer's wire fate is drawn per attempt
+    before any byte moves; dropped/corrupt transfers re-send the same
+    packed bytes (source buffers are never modified by the shuffle, so
+    the re-gather is idempotent) until the retry budget runs out.  Fate
+    draws depend only on the plan seed, the operation id and the
+    transfer identity — never on the executor — so retry counts are
+    reproducible across executors.
     """
     if window_bytes is not None and parallel:
         raise ValueError("window_bytes and parallel are mutually exclusive")
@@ -1831,142 +1390,37 @@ def run_shuffle(
         raise ValueError(
             "backend is mutually exclusive with parallel/window_bytes"
         )
-    if backend is not None and injector is not None:
-        # Fault injection needs parent-side fate draws per attempt; the
-        # robust shuffle always runs in-process.
-        backend = None
-    if injector is None:
-        with open_span(
-            "shuffle", transfers=len(plan.transfers),
-            file_length=file_length, trace_id=_op_trace_id(),
-        ) as root:
-            with open_span("move"):
-                if backend is not None:
-                    buffers = _execute_plan_mp(
-                        plan, src_buffers, file_length, backend, root
-                    )
-                elif window_bytes is not None:
-                    buffers = execute_plan_windowed(
-                        plan, src_buffers, file_length, window_bytes
-                    )
-                else:
-                    buffers = execute_plan(
-                        plan, src_buffers, file_length, parallel=parallel
-                    )
-            transport = DirectTransport(network)
-            messages, off_node_bytes, time_s = transport.cost(
-                (t.src_element, t.dst_element, t.bytes_in_file(file_length))
-                for t in plan.transfers
-            )
-            root.annotate(
-                messages=messages,
-                off_node_bytes=off_node_bytes,
-                time_us=time_s * 1e6,
-            )
-        obs_metrics.inc("engine.shuffle.ops")
-        obs_metrics.inc("engine.shuffle.messages", messages)
-        obs_metrics.inc("engine.shuffle.off_node_bytes", off_node_bytes)
-        _observe_op(root, "shuffle", off_node_bytes)
-        return ShuffleResult(buffers, messages, off_node_bytes, time_s, root)
-
-    policy = retry_policy or RetryPolicy()
-    op_id = injector.begin_op("shuffle")
-    retries = 0
-    with open_span(
+    op_id, attrs = _begin_op(
+        injector,
         "shuffle",
         transfers=len(plan.transfers),
         file_length=file_length,
-        op_id=op_id,
-        trace_id=_op_trace_id(),
-    ) as root:
-        if parallel or window_bytes is not None:
-            # Variant executors: settle every transfer's wire fate first
-            # (same draws, retries and budget failures as the serial
-            # loop), then move the bytes with the requested executor —
-            # the movement itself is byte-identical by construction.
-            with open_span("move"):
-                retries = _shuffle_fate_accounting(
-                    plan, src_buffers, injector, policy, op_id, root
-                )
-                if window_bytes is not None:
-                    buffers = execute_plan_windowed(
-                        plan, src_buffers, file_length, window_bytes
-                    )
-                else:
-                    buffers = execute_plan(
-                        plan, src_buffers, file_length, parallel=True
-                    )
-            transport = DirectTransport(network)
-            messages, off_node_bytes, time_s = transport.cost(
-                (t.src_element, t.dst_element, t.bytes_in_file(file_length))
-                for t in plan.transfers
-            )
-            root.annotate(
-                messages=messages,
-                off_node_bytes=off_node_bytes,
-                time_us=time_s * 1e6,
-                retries=retries,
-            )
-            obs_metrics.inc("engine.shuffle.ops")
-            obs_metrics.inc("engine.shuffle.messages", messages)
-            obs_metrics.inc("engine.shuffle.off_node_bytes", off_node_bytes)
-            _observe_op(root, "shuffle", off_node_bytes)
-            return ShuffleResult(
-                buffers, messages, off_node_bytes, time_s, root, retries
-            )
-        buffers = [
-            np.zeros(plan.dst.element_length(j, file_length), dtype=np.uint8)
-            for j in range(plan.dst.num_elements)
-        ]
+    )
+    retries = 0
+    with open_span("shuffle", **attrs) as root:
         with open_span("move"):
-            for t in plan.transfers:
-                src_len = src_buffers[t.src_element].size
-                dst_len = buffers[t.dst_element].size
-                if src_len == 0 or dst_len == 0:
-                    continue
-                src_segs = t.src_projection.segments_in(0, src_len - 1)
-                dst_segs = t.dst_projection.segments_in(0, dst_len - 1)
-                nbytes = int(src_segs[1].sum()) if src_segs[1].size else 0
-                if nbytes == 0:
-                    continue
-                packed = gather_segments(src_buffers[t.src_element], src_segs)
-                crc = None  # stamped lazily on first corruption
-                attempt = 0
-                while True:
-                    fate, _delay_s = injector.message_fate(
-                        op_id, "shuffle", t.src_element, t.dst_element, attempt
-                    )
-                    if fate == "corrupt":
-                        if crc is None:
-                            crc = checksum(packed)
-                        received = injector.corrupt_payload(
-                            packed,
-                            op_id,
-                            "shuffle",
-                            t.src_element,
-                            t.dst_element,
-                            attempt,
-                        )
-                        if checksum(received) == crc:
-                            fate = "ok"  # empty: nothing to flip
-                        else:
-                            obs_metrics.inc("faults.checksum_failures")
-                    if fate == "ok":
-                        break
-                    attempt += 1
-                    if attempt > policy.max_retries:
-                        raise RetryBudgetExceeded(
-                            f"shuffle transfer {t.src_element}->"
-                            f"{t.dst_element} still failing after "
-                            f"{policy.max_retries} retries"
-                        )
-                    obs_metrics.inc("faults.retry.messages")
-                scatter_segments(buffers[t.dst_element], dst_segs, packed)
-                if attempt:
-                    retries += attempt
-                    root.child("retry", messages=attempt)
-        transport = DirectTransport(network)
-        messages, off_node_bytes, time_s = transport.cost(
+            if injector is not None:
+                retries = _shuffle_fate_accounting(
+                    plan,
+                    src_buffers,
+                    injector,
+                    retry_policy or RetryPolicy(),
+                    op_id,
+                    root,
+                )
+            if backend is not None:
+                buffers = _execute_plan_mp(
+                    plan, src_buffers, file_length, backend, root
+                )
+            elif window_bytes is not None:
+                buffers = execute_plan_windowed(
+                    plan, src_buffers, file_length, window_bytes
+                )
+            else:
+                buffers = execute_plan(
+                    plan, src_buffers, file_length, parallel=parallel
+                )
+        messages, off_node_bytes, time_s = DirectTransport(network).cost(
             (t.src_element, t.dst_element, t.bytes_in_file(file_length))
             for t in plan.transfers
         )

@@ -40,16 +40,18 @@ class Clusterfile:
     :class:`repro.clusterfile.storage.FileStorage`; timings always come
     from the era device models either way.
 
-    ``fault_injector`` / ``retry_policy`` switch every data operation
-    onto the engine's robust path (checksums, retries, failover); both
-    ``None`` — the default — runs the exact fault-free code.
+    ``fault_injector`` / ``retry_policy`` subject every data operation
+    to the engine's fault handling (checksums, retry rounds, failover).
+    The engine has one pipeline either way; both ``None`` — the default
+    — is its one-round, every-fate-ok case.
 
     ``workers_mode="process"`` escapes the GIL: subfile stores default
-    to shared memory and the fault-free write/read paths execute on a
+    to shared memory and the server side of every write/read round —
+    faulty or not — executes on a
     :class:`~repro.mp.pool.ProcessPoolExecutorBackend` of ``workers``
     processes (call :meth:`close` — or use the instance as a context
     manager — to tear the pool and its segments down).  The default
-    ``"thread"`` keeps everything in-process, exactly as before.
+    ``"thread"`` keeps everything in-process.
     """
 
     config: ClusterConfig = field(default_factory=ClusterConfig)

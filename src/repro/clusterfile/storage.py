@@ -161,9 +161,9 @@ class SharedMemoryStore(SubfileStore):
     anything.
 
     Concurrency contract: exactly one process writes a given subfile at
-    a time (the owning pool worker on the fast path, or the parent on
-    the robust/relayout paths — the engine never mixes the two in one
-    operation), so the length header needs no lock.
+    a time (the owning pool worker during a write, the parent during a
+    relayout — the engine never mixes the two in one operation), so the
+    length header needs no lock.
     """
 
     HEADER = 8

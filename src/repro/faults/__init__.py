@@ -22,7 +22,8 @@ package:
   node is down.
 
 Everything is off by default: a ``Clusterfile`` without an injector and
-with replication 1 runs the exact pre-existing fault-free code path.
+with replication 1 is the engine's one round loop at its simplest — one
+round, one replica per message, every fate ok, no checksum computed.
 """
 
 from .errors import (

@@ -291,26 +291,31 @@ def run_chaos(
     costs).
 
     ``mode`` selects the deployments' execution mode (``"thread"`` or
-    ``"process"``); byte-exactness must hold identically in both.
-    Fault-injected operations always execute their robust parent-side
-    paths, so process mode mainly exercises shared-memory subfile
-    stores plus the fault-free twin's multiprocess fan-out.
+    ``"process"``); byte-exactness and the recovery facts must hold
+    identically in both.  In process mode every round of a faulty
+    write/read — retransmissions, replica fan-out, failover reads,
+    checksum rejections — is served inside the worker pool, and each
+    deployment path's report gains ``worker_jobs``: the ``mp.worker.jobs``
+    it ran there.
     """
     policy = retry_policy or RetryPolicy()
+
+    def deployed(path, plan_) -> Dict[str, object]:
+        before = obs_metrics.snapshot("mp.worker").get("mp.worker.jobs", 0)
+        facts = path(plan_, n_bytes, nprocs, replication, policy, mode=mode)
+        if mode == "process":
+            after = obs_metrics.snapshot("mp.worker").get("mp.worker.jobs", 0)
+            facts["worker_jobs"] = int(after - before)
+        return facts
+
     paths: Dict[str, Dict[str, object]] = {}
-    paths["write_read"] = _path_write_read(
-        plan, n_bytes, nprocs, replication, policy, mode=mode
-    )
-    clean = _path_write_read(None, n_bytes, nprocs, replication, policy, mode=mode)
+    paths["write_read"] = deployed(_path_write_read, plan)
+    clean = deployed(_path_write_read, None)
     faulty_t = paths["write_read"]["t_w_disk_us"]
     clean_t = clean["t_w_disk_us"]
     recovery_overhead = (faulty_t / clean_t - 1.0) if clean_t else 0.0
-    paths["collective"] = _path_collective(
-        plan, n_bytes, nprocs, replication, policy, mode=mode
-    )
-    paths["relayout"] = _path_relayout(
-        plan, n_bytes, nprocs, replication, policy, mode=mode
-    )
+    paths["collective"] = deployed(_path_collective, plan)
+    paths["relayout"] = deployed(_path_relayout, plan)
     paths["reshard"] = _path_reshard(plan, n_bytes, nprocs, policy)
     all_ok = all(p["ok"] for p in paths.values())
     report: Dict[str, object] = {

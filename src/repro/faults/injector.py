@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from bisect import bisect_right
 import zlib
 
 import numpy as np
@@ -66,8 +67,12 @@ class FaultInjector:
         # The plan is frozen, so its derived node state is memoised:
         # these queries run once per message per replica on the engine's
         # hot loop and must not re-scan the rule list every time.  The
-        # crash memo is keyed by op id (not a single slot) so
-        # interleaved operations never evict each other's entry.
+        # crashed set of an op depends only on *which* crash rules have
+        # started by then, so the memo is keyed by that — at most one
+        # entry per crash rule plus one — not by operation id.
+        self._crash_starts = sorted(
+            {r.after_ops for r in self.plan.rules if r.kind == "crash"}
+        )
         self._crash_cache: dict = {}
         self._disk_factors: dict = {}
         self._message_rules = tuple(
@@ -91,12 +96,15 @@ class FaultInjector:
     # -- node state ----------------------------------------------------------
 
     def crashed_nodes(self, op_id: int):
-        """The set of I/O nodes down for one op (memoised per op)."""
-        nodes = self._crash_cache.get(op_id)
+        """The set of I/O nodes down for one op."""
+        started = bisect_right(self._crash_starts, op_id)
+        nodes = self._crash_cache.get(started)
         if nodes is None:
             # Pure function of the frozen plan + op_id: a racing double
             # compute stores the same value, so no lock is needed.
-            nodes = self._crash_cache[op_id] = self.plan.crashed_nodes(op_id)
+            nodes = self._crash_cache[started] = self.plan.crashed_nodes(
+                op_id
+            )
         return nodes
 
     def node_crashed(self, io_node: int, op_id: int | None = None) -> bool:

@@ -1,14 +1,20 @@
 """A persistent pool of I/O-node worker processes.
 
 :class:`ProcessPoolExecutorBackend` turns the engine's server-side work
-— the projection scatters/gathers, buffer-cache accounting and disk-head
+— the projection scatters/gathers, checksum verification and disk-head
 cost modelling of :class:`~repro.clusterfile.server.IOServer` — into
 real multi-core execution.  Each worker process owns a **contiguous
 range of subfiles** (``worker_for``), attaches their shared-memory
-stores by name, and keeps its own :class:`~repro.simulation.cluster.
-Cluster` replica for the device cost models, so per-subfile device
-state (buffer-cache residency, disk-head position) evolves
-deterministically inside the owning worker.
+stores (primaries and mirrors) by name, and keeps its own
+:class:`~repro.simulation.cluster.Cluster` replica for the device cost
+models, so device state (disk-head position) evolves deterministically
+inside the owning worker — per subfile owner, not per cluster: a mirror
+is served by the worker that owns its subfile, so under replication two
+workers can each track a head for the same I/O node.  Workers run the same
+:func:`~repro.clusterfile.server.serve_request` loop the engine runs
+in-process; fault decisions stay with the parent, which ships each
+job's payload (already corrupted, if that is its fate), checksum and
+slow-disk factors.
 
 Plumbing per worker: one command ring (parent -> worker) and one result
 ring (worker -> parent), both :class:`~repro.mp.shm.ShmRing`, carrying
@@ -75,80 +81,13 @@ def _attach_store(cache: Dict[str, object], name: str, subfile: int,
     return store
 
 
-def _server_write(cluster, config, store, job, payload, to_disk: bool):
-    """One server-side write, byte- and cost-identical to
-    :meth:`repro.clusterfile.server.IOServer.write` given the
-    projection segments the parent precomputed."""
-    from ..redistribution.gather_scatter import scatter_segments
-    from ..simulation.disk import write_time_for_segments
-
-    starts: np.ndarray = job["starts"]
-    lengths: np.ndarray = job["lengths"]
-    l_s, r_s = job["l_s"], job["r_s"]
-    nbytes = int(payload.size)
-    if nbytes == 0:
-        return (0.0, 0.0, 0, 0)
-    node = cluster.io_node_for(job["subfile"])
-    window = store.view(l_s, r_s)
-    contiguous = starts.size == 1 and lengths[0] == r_s - l_s + 1
-    if contiguous:
-        window[:] = payload
-        runs = 1
-        if config.contiguous_write_optimized:
-            cache_s = 0.0
-        else:
-            cache_s = config.memory.copy_time(nbytes, runs=1)
-    else:
-        scatter_segments(window, (starts - l_s, lengths), payload)
-        runs = int(starts.size)
-        cache_s = config.memory.copy_time(nbytes, runs=runs)
-    node.cache.write_runs(
-        f"subfile{job['subfile']}",
-        list(zip(starts.tolist(), lengths.tolist())),
-    )
-    disk_s = 0.0
-    if to_disk:
-        disk_s = write_time_for_segments(
-            node.disk, zip(starts.tolist(), lengths.tolist())
-        )
-    return (cache_s, disk_s, nbytes, runs)
-
-
-def _server_read(cluster, config, store, job, from_disk: bool):
-    """One server-side read, mirroring
-    :meth:`repro.clusterfile.server.IOServer.read`."""
-    from ..redistribution.gather_scatter import gather_segments
-    from ..simulation.disk import write_time_for_segments
-
-    starts: np.ndarray = job["starts"]
-    lengths: np.ndarray = job["lengths"]
-    l_s, r_s = job["l_s"], job["r_s"]
-    nbytes = int(job["nbytes"])
-    if nbytes == 0:
-        return np.empty(0, dtype=np.uint8), (0.0, 0.0, 0, 0)
-    node = cluster.io_node_for(job["subfile"])
-    window = store.read(l_s, r_s)
-    payload = gather_segments(window, (starts - l_s, lengths))
-    runs = int(starts.size)
-    contiguous = runs == 1 and lengths[0] == r_s - l_s + 1
-    if contiguous and config.contiguous_write_optimized:
-        cache_s = 0.0
-    else:
-        cache_s = config.memory.copy_time(nbytes, runs=runs)
-    disk_s = 0.0
-    if from_disk:
-        disk_s = write_time_for_segments(
-            node.disk, zip(starts.tolist(), lengths.tolist())
-        )
-    return payload, (cache_s, disk_s, nbytes, runs)
-
-
 def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
                  cmd_name: str, res_name: str,
                  flight_path: Optional[str] = None) -> None:
     """The worker process entry point: a command loop until shutdown."""
     from contextlib import nullcontext
 
+    from ..clusterfile.server import IOServer, serve_request
     from ..obs import flightrec
     from ..obs import metrics as obs_metrics
     from ..obs.export import span_to_dict
@@ -181,7 +120,6 @@ def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
     res_ring = ShmRing.attach(res_name)
     transport = SharedMemoryTransport.from_handle(transport_handle)
     cluster = Cluster(pickle.loads(cfg_bytes))
-    config = cluster.config
     stores: Dict[str, object] = {}
 
     def payload_slices(jobs, block: np.ndarray) -> List[np.ndarray]:
@@ -193,6 +131,28 @@ def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
             out.append(block[off : off + n])
             off += n
         return out
+
+    def serve(op, job, payload, disk):
+        """One job through the engine's own server loop
+        (:func:`~repro.clusterfile.server.serve_request`) on the
+        replica stores the job names — primary or mirror."""
+        replicas = [
+            (
+                r,
+                IOServer(
+                    cluster.io[io_node],
+                    _attach_store(stores, name, job["subfile"], capacity),
+                    cluster.config,
+                ),
+                disk_factor,
+            )
+            for r, io_node, disk_factor, name, capacity in job["replicas"]
+        ]
+        return serve_request(
+            op, replicas, job["l_s"], job["r_s"],
+            (job["starts"], job["lengths"]), payload, disk,
+            job["crc"], job["attempt"],
+        )
 
     while True:
         try:
@@ -226,26 +186,10 @@ def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
                         inbox = transport.alltoallv(rank, [],
                                                     liveness=parent_alive)
                         payloads = payload_slices(jobs, inbox[0])
-                        costs = []
-                        for job, payload in zip(jobs, payloads):
-                            store = _attach_store(
-                                stores, job["store"], job["subfile"],
-                                job["capacity"],
-                            )
-                            with open_span(
-                                "server.write", subfile=job["subfile"],
-                                io_node=job["io_node"],
-                            ) as sp:
-                                cost = _server_write(
-                                    cluster, config, store, job, payload,
-                                    cmd["to_disk"],
-                                )
-                            sp.annotate(
-                                bytes=cost[2], runs=cost[3],
-                                cache_s=cost[0], disk_s=cost[1],
-                            )
-                            costs.append(cost)
-                        result["costs"] = costs
+                        result["costs"] = [
+                            serve(op, job, payload, cmd["to_disk"])[0]
+                            for job, payload in zip(jobs, payloads)
+                        ]
                     elif op == "read":
                         # The exchange round comes *after* the per-job
                         # work, so a failing job must not abort the
@@ -257,26 +201,13 @@ def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
                         job_error = None
                         for job in jobs:
                             try:
-                                store = _attach_store(
-                                    stores, job["store"], job["subfile"],
-                                    job["capacity"],
-                                )
-                                with open_span(
-                                    "server.read", subfile=job["subfile"],
-                                    io_node=job["io_node"],
-                                ) as sp:
-                                    payload, cost = _server_read(
-                                        cluster, config, store, job,
-                                        cmd["from_disk"],
-                                    )
-                                sp.annotate(
-                                    bytes=cost[2], runs=cost[3],
-                                    cache_s=cost[0], disk_s=cost[1],
+                                cost, payload = serve(
+                                    op, job, None, cmd["from_disk"]
                                 )
                             except Exception:
                                 job_error = traceback.format_exc()
                                 payload = np.empty(0, dtype=np.uint8)
-                                cost = (0.0, 0.0, 0, 0)
+                                cost = []
                             outbox.append((0, payload))
                             costs.append(cost)
                         transport.alltoallv(rank, outbox,
@@ -352,8 +283,8 @@ class ProcessPoolExecutorBackend:
     Construct once (workers fork at construction; keep it early in the
     program's life), attach to a :class:`~repro.clusterfile.fs.
     Clusterfile` built on :class:`~repro.clusterfile.storage.
-    SharedMemoryStorage`, and the engine's fault-free write/read paths
-    fan their server-side loops out across the workers.  ``lock``
+    SharedMemoryStorage`, and the engine serves every round of its
+    write/read operations on the workers.  ``lock``
     serialises operations through the pool — the parallelism is *within*
     an operation, across subfiles.
     """

@@ -1,6 +1,6 @@
 """Simulated cluster substrate: events, network, disk, cache, metrics."""
 
-from .cache import BufferCache, MemoryModel
+from .cache import MemoryModel
 from .cluster import Cluster, ClusterConfig, ComputeNode, IONode
 from .disk import DiskHead, DiskModel, write_time_for_segments
 from .events import EventQueue, Resource
@@ -8,7 +8,6 @@ from .metrics import ScatterBreakdown, Stopwatch, WriteBreakdown, mean_breakdown
 from .network import Network, NetworkModel, NetworkStats
 
 __all__ = [
-    "BufferCache",
     "Cluster",
     "ClusterConfig",
     "ComputeNode",

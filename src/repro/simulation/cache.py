@@ -1,4 +1,4 @@
-"""Buffer-cache and memory-copy cost model (Pentium III era).
+"""Buffer-cache (memory-copy) cost model (Pentium III era).
 
 The paper distinguishes writes that stop at the I/O node's buffer cache
 (``t^{bc}``) from writes flushed to disk (``t^{disk}``).  The buffer
@@ -7,19 +7,13 @@ a PIII-800 with PC100 SDRAM sustained roughly 300 MB/s for large
 memcpys, and each distinct copied run pays a fixed overhead (function
 call, page lookup) that penalises fragmented writes at small sizes —
 the effect visible in the paper's small-matrix rows.
-
-The cache also tracks dirty ranges per file so a flush knows which byte
-runs must reach the disk (in offset order, as the kernel's writeback
-would issue them).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
-__all__ = ["MemoryModel", "BufferCache"]
+__all__ = ["MemoryModel"]
 
 MB = 1_000_000
 
@@ -36,59 +30,3 @@ class MemoryModel:
         if nbytes < 0 or runs < 0:
             raise ValueError("need nbytes >= 0 and runs >= 0")
         return runs * self.per_run_s + nbytes / self.copy_Bps
-
-
-class BufferCache:
-    """Dirty-range tracking plus memory-cost accounting for one node.
-
-    Mutations are lock-guarded: the service layer runs concurrent
-    operations against one node's cache, and dirty-range bookkeeping
-    must not lose entries under that interleaving.
-    """
-
-    def __init__(self, model: MemoryModel | None = None) -> None:
-        self.model = model or MemoryModel()
-        self._dirty: Dict[str, List[Tuple[int, int]]] = {}
-        self.bytes_cached = 0
-        self._lock = threading.Lock()
-
-    def write(self, key: str, offset: int, nbytes: int) -> float:
-        """Record a dirty range; returns the buffer-cache copy time."""
-        if nbytes <= 0:
-            return 0.0
-        with self._lock:
-            self._dirty.setdefault(key, []).append((offset, nbytes))
-            self.bytes_cached += nbytes
-        return self.model.copy_time(nbytes, runs=1)
-
-    def write_runs(self, key: str, runs: List[Tuple[int, int]]) -> float:
-        """Record several dirty runs (a scattered write); returns the
-        copy time including the per-run penalty."""
-        total = 0
-        with self._lock:
-            for off, ln in runs:
-                if ln <= 0:
-                    continue
-                self._dirty.setdefault(key, []).append((off, ln))
-                total += ln
-            self.bytes_cached += total
-        return self.model.copy_time(total, runs=max(1, len(runs)))
-
-    def dirty_runs(self, key: str) -> List[Tuple[int, int]]:
-        """Dirty ranges coalesced and sorted by offset — the order the
-        writeback would issue them to the disk."""
-        with self._lock:
-            runs = sorted(self._dirty.get(key, ()))
-        merged: List[Tuple[int, int]] = []
-        for off, ln in runs:
-            if merged and off <= merged[-1][0] + merged[-1][1]:
-                prev_off, prev_ln = merged[-1]
-                merged[-1] = (prev_off, max(prev_ln, off + ln - prev_off))
-            else:
-                merged.append((off, ln))
-        return merged
-
-    def clear(self, key: str) -> None:
-        """Drop the dirty ranges of one file (post-flush)."""
-        with self._lock:
-            self._dirty.pop(key, None)

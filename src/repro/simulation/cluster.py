@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from .cache import BufferCache, MemoryModel
+from .cache import MemoryModel
 from .disk import DiskHead, DiskModel
 from .events import EventQueue, Resource
 from .network import Network, NetworkModel
@@ -59,7 +59,9 @@ class ComputeNode:
 
 
 class IONode:
-    """An I/O server host: one subfile store, one disk, one buffer cache.
+    """An I/O server host: one subfile store and one disk behind a
+    FIFO CPU and a FIFO disk queue.  The buffer cache holds no state:
+    it is the ``config.memory`` cost model.
 
     ``disk_model`` overrides the cluster-wide disk model for this node —
     heterogeneous clusters (one aging drive) are how the paper's
@@ -75,7 +77,6 @@ class IONode:
     ):
         self.index = index
         self.name = f"io{index}"
-        self.cache = BufferCache(config.memory)
         self.disk = DiskHead(disk_model or config.disk)
         self.cpu = Resource(f"{self.name}.cpu")
         self.disk_queue = Resource(f"{self.name}.disk")
@@ -86,7 +87,7 @@ class Cluster:
 
     A fresh :class:`EventQueue` is created per operation via
     :meth:`new_operation` so operation timings are independent, while
-    device state (disk head position, cache dirtiness, traffic stats)
+    device state (disk head position, traffic stats)
     persists across operations like on a real cluster.
     """
 
@@ -117,7 +118,7 @@ class Cluster:
         resource schedule clocks (every timeline starts at 0 with all
         resources free), so concurrent operations on separate queues
         are fully re-entrant.  Physical device state — disk head
-        positions, cache dirtiness, traffic statistics — persists
+        positions, traffic statistics — persists
         across operations, like on a real cluster.
         """
         return EventQueue()

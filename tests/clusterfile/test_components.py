@@ -99,9 +99,14 @@ class TestIOServer:
         assert cost.disk_s == 0.0
         assert store.data[:8].tolist() == list(range(8))
 
-    def test_scattered_write(self):
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_scattered_write(self, precomputed):
+        """A request carries the projection or, once it has crossed a
+        process boundary, its precomputed segment arrays."""
         server, store = self._server()
         proj = PeriodicFallsSet(FallsSet([Falls(0, 1, 4, 1)]), 0, 4)
+        if precomputed:
+            proj = proj.segments_in(0, 7)
         payload = np.array([1, 2, 3, 4], dtype=np.uint8)
         cost = server.write(0, 7, payload, proj, to_disk=True)
         assert cost.runs == 2
@@ -114,10 +119,13 @@ class TestIOServer:
         with pytest.raises(ValueError):
             server.write(0, 7, np.zeros(3, np.uint8), proj, to_disk=False)
 
-    def test_read_returns_projection_bytes(self):
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_read_returns_projection_bytes(self, precomputed):
         server, store = self._server()
         store.view(0, 7)[:] = np.arange(8, dtype=np.uint8)
         proj = PeriodicFallsSet(FallsSet([Falls(0, 1, 4, 1)]), 0, 4)
+        if precomputed:
+            proj = proj.segments_in(0, 7)
         payload, cost = server.read(0, 7, proj, from_disk=True)
         assert payload.tolist() == [0, 1, 4, 5]
         assert cost.nbytes == 4

@@ -264,6 +264,40 @@ class TestRunShuffle:
         )
 
 
+class TestServersPerOperation:
+    def test_servers_are_built_per_touched_subfile(self, monkeypatch):
+        """An operation binds a server only to the subfiles it touches,
+        once, however many subfiles the file has."""
+        from repro.clusterfile.server import IOServer
+        from repro.distributions import round_robin
+
+        built = []
+        init = IOServer.__init__
+
+        def counting_init(self, node, store, config):
+            built.append(store.subfile)
+            init(self, node, store, config)
+
+        monkeypatch.setattr(IOServer, "__init__", counting_init)
+        fs = make_fs()
+        fs.create("f", round_robin(4, 8))
+        # The view matches the physical layout: node 1 talks to subfile 1.
+        fs.set_view("f", 1, round_robin(4, 8), element=1)
+        fs.write("f", [(1, 0, np.ones(16, np.uint8))], to_disk=True)
+        assert built == [1]
+        fs.read("f", [(1, 0, 16)], from_disk=True)
+        assert built == [1, 1]
+
+    def test_an_empty_operation_still_runs_one_round(self):
+        fs = make_fs()
+        fs.create("f", matrix_partition("r", N, N, 4))
+        res = fs.write("f", [])
+        assert res.messages == 0
+        assert [sp.name for sp in res.trace.walk()] == [
+            "parallel_write", "transport",
+        ]
+
+
 class TestEngineMetrics:
     def test_write_counters(self, matrix_data):
         before = metrics.snapshot("engine.write")

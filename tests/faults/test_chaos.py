@@ -8,6 +8,7 @@ import pytest
 from repro import build_plan, distribute, round_robin
 from repro.clusterfile import Clusterfile
 from repro.clusterfile.engine import run_shuffle
+from repro.clusterfile.relayout import relayout
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -18,6 +19,7 @@ from repro.faults import (
 )
 from repro.faults.chaos import default_plan, run_chaos
 from repro.simulation import ClusterConfig
+from repro.simulation.network import NetworkModel
 
 
 def _small_fs(plan, replication=1, policy=None):
@@ -60,15 +62,77 @@ class TestByteExactnessUnderChaos:
         assert a["paths"] == b["paths"]
         assert a["plan"] == b["plan"]
 
-    def test_empty_plan_matches_fault_free_contents(self):
-        data = {n: np.full(16, n + 1, np.uint8) for n in range(4)}
-        injected = _small_fs(FaultPlan())
-        plain = _small_fs(None)
-        for fs in (injected, plain):
-            fs.write("f", [(n, 0, data[n]) for n in range(4)], to_disk=True)
-        np.testing.assert_array_equal(
-            injected.linear_contents("f", 64), plain.linear_contents("f", 64)
+    @staticmethod
+    def _one_path(path, plan):
+        """Run one data path at ``replication=1``; returns its bytes,
+        its modelled numbers and its span-name sequence."""
+        if path == "shuffle":
+            src, dst = round_robin(4, 8), round_robin(2, 16)
+            linear = np.arange(320, dtype=np.uint8)
+            sh = run_shuffle(
+                build_plan(src, dst),
+                distribute(linear, src),
+                320,
+                network=NetworkModel(),
+                injector=FaultInjector(plan) if plan is not None else None,
+            )
+            return (
+                [b.tobytes() for b in sh.buffers],
+                (sh.time_s, sh.messages, sh.off_node_bytes),
+                [sp.name for sp in sh.trace.walk()],
+            )
+        # Logical chunks of 2 over physical chunks of 8: every message
+        # gathers on the client and scatters on the server.
+        fs = Clusterfile(
+            ClusterConfig(),
+            fault_injector=FaultInjector(plan) if plan is not None else None,
         )
+        fs.create("f", round_robin(4, 8))
+        for node in range(4):
+            fs.set_view("f", node, round_robin(4, 2), element=node)
+        data = {n: np.arange(16, dtype=np.uint8) + 16 * n for n in range(4)}
+        res = fs.write("f", [(n, 0, data[n]) for n in range(4)], to_disk=True)
+        if path == "relayout":
+            rl = relayout(fs, "f", round_robin(2, 16))
+            return (
+                fs.linear_contents("f", 64).tobytes(),
+                (rl.makespan_s, rl.bytes_moved, rl.cross_node_messages),
+                [sp.name for sp in rl.trace.walk()],
+            )
+        moved = fs.linear_contents("f", 64).tobytes()
+        if path == "read":
+            bufs, res = fs.read_with_result(
+                "f", [(n, 0, 16) for n in range(4)], from_disk=True
+            )
+            moved = [b.tobytes() for b in bufs]
+        modelled = (
+            {n: (bd.t_w_bc, bd.t_w_disk) for n, bd in res.per_compute.items()},
+            {n: (sb.t_sc_bc, sb.t_sc_disk) for n, sb in res.per_io.items()},
+            res.messages,
+            res.payload_bytes,
+        )
+        return moved, modelled, [sp.name for sp in res.trace.walk()]
+
+    @pytest.mark.parametrize("path", ["write", "read", "relayout", "shuffle"])
+    def test_empty_plan_is_invisible(self, path, monkeypatch):
+        """No injector is the degenerate case of the one round loop: an
+        injector with no rules takes the same path and leaves the same
+        bytes, modelled times and spans — and neither ever hashes a
+        payload (CRCs are stamped only when a fate is not ok)."""
+
+        def no_checksum(_payload):
+            raise AssertionError("checksum() on an op whose fates are all ok")
+
+        for module in ("engine", "server"):
+            monkeypatch.setattr(
+                f"repro.clusterfile.{module}.checksum", no_checksum
+            )
+        plain = self._one_path(path, None)
+        armed = self._one_path(path, FaultPlan())
+        assert plain[0] == armed[0]  # bytes
+        assert plain[1] == armed[1]  # modelled numbers, exactly
+        assert plain[2] == armed[2]  # span-name sequence
+        assert "retry" not in plain[2]
 
     def test_result_fields_quiet_without_faults(self):
         fs = _small_fs(FaultPlan())

@@ -110,6 +110,24 @@ class TestInjectorDeterminism:
         assert injector.message_fate(op_id, "write", 0, 0, 0)[0] == "ok"
         assert injector.message_fate(op_id, "read", 0, 0, 0)[0] == "drop"
 
+    def test_crash_memo_is_bounded_by_the_crash_rules(self):
+        """The crashed set of an op depends only on which crash rules
+        have started, so a long-lived injector must not remember every
+        operation id it was asked about."""
+        plan = FaultPlan(
+            seed=0,
+            rules=(
+                FaultRule(kind="crash", io_node=1, after_ops=10),
+                FaultRule(kind="crash", io_node=2, after_ops=5000),
+                FaultRule(kind="drop", rate=0.1),
+            ),
+        )
+        inj = FaultInjector(plan)
+        for _ in range(10_000):
+            op_id = inj.begin_op("write")
+            assert inj.crashed_nodes(op_id) == plan.crashed_nodes(op_id)
+        assert len(inj._crash_cache) <= 2 + 1
+
     def test_op_counter(self):
         injector = FaultInjector(self.PLAN)
         assert injector.begin_op("write") == 0

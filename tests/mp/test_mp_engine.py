@@ -23,10 +23,25 @@ from repro.clusterfile.relayout import relayout
 from repro.core.falls import Falls
 from repro.core.partition import Partition
 from repro.distributions import matrix_partition, round_robin, row_blocks
+from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.mp.shm import shm_segments_alive
 from repro.obs import metrics as obs_metrics
 from repro.service import FileService
 from repro.simulation.cluster import ClusterConfig
+
+
+DROP_AND_CORRUPT = FaultPlan(
+    seed=1,
+    rules=(
+        FaultRule(kind="drop", rate=0.25),
+        FaultRule(kind="corrupt", rate=0.25),
+    ),
+)
+CRASH = FaultPlan(seed=0, rules=(FaultRule(kind="crash", io_node=1),))
+
+
+def _counter(name):
+    return obs_metrics.snapshot(name).get(name, 0)
 
 
 def _block(elements, block):
@@ -134,7 +149,10 @@ class TestDifferentialByteIdentity:
         data, n = _striped_workload(3)
         assert results["thread"][0] == [bytes(data[i]) for i in range(4)]
 
-    def test_reshard_identical(self):
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_reshard_identical(self, faulty):
+        """The pool moves the shuffle's bytes with or without an
+        injector (fates are settled parent-side first)."""
         rng = np.random.default_rng(11)
         total = 4096
         old = _block(4, total // 4)
@@ -146,11 +164,18 @@ class TestDifferentialByteIdentity:
         serial = reshard(pieces, old, new, total)
         from repro.mp.pool import ProcessPoolExecutorBackend
 
+        injector = FaultInjector(DROP_AND_CORRUPT) if faulty else None
+        retries = _counter("faults.retry.messages")
+        jobs = _counter("mp.worker.jobs")
         with ProcessPoolExecutorBackend(
             processes=3, config=ClusterConfig()
         ) as backend:
-            parallel = reshard(pieces, old, new, total, backend=backend)
+            parallel = reshard(
+                pieces, old, new, total, backend=backend, injector=injector
+            )
         assert [bytes(b) for b in serial] == [bytes(b) for b in parallel]
+        assert _counter("mp.worker.jobs") > jobs
+        assert (_counter("faults.retry.messages") > retries) == faulty
 
     def test_service_identical(self):
         outs = {}
@@ -255,6 +280,49 @@ class TestChaosProcessMode:
         )
         assert ok, report
         assert all(p["ok"] for p in report["paths"].values())
+
+    @pytest.mark.parametrize(
+        "plan", [DROP_AND_CORRUPT, CRASH], ids=["drop+corrupt", "crash"]
+    )
+    def test_faults_are_handled_inside_the_workers(self, plan):
+        """Retry rounds, replica fan-out, failover reads and degraded
+        writes are served by the pool, with the recovery facts thread
+        mode reports for the same seed."""
+        data, n = _striped_workload(7)
+        facts = {}
+        for mode in ("thread", "process"):
+            fs = Clusterfile(
+                ClusterConfig(),
+                fault_injector=FaultInjector(plan),
+                workers_mode=mode,
+            )
+            try:
+                fs.create("f", round_robin(4, 64), replication=2)
+                for node in range(4):
+                    fs.set_view("f", node, round_robin(4, 64), element=node)
+                jobs = _counter("mp.worker.jobs")
+                wres = fs.write(
+                    "f", [(node, 0, data[node]) for node in range(4)],
+                    to_disk=True,
+                )
+                bufs, rres = fs.read_with_result(
+                    "f", [(node, 0, n) for node in range(4)], from_disk=True
+                )
+                assert (_counter("mp.worker.jobs") > jobs) == (
+                    mode == "process"
+                )
+            finally:
+                fs.close()
+            assert [bytes(b) for b in bufs] == [
+                bytes(data[node]) for node in range(4)
+            ]
+            facts[mode] = {
+                "retries": wres.retries + rres.retries,
+                "failed_over": rres.failed_over,
+                "degraded": wres.degraded,
+            }
+        assert facts["process"] == facts["thread"]
+        assert any(facts["thread"].values()), "the plan must bite"
 
 
 class TestHygiene:

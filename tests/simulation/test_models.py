@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation.cache import BufferCache, MemoryModel
+from repro.simulation.cache import MemoryModel
 from repro.simulation.disk import DiskHead, DiskModel, write_time_for_segments
 from repro.simulation.network import Network, NetworkModel
 
@@ -109,35 +109,3 @@ class TestMemoryModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             MemoryModel().copy_time(-1)
-
-
-class TestBufferCache:
-    def test_dirty_tracking_and_merge(self):
-        c = BufferCache()
-        c.write("f", 0, 100)
-        c.write("f", 100, 50)
-        c.write("f", 300, 10)
-        assert c.dirty_runs("f") == [(0, 150), (300, 10)]
-        assert c.bytes_cached == 160
-
-    def test_write_runs(self):
-        c = BufferCache()
-        t = c.write_runs("f", [(0, 10), (20, 10)])
-        assert t > 0
-        assert c.dirty_runs("f") == [(0, 10), (20, 10)]
-
-    def test_overlapping_runs_merge(self):
-        c = BufferCache()
-        c.write("f", 0, 100)
-        c.write("f", 50, 100)
-        assert c.dirty_runs("f") == [(0, 150)]
-
-    def test_clear(self):
-        c = BufferCache()
-        c.write("f", 0, 10)
-        c.clear("f")
-        assert c.dirty_runs("f") == []
-
-    def test_zero_write_free(self):
-        c = BufferCache()
-        assert c.write("f", 0, 0) == 0.0
