@@ -15,7 +15,9 @@ from typing import List
 
 import numpy as np
 
+from ..core.mapping import unmap_offset
 from ..core.partition import Partition
+from ..redistribution.gather_scatter import scatter_segments
 
 __all__ = ["SubfileStore", "ClusterFile"]
 
@@ -130,27 +132,23 @@ class ClusterFile:
         for s, store in enumerate(self.stores):
             if store.length == 0:
                 continue
-            from ..core.mapping import unmap_offset
-
             best = max(best, unmap_offset(self.physical, s, store.length - 1) + 1)
         return best
 
     def linear_contents(self, length: int | None = None) -> np.ndarray:
-        """Assemble the file's linear bytes (for verification and tools).
+        """Assemble the file's linear bytes, each subfile scattering into
+        its own file-space segments (verification, snapshots, tools).
 
         Bytes before the displacement read as zero, as do holes.
         """
-        from ..core.mapping import ElementMapper
-
         if length is None:
             length = self.file_length()
         out = np.zeros(length, dtype=np.uint8)
         for s, store in enumerate(self.stores):
-            n = min(store.length, self.physical.element_length(s, length))
-            if n == 0:
+            if store.length == 0:
                 continue
-            mapper = ElementMapper(self.physical, s)
-            offsets = mapper.unmap_many(np.arange(n, dtype=np.int64))
-            keep = offsets < length
-            out[offsets[keep]] = store.data[:n][keep]
+            # Behind a store's last byte its element is a hole.
+            last = unmap_offset(self.physical, s, store.length - 1)
+            segs = self.physical.element_segments(s, 0, min(last, length - 1))
+            scatter_segments(out, segs, store.data)
         return out

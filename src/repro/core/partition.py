@@ -22,7 +22,8 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .falls import Falls, FallsSet
-from .segments import leaf_segment_arrays_set
+from .periodic import PeriodicFallsSet
+from .segments import SegmentArrays, leaf_segment_arrays_set
 
 __all__ = ["Partition", "PartitionError"]
 
@@ -159,6 +160,15 @@ class Partition:
             total += count_below(self.elements[idx], rem)
         return total
 
+    def element_segments(self, idx: int, lo: int, hi: int) -> SegmentArrays:
+        """File-space byte segments element ``idx`` owns within
+        ``[lo, hi]`` (inclusive), sorted and merged: MAP⁻¹ of a whole
+        window, per segment.  The periodic set is built per call so its
+        window memo never pins file-sized arrays."""
+        return PeriodicFallsSet(
+            self.elements[idx], self.displacement, self.size
+        ).segments_in(lo, hi)
+
     def structure_key(self) -> str:
         """A stable content hash identifying this partition structurally.
 
@@ -199,11 +209,9 @@ class Partition:
             )
         from .mapping import map_offset
 
-        rem = (x - self.displacement) % self.size
-        for idx, element in enumerate(self.elements):
-            for seg in element.leaf_segments():
-                if seg.start <= rem <= seg.stop:
-                    return idx, map_offset(self, idx, x)
+        for idx in range(self.num_elements):
+            if self.element_segments(idx, x, x)[0].size:
+                return idx, map_offset(self, idx, x)
         raise PartitionError(f"offset {x} not covered by any element")  # pragma: no cover
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

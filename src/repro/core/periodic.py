@@ -108,13 +108,8 @@ class PeriodicFallsSet:
         as **read-only** arrays (callers derive new arrays via arithmetic,
         never write in place).
         """
-        if hi < lo or self.is_empty:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
         lo = max(lo, self.displacement)
-        if hi < lo:
+        if hi < lo or self.is_empty:
             return (
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.int64),
@@ -133,9 +128,11 @@ class PeriodicFallsSet:
             k_last - k_first + 1,
             self.displacement + k_first * self.period,
         )
-        # Runs can continue across period boundaries (a fully covering
-        # pattern is one infinite run), so merge after tiling.
-        result = merge_segment_arrays(clip_segments(tiled[0], tiled[1], lo, hi))
+        result = clip_segments(tiled[0], tiled[1], lo, hi)
+        # Runs continue across a period boundary only when the period
+        # both starts and ends selected; only then is there a merge.
+        if base[0][0] == 0 and base[0][-1] + base[1][-1] == self.period:
+            result = merge_segment_arrays(result)
         result[0].setflags(write=False)
         result[1].setflags(write=False)
         memo[(lo, hi)] = result
@@ -178,10 +175,8 @@ class PeriodicFallsSet:
         ``RedistributionPlan.total_bytes`` are O(period), never
         O(file length / period)).
         """
-        if hi < lo or self.is_empty:
-            return 0
         lo = max(lo, self.displacement)
-        if hi < lo:
+        if hi < lo or self.is_empty:
             return 0
         return self._count_below(hi + 1) - self._count_below(lo)
 

@@ -82,18 +82,17 @@ def leaf_segment_arrays_set(falls_set: Iterable[Falls]) -> SegmentArrays:
 def clip_segments(
     starts: np.ndarray, lengths: np.ndarray, lo: int, hi: int
 ) -> SegmentArrays:
-    """Clip segments to the inclusive window ``[lo, hi]``.
+    """Clip sorted, disjoint segments to the inclusive window ``[lo, hi]``.
 
-    Segments entirely outside the window are dropped; boundary segments
-    are shortened.  Starts remain absolute (not re-based).
+    Segments entirely outside the window are dropped, the two boundary
+    segments shortened; the rest is one slice.  Starts remain absolute.
     """
-    if hi < lo or starts.size == 0:
-        return _empty()
-    stops = starts + lengths - 1
-    keep = (stops >= lo) & (starts <= hi)
-    s = np.maximum(starts[keep], lo)
-    e = np.minimum(stops[keep], hi)
-    return s, e - s + 1
+    ends = starts + lengths
+    first = int(np.searchsorted(ends, lo, side="right"))
+    last = int(np.searchsorted(starts, hi, side="right"))
+    s = np.maximum(starts[first:last], lo)
+    e = np.minimum(ends[first:last], hi + 1)
+    return s, e - s
 
 
 def segments_to_linesegments(segs: SegmentArrays) -> List[LineSegment]:

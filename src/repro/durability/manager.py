@@ -437,9 +437,8 @@ class DurabilityManager:
             fj = self.register_file(fs, name)
             return os.path.join(fj.dir, SNAPSHOT_NAME)
         cfile = fs.open(name)
-        length = cfile.file_length()
-        payload = cfile.linear_contents(length)
-        meta = {"length": int(length)}
+        payload = cfile.linear_contents()
+        meta = {"length": int(payload.size)}
         if extra_meta:
             meta.update(extra_meta)
         snap_path = os.path.join(fj.dir, SNAPSHOT_NAME)

@@ -43,6 +43,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..redistribution.gather_scatter import as_flat_bytes
 from .journal import RecoveryError
 
 __all__ = [
@@ -61,28 +62,27 @@ _FIXED = struct.Struct("<4sB3xIQ")  # magic, version, pad, meta_len, payload_len
 _CRC = struct.Struct("<I")
 
 
-def _canonical_meta(meta: Optional[Dict[str, object]]) -> bytes:
-    return json.dumps(
+def _snapshot_pieces(payload, meta: Optional[Dict[str, object]]):
+    """The on-disk pieces: header + metadata, the payload's own buffer
+    (not a copy), and the CRC of both."""
+    data = as_flat_bytes(payload, "snapshot payload")
+    mblob = json.dumps(
         meta or {}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
+    head = _FIXED.pack(
+        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(mblob), int(data.size)
+    ) + mblob
+    crc = zlib.crc32(data, zlib.crc32(head))
+    return head, data, _CRC.pack(crc & 0xFFFFFFFF)
 
 
 def snapshot_bytes(payload, meta: Optional[Dict[str, object]] = None) -> bytes:
     """Serialise logical ``payload`` bytes into the snapshot format.
 
     ``payload`` is a uint8 array or anything buffer-like (``bytes``,
-    ``bytearray``, ``memoryview``).
+    ``bytearray``, ``memoryview``); other dtypes are rejected.
     """
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        data = np.frombuffer(payload, dtype=np.uint8)
-    else:
-        data = np.ascontiguousarray(payload, dtype=np.uint8).reshape(-1)
-    mblob = _canonical_meta(meta)
-    head = _FIXED.pack(
-        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(mblob), int(data.size)
-    )
-    body = head + mblob + data.tobytes()
-    return body + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
+    return b"".join(_snapshot_pieces(payload, meta))
 
 
 def parse_snapshot(blob: bytes) -> Tuple[np.ndarray, Dict[str, object]]:
@@ -106,7 +106,7 @@ def parse_snapshot(blob: bytes) -> Tuple[np.ndarray, Dict[str, object]]:
             f"bytes, file has {len(blob)}"
         )
     (crc,) = _CRC.unpack_from(blob, end)
-    if zlib.crc32(blob[:end]) & 0xFFFFFFFF != crc:
+    if zlib.crc32(memoryview(blob)[:end]) & 0xFFFFFFFF != crc:
         raise RecoveryError("snapshot checksum mismatch")
     try:
         meta = json.loads(blob[_FIXED.size : _FIXED.size + meta_len])
@@ -121,16 +121,17 @@ def parse_snapshot(blob: bytes) -> Tuple[np.ndarray, Dict[str, object]]:
 def write_snapshot_file(path: str, payload,
                         meta: Optional[Dict[str, object]] = None,
                         sync: bool = False) -> int:
-    """Atomically write a snapshot; returns its size in bytes."""
-    blob = snapshot_bytes(payload, meta)
+    """Atomically write a snapshot (piece by piece, the payload never
+    copied); returns its size in bytes."""
+    pieces = _snapshot_pieces(payload, meta)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        fh.writelines(pieces)
         fh.flush()
         if sync:
             os.fsync(fh.fileno())
     os.replace(tmp, path)
-    return len(blob)
+    return sum(len(piece) for piece in pieces)
 
 
 def read_snapshot_file(path: str) -> Tuple[np.ndarray, Dict[str, object]]:

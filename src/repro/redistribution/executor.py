@@ -22,9 +22,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..core.partition import Partition
-from ..core.mapping import ElementMapper
 from ..obs.span import tracked_span
-from .gather_scatter import gather_segments, scatter_segments
+from .gather_scatter import as_flat_bytes, gather_segments, scatter_segments
 from .schedule import RedistributionPlan, Transfer, build_plan
 
 __all__ = [
@@ -55,20 +54,16 @@ def _check_buffers(
 def distribute(data: np.ndarray, partition: Partition) -> List[np.ndarray]:
     """Split a linear file into per-element buffers (file -> elements).
 
-    Bytes before the displacement belong to no element and are dropped,
-    mirroring the paper's file model where the pattern starts at the
-    displacement.
+    Each element gathers its own file-space segments; no plan is
+    involved.  Bytes before the displacement belong to no element and
+    are dropped, mirroring the paper's file model where the pattern
+    starts at the displacement.
     """
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        data = np.frombuffer(data, dtype=np.uint8)
-    data = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
-    out: List[np.ndarray] = []
-    for e in range(partition.num_elements):
-        mapper = ElementMapper(partition, e)
-        length = partition.element_length(e, data.size)
-        ranks = np.arange(length, dtype=np.int64)
-        out.append(data[mapper.unmap_many(ranks)])
-    return out
+    data = as_flat_bytes(data, "data")
+    return [
+        gather_segments(data, partition.element_segments(e, 0, data.size - 1))
+        for e in range(partition.num_elements)
+    ]
 
 
 def collect(
@@ -79,16 +74,14 @@ def collect(
 ) -> np.ndarray:
     """Reassemble a linear file from per-element buffers (elements -> file).
 
-    Bytes before the displacement are filled with ``fill``.
+    Each element scatters into its own file-space segments.  Bytes
+    before the displacement are filled with ``fill``.
     """
     _check_buffers(partition, buffers, file_length)
     data = np.full(file_length, fill, dtype=np.uint8)
     for e, buf in enumerate(buffers):
-        if buf.size == 0:
-            continue
-        mapper = ElementMapper(partition, e)
-        ranks = np.arange(buf.size, dtype=np.int64)
-        data[mapper.unmap_many(ranks)] = buf
+        segs = partition.element_segments(e, 0, file_length - 1)
+        scatter_segments(data, segs, buf)
     return data
 
 

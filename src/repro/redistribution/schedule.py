@@ -167,10 +167,8 @@ def _element_window_segments(
     """
     try:
         return [
-            PeriodicFallsSet(e, p.displacement, p.size).segments_in(
-                window_lo, window_hi
-            )
-            for e in p.elements
+            p.element_segments(e, window_lo, window_hi)
+            for e in range(p.num_elements)
         ]
     except ValueError:  # pragma: no cover - non-tiling pattern, be safe
         return None

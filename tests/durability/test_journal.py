@@ -153,6 +153,34 @@ class TestSnapshotFormat:
         np.testing.assert_array_equal(got2, payload)
         assert gmeta2 == gmeta
 
+    def test_golden_bytes(self, tmp_path):
+        """The format is pinned byte for byte (recorded before the
+        writer stopped concatenating): in memory and on disk."""
+        golden = bytes.fromhex(
+            "52534e5001000000" "14000000" "0600000000000000"
+            "7b2261223a5b315d2c226c656e677468223a367d"
+            "7363646100ff" "f707fbc2"
+        )
+        payload = np.frombuffer(b"scda\x00\xff", dtype=np.uint8)
+        meta = {"length": 6, "a": [1]}
+        assert snapshot_bytes(payload, meta) == golden
+        assert snapshot_bytes(b"scda\x00\xff", meta) == golden
+        path = str(tmp_path / "s.bin")
+        assert write_snapshot_file(path, payload, meta) == len(golden)
+        with open(path, "rb") as fh:
+            assert fh.read() == golden
+        assert snapshot_bytes(b"", None) == bytes.fromhex(
+            "52534e5001000000" "02000000" "0000000000000000" "7b7d" "bb2fd2bf"
+        )
+
+    def test_non_uint8_payload_rejected_not_cast(self):
+        wide = np.array([256, 257, 513, 1000], dtype=np.int32)
+        with pytest.raises(ValueError, match="must be uint8"):
+            snapshot_bytes(wide)
+        # The same 16 bytes handed over as a buffer are taken as bytes.
+        got, _ = parse_snapshot(snapshot_bytes(memoryview(wide)))
+        assert got.tobytes() == wide.tobytes()
+
     def test_bytes_depend_only_on_payload_and_meta(self):
         payload = np.arange(64, dtype=np.uint8)
         a = snapshot_bytes(payload, {"b": 1, "a": 2})

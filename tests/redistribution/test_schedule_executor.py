@@ -52,6 +52,17 @@ class TestDistributeCollect:
         back = collect(buffers, p, 8)
         np.testing.assert_array_equal(back, data)
 
+    def test_non_uint8_array_rejected_not_cast(self):
+        # Casting would wrap the values mod 256 and turn 16 bytes into 4.
+        wide = np.array([256, 257, 513, 1000], dtype=np.int32)
+        with pytest.raises(ValueError, match="must be uint8"):
+            distribute(wide, round_robin(2, 2))
+        for buffer_like in (wide.tobytes(), bytearray(wide), memoryview(wide)):
+            pieces = distribute(buffer_like, round_robin(2, 2))
+            assert sum(p.size for p in pieces) == 16
+            back = collect(pieces, round_robin(2, 2), 16)
+            assert back.tobytes() == wide.tobytes()
+
     def test_wrong_buffer_sizes_rejected(self):
         p = round_robin(2, 2)
         with pytest.raises(ValueError):
