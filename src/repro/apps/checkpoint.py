@@ -26,6 +26,7 @@ import numpy as np
 from ..core.partition import Partition
 from ..clusterfile.engine import run_shuffle
 from ..clusterfile.fs import Clusterfile
+from ..redistribution.gather_scatter import as_flat_bytes
 from ..redistribution.plan_cache import get_plan
 from ..simulation.cluster import ClusterConfig
 
@@ -54,10 +55,10 @@ def reshard(
     fates are settled first) — byte-identical, destination elements
     partitioned over workers.
     """
+    buffers = [as_flat_bytes(p, "pieces") for p in pieces]
     if total_bytes is None:
-        total_bytes = old_partition.displacement + sum(p.size for p in pieces)
+        total_bytes = old_partition.displacement + sum(b.size for b in buffers)
     plan = get_plan(old_partition, new_partition)
-    buffers = [np.ascontiguousarray(p, dtype=np.uint8).reshape(-1) for p in pieces]
     # Through the unified engine (no network model: ranks convert their
     # own pieces in memory; traffic is still counted in the metrics).
     return run_shuffle(

@@ -25,7 +25,11 @@ from ..core.segments import (
     leaf_segment_arrays_set,
     merge_segment_arrays,
 )
-from ..redistribution.gather_scatter import gather_segments, scatter_segments
+from ..redistribution.gather_scatter import (
+    as_flat_bytes,
+    gather_segments,
+    scatter_segments,
+)
 
 __all__ = ["HaloExchange"]
 
@@ -207,7 +211,7 @@ class HaloExchange:
         segs = merge_segment_arrays(
             leaf_segment_arrays_set(self.owned[p].falls)
         )
-        packed = gather_segments(np.ascontiguousarray(data, np.uint8), segs)
+        packed = gather_segments(as_flat_bytes(data, "data"), segs)
         scatter_segments(buf, self.index[p].localize(segs), packed)
         return buf
 

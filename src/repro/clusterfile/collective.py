@@ -33,6 +33,7 @@ import numpy as np
 
 from ..core.falls import Falls
 from ..core.partition import Partition
+from ..redistribution.gather_scatter import as_flat_bytes
 from ..redistribution.plan_cache import get_plan
 from .client import OperationResult
 from .engine import run_shuffle
@@ -113,16 +114,12 @@ def two_phase_write(
     if any(off != 0 for _, off, _ in accesses):
         raise ValueError("aligned collective writes start at view offset 0")
 
-    sizes = {
-        node: np.asarray(data).size for node, _, data in accesses
+    flat = {
+        view.element: as_flat_bytes(data, "data")
+        for view, (_, _, data) in zip(views, accesses)
     }
-    periods = {
-        node: sizes[node] / logical.element_size(
-            fs.view_of(name, node).element
-        )
-        for node in sizes
-    }
-    k = periods[accesses[0][0]]
+    periods = {e: buf.size / logical.element_size(e) for e, buf in flat.items()}
+    k = periods[views[0].element]
     if any(p != k for p in periods.values()) or k != int(k) or k < 1:
         raise ValueError(
             "accesses must cover the same whole number of logical periods"
@@ -137,12 +134,7 @@ def two_phase_write(
         length - logical.displacement, aggregators, logical.displacement
     )
     plan = get_plan(logical, domain)
-    src_buffers: List[np.ndarray] = [None] * logical.num_elements  # type: ignore
-    for node, _, data in accesses:
-        element = fs.view_of(name, node).element
-        src_buffers[element] = np.ascontiguousarray(
-            data, dtype=np.uint8
-        ).reshape(-1)
+    src_buffers = [flat[e] for e in range(logical.num_elements)]
     # The engine's direct transport prices the exchange: each compute
     # node sends its intersections with every aggregator in parallel
     # across nodes, serially on its own NIC — the standard alpha-beta

@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..core.partition import Partition
+from ..redistribution.gather_scatter import as_flat_bytes
 from ..simulation.cluster import Cluster, ClusterConfig
 from .client import OperationResult, WriteRequest, parallel_read, parallel_write
 from .file_model import ClusterFile
@@ -206,14 +207,15 @@ class Clusterfile:
         """Concurrent view writes: ``accesses`` is a list of
         ``(compute_node, view_offset, data)`` triples."""
         f = self.open(name)
+        buffers = [as_flat_bytes(data, "data") for _, _, data in accesses]
         requests = [
             WriteRequest(
                 view=self.view_of(name, node),
                 lo=off,
-                hi=off + np.asarray(data).size - 1,
-                buf=np.ascontiguousarray(data, dtype=np.uint8).reshape(-1),
+                hi=off + buf.size - 1,
+                buf=buf,
             )
-            for node, off, data in accesses
+            for (node, off, _), buf in zip(accesses, buffers)
         ]
         return parallel_write(
             self.cluster,

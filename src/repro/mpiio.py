@@ -121,7 +121,8 @@ class MPIFile:
     def write_at(self, rank: int, offset: int, data: np.ndarray) -> None:
         """MPI_File_write_at: ``offset`` counts etypes within the view."""
         st = self._state(rank)
-        raw = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
+        # a typed buffer *is* its bytes (MPI-IO): reinterpret, never cast
+        raw = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
         if raw.size % max(st.etype.size, 1):
             raise MPIIOError(
                 f"buffer of {raw.size} bytes is not whole etypes "
@@ -146,9 +147,7 @@ class MPIFile:
         """MPI_File_write: at the individual file pointer, advancing it."""
         st = self._state(rank)
         self.write_at(rank, st.pointer, data)
-        st.pointer += (
-            np.ascontiguousarray(data, dtype=np.uint8).size // max(st.etype.size, 1)
-        )
+        st.pointer += np.asarray(data).nbytes // max(st.etype.size, 1)
 
     def read(self, rank: int, count: int) -> np.ndarray:
         """MPI_File_read: ``count`` etypes at the file pointer."""

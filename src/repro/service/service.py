@@ -80,6 +80,7 @@ from ..obs import flightrec
 from ..obs import metrics as obs_metrics
 from ..obs.context import trace_context
 from ..obs.span import open_span
+from ..redistribution.gather_scatter import as_flat_bytes
 from .locks import FairRWLock, LockTicket
 from .tickets import ServiceClosed, ServiceOverloaded, Ticket
 
@@ -413,7 +414,7 @@ class FileService:
     ) -> Ticket:
         """Admit one view write (the payload is copied at admission, so
         the caller may reuse its buffer immediately)."""
-        payload = np.array(data, dtype=np.uint8, copy=True).reshape(-1)
+        payload = as_flat_bytes(data, "data").copy()
         return self._admit(
             _Op(
                 kind="write",

@@ -68,3 +68,30 @@ class TestCrossReferences:
             assert os.path.exists(
                 os.path.join(ROOT, "benchmarks", bench)
             ), f"EXPERIMENTS.md references missing benchmark {bench}"
+
+    def test_no_dangling_file_references(self):
+        """Every ``benchmarks/….py``, ``tests/….py``, ``examples/….py``
+        path and every ``BENCH_*.json`` the docs, the CI workflow or the
+        verify skill name must exist (by regex: no YAML dependency)."""
+        sources = ["README.md", "EXPERIMENTS.md", "DESIGN.md",
+                   ".github/workflows/ci.yml",
+                   ".claude/skills/verify/SKILL.md"]
+        sources += sorted(
+            os.path.join("docs", name)
+            for name in os.listdir(os.path.join(ROOT, "docs"))
+            if name.endswith(".md")
+        )
+        pattern = re.compile(
+            r"\b((?:benchmarks|tests|examples)/[\w/.-]*\.py|BENCH_\w+\.json)\b"
+        )
+        named = [
+            (source, name)
+            for source in sources
+            for name in pattern.findall(open(os.path.join(ROOT, source)).read())
+        ]
+        assert len(named) > 20, "the reference pattern stopped matching"
+        missing = sorted(
+            {(source, name) for source, name in named
+             if not os.path.exists(os.path.join(ROOT, name))}
+        )
+        assert not missing, f"references to missing files: {missing}"

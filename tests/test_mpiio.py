@@ -113,6 +113,22 @@ class TestFilePointer:
         got = f.read(0, 4).view(np.int32)
         np.testing.assert_array_equal(got, vals[4:])
 
+    def test_typed_buffer_is_its_bytes(self):
+        # MPI-IO semantics: an int32 buffer is 16 bytes, not 4 values
+        # cast (wrapped mod 256) to uint8.
+        fs, f = make_file()
+        intt = primitive(4)
+        f.set_view(0, 0, intt, contiguous(4, intt))
+        vals = np.array([256, 257, 513, 1000], dtype=np.int32)
+        f.write_at(0, 0, vals)
+        np.testing.assert_array_equal(f.read_at(0, 0, 16).view(np.int32), vals)
+        f.seek(0, 4)
+        f.write(0, vals)  # the pointer advances by 4 etypes, not by 1
+        f.write(0, vals[::-1])
+        np.testing.assert_array_equal(
+            f.read_at(0, 4, 32).view(np.int32), np.r_[vals, vals[::-1]]
+        )
+
 
 class TestCollective:
     def test_write_at_all(self):
