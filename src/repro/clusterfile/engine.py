@@ -382,14 +382,20 @@ def breakdowns_from_trace(
     done_disk: Dict = {}
     for sp in root.walk():
         if sp.name == "client.prepare":
+            # One entry per compute node: a node that issues several
+            # requests in one operation accumulates their t_m / t_g
+            # (t_i is the view's, paid once at view set).
             node = sp.attrs["compute"]
-            bd = WriteBreakdown(t_i=sp.attrs.get("t_i_us", 0.0))
+            bd = per_compute.get(node)
+            if bd is None:
+                bd = per_compute[node] = WriteBreakdown(
+                    t_i=sp.attrs.get("t_i_us", 0.0)
+                )
             for c in sp.children:
                 if c.name == "map":
                     bd.t_m += c.wall_us
                 elif c.name == "gather":
                     bd.t_g += c.wall_us
-            per_compute[node] = bd
         elif sp.name == "scatter":
             per_compute[sp.attrs["compute"]].t_g += sp.wall_us
         elif sp.name in ("server.write", "server.read"):

@@ -55,17 +55,20 @@ class SubfileStore:
             out[: avail - lo] = self._data[lo:avail]
         return out
 
-    def read_bytes(self, lo: int, hi: int) -> bytes:
-        """``bytes`` of ``[lo, hi]`` (zero-filled past EOF).
+    def read_bytes(self, lo: int, hi: int) -> np.ndarray:
+        """The bytes of ``[lo, hi]`` (zero-filled past EOF) as a buffer
+        to be written out, not kept.
 
         The journal's redo-payload read: when the range is entirely
         within the written length — the overwhelmingly common case on
-        the commit path — this skips the intermediate zero-filled
-        array that :meth:`read` allocates.  Works unchanged for every
-        store subclass via the :attr:`data` prefix view."""
+        the commit path — this is a window *over the store*, no copy;
+        it is only valid until the store is next written or grown, so
+        the caller holds the file's lock and is done with it before
+        releasing.  Works unchanged for every store subclass via the
+        :attr:`data` prefix view."""
         if hi < self.length:
-            return self.data[lo : hi + 1].tobytes()
-        return self.read(lo, hi).tobytes()
+            return self.data[lo : hi + 1]
+        return self.read(lo, hi)
 
     @property
     def data(self) -> np.ndarray:

@@ -39,7 +39,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "JOURNAL_MAGIC",
@@ -76,6 +76,10 @@ _CRC = struct.Struct("<I")
 
 HEADER_SIZE = _HEADER.size  # 12
 RECORD_OVERHEAD = _CRC.size + _BODY.size  # 4 + 25 = 29 bytes per record
+
+#: Buffers one ``writev(2)`` takes (1024 on Linux).  A longer list goes
+#: out in several calls.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 class RecoveryError(RuntimeError):
@@ -138,16 +142,22 @@ class JournalWriter:
     write — it replays old epochs into a snapshot and starts new, empty
     journals at a bumped epoch.
 
-    The file is open *unbuffered*: every append is one ``write(2)``
-    straight into the OS page cache, so a record is kill-durable the
-    moment :meth:`append`/:meth:`append_many` returns — including the
-    header written at construction, which must be durable from birth
-    (a commit record's cuts name *every* data journal at its current
-    length, so an untouched journal whose header never reached the OS
-    would make every later commit look torn after a kill).  This also
-    keeps the group-commit hot path at one syscall per touched journal
-    with no separate flush step.  :meth:`flush` therefore only matters
-    with ``sync=True``, where it fsyncs for power-loss durability.
+    The file is a raw descriptor: every append is one ``writev(2)``
+    straight into the OS page cache — record heads and payload buffers
+    go to the kernel as they are, never joined in user space — so a
+    record is kill-durable the moment :meth:`append`/:meth:`append_many`
+    returns — including the header written at construction, which must
+    be durable from birth (a commit record's cuts name *every* data
+    journal at its current length, so an untouched journal whose header
+    never reached the OS would make every later commit look torn after
+    a kill).  This also keeps the group-commit hot path at one syscall
+    per touched journal with no separate flush step.  :meth:`flush`
+    therefore only matters with ``sync=True``, where it fsyncs for
+    power-loss durability.
+
+    A payload is any contiguous bytes-like object (``bytes``, or a
+    ``uint8`` array over a subfile store); it must not change before
+    the append returns.
     """
 
     def __init__(self, path: str, kind: int, subfile: int = 0,
@@ -158,12 +168,14 @@ class JournalWriter:
         self.epoch = epoch
         self.sync = sync
         header = pack_header(kind, subfile, epoch)
-        self._fh: Optional[BinaryIO] = open(path, "wb", buffering=0)
-        self._fh.write(header)
+        self._fd: Optional[int] = os.open(
+            path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666
+        )
         self._chain = _crc(header)
-        self._length = len(header)
+        self._length = 0
+        self._writev([header], len(header))
         if sync:
-            os.fsync(self._fh.fileno())
+            os.fsync(self._fd)
 
     @property
     def length(self) -> int:
@@ -171,21 +183,37 @@ class JournalWriter:
         commit record's cut refers to after a :meth:`flush`."""
         return self._length
 
-    def append(self, rtype: int, stamp: int, offset: int,
-               payload: bytes) -> int:
+    def _writev(self, bufs: list, nbytes: int) -> None:
+        """Write ``bufs`` (``nbytes`` in all) at the journal's end."""
+        fd = self._fd
+        if len(bufs) > _IOV_MAX:
+            for i in range(0, len(bufs), _IOV_MAX):
+                part = bufs[i : i + _IOV_MAX]
+                self._writev(part, sum(len(b) for b in part))
+            return
+        done = os.writev(fd, bufs)
+        if done < nbytes:
+            # Short write (signal, quota edge): rare enough that one
+            # copy of the remainder is the simplest correct retry.
+            rest = memoryview(b"".join(bufs))[done:]
+            while rest:
+                rest = rest[os.write(fd, rest) :]
+        self._length += nbytes
+
+    def append(self, rtype: int, stamp: int, offset: int, payload) -> int:
         """Append one record; returns the journal length after it.
 
-        The write goes straight to the OS (unbuffered file), so the
-        record is kill-durable on return; write ordering across
-        journals follows call ordering.
+        The write goes straight to the OS, so the record is
+        kill-durable on return; write ordering across journals follows
+        call ordering.
         """
-        if self._fh is None:
+        if self._fd is None:
             raise ValueError(f"journal {self.path} is closed")
-        prefix = _BODY.pack(self._chain, rtype, stamp, offset, len(payload))
+        n = len(payload)
+        prefix = _BODY.pack(self._chain, rtype, stamp, offset, n)
         crc = zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF
-        self._fh.write(_CRC.pack(crc) + prefix + payload)
+        self._writev([_CRC.pack(crc) + prefix, payload], RECORD_OVERHEAD + n)
         self._chain = crc
-        self._length += RECORD_OVERHEAD + len(payload)
         return self._length
 
     def append_many(
@@ -199,40 +227,37 @@ class JournalWriter:
         path calls this once per touched subfile, not once per record,
         which keeps the per-record interpreter cost off the hot path.
         """
-        if self._fh is None:
+        if self._fd is None:
             raise ValueError(f"journal {self.path} is closed")
         if len(items) == 1:  # the common case once segments coalesce
             stamp, offset, payload = items[0]
             return self.append(rtype, stamp, offset, payload)
         chain = self._chain
-        length = self._length
-        parts = []
+        nbytes = 0
+        bufs = []
         for stamp, offset, payload in items:
-            prefix = _BODY.pack(chain, rtype, stamp, offset, len(payload))
+            n = len(payload)
+            prefix = _BODY.pack(chain, rtype, stamp, offset, n)
             chain = zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF
-            parts.append(_CRC.pack(chain))
-            parts.append(prefix)
-            parts.append(payload)
-            length += RECORD_OVERHEAD + len(payload)
-        self._fh.write(b"".join(parts))
+            bufs.append(_CRC.pack(chain) + prefix)
+            bufs.append(payload)
+            nbytes += RECORD_OVERHEAD + n
+        self._writev(bufs, nbytes)
         self._chain = chain
-        self._length = length
-        return length
+        return self._length
 
     def flush(self) -> None:
         """No-op for kill-durability (writes are unbuffered); fsyncs
         when the writer was opened with ``sync=True``."""
-        if self._fh is None:
-            return
-        if self.sync:
-            os.fsync(self._fh.fileno())
+        if self._fd is not None and self.sync:
+            os.fsync(self._fd)
 
     def close(self) -> None:
-        if self._fh is None:
+        if self._fd is None:
             return
         self.flush()
-        self._fh.close()
-        self._fh = None
+        os.close(self._fd)
+        self._fd = None
 
 
 def scan_journal(path: str, expect_kind: Optional[int] = None,

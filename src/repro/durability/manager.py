@@ -68,6 +68,7 @@ from .journal import (
     JournalWriter,
     REC_COMMIT,
     REC_WRITE,
+    RECORD_OVERHEAD,
     RecoveryError,
     scan_journal,
 )
@@ -81,13 +82,6 @@ COMMIT_LOG = "commit.wal"
 
 #: Directory reserved for namespace metadata state (no file manifest).
 NAMESPACE_DIR = "_namespace"
-
-#: Redo segments of one batch within a subfile merge into a single
-#: spanning record when the gap between them is at most this many
-#: bytes.  Payloads are post-batch state read back under the file
-#: lock, so the interior gap bytes are equally correct to replay; the
-#: bound caps journal bloat at GAP bytes per merged pair.
-_COALESCE_GAP = 4096
 
 #: Entries kept in the (view, offset, nbytes) -> touched-segments cache.
 #: Real workloads revisit a small set of access shapes (fixed record
@@ -342,11 +336,13 @@ class DurabilityManager:
 
         Because payloads are post-state and recovery replays whole
         commit groups in order, the batch's segments within a subfile
-        can be *coalesced*: nearby segments (gap up to
-        ``_COALESCE_GAP``) merge into one spanning record stamped with
-        the batch's commit stamp — the interior bytes also read back
-        post-batch state, so replaying the span is exactly as correct
-        as replaying each piece, at a fraction of the per-record cost.
+        can be *coalesced*: overlapping segments dedupe, and two
+        segments merge into one spanning record, stamped with the
+        batch's commit stamp, when the gap between them is no larger
+        than the ``RECORD_OVERHEAD`` a second record would cost — the
+        interior bytes also read back post-batch state, so replaying
+        the span is exactly as correct as replaying each piece, and
+        merging never journals more bytes than not merging.
         """
         t0 = time.perf_counter()
         fj = self._files.get(name)
@@ -386,7 +382,7 @@ class DurabilityManager:
             merged = [list(intervals[0])]
             for a, b in intervals[1:]:
                 last = merged[-1]
-                if a <= last[1] + _COALESCE_GAP:
+                if a - last[1] <= RECORD_OVERHEAD:
                     if b > last[1]:
                         last[1] = b
                 else:

@@ -137,7 +137,9 @@ def gather_segments(
         return out
     strategy, view = _resolve(src, starts, lengths, total, strategy)
     if strategy == "strided":
-        out[:] = view.reshape(-1)
+        # As in scatter_segments: reshape(-1) on the strided view would
+        # make a full temporary; copy through the 2-D shape instead.
+        np.copyto(out.reshape(view.shape), view)
         return out
     if strategy == "fancy":
         out[:] = src[_flat_indices(starts, lengths)]

@@ -31,15 +31,16 @@ bounded worker pool while preserving per-file serial semantics:
   ``service.lock.cross_file_conflicts`` counts mismatches and the
   stress suite pins it at exactly zero (per-file locks make it
   structurally impossible; the counter proves it).
-* **Batching** — an adjacent run of writes *within one file's queue*
-  (same ``to_disk`` flag, distinct compute nodes) coalesces into a
-  single engine call, up to ``max_batch`` requests: coalescing is
-  keyed by ``(file id, adjacency in that file's order)``, so traffic
-  on other files can never break a file's batch.  With
-  ``batch_window_s`` > 0 the dispatcher lingers for late arrivals on
-  the same file.  The engine applies a multi-request write's payloads
-  in request order, so a coalesced batch is byte-identical to
-  executing its members serially in per-file admission order.
+* **Batching** — an adjacent run of writes, or of reads, *within one
+  file's queue* (same disk flag) coalesces into a single engine call,
+  up to ``max_batch`` requests: coalescing is keyed by ``(file id,
+  kind, adjacency in that file's order)`` and nothing else — a compute
+  node may appear any number of times — so traffic on other files can
+  never break a file's batch.  With ``batch_window_s`` > 0 the
+  dispatcher lingers for late write arrivals on the same file.  The
+  engine applies a multi-request write's payloads in request order, so
+  a coalesced batch is byte-identical to executing its members
+  serially in per-file admission order.
 * **Dispatch** — at most ``workers`` operations are in flight; the
   dispatcher blocks on a worker slot before submitting, so queue depth
   reflects the true backlog.
@@ -108,9 +109,8 @@ class _Op:
     node: int = -1
     offset: int = 0
     data: Optional[np.ndarray] = None  # write payload
-    length: int = 0  # read length
-    to_disk: bool = False
-    from_disk: bool = False
+    length: int = 0  # bytes written / to read
+    disk: bool = False  # write's to_disk / read's from_disk
     new_physical: Optional[Partition] = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
@@ -160,16 +160,18 @@ class _FileState:
         self.h_wait_s = obs_metrics.histogram(f"service.file.{name}.wait_s")
 
 
-def _batch_compatible(op: _Op, batch: List[_Op]) -> bool:
-    """Whether ``op`` can extend a write batch on the same file (engine
-    constraints: one request per compute node, one flush mode).  The
-    file is implied — candidates come off the same per-file queue, so
-    adjacency *in that file's order* is the batching key."""
-    head = batch[0]
+def _batch_compatible(op: _Op, head: _Op) -> bool:
+    """Whether ``op`` can extend the batch ``head`` opened: same kind
+    (a run of writes or a run of reads — a relayout runs alone), same
+    disk flag (one engine call has one).  The file is implied —
+    candidates come off the same per-file queue, so adjacency *in that
+    file's order* is the rest of the batching key.  Order alone keeps
+    a batch serial-equivalent: the engine applies requests in list
+    order."""
     return (
-        op.kind == "write"
-        and op.to_disk == head.to_disk
-        and all(op.node != b.node for b in batch)
+        op.kind == head.kind
+        and head.kind != "relayout"
+        and op.disk == head.disk
     )
 
 
@@ -194,8 +196,8 @@ class FileService:
         quota) is full (backpressure); ``"reject"`` raises
         :class:`ServiceOverloaded`.
     max_batch:
-        Largest number of adjacent same-file writes coalesced into one
-        engine call.  ``1`` disables batching.
+        Largest number of adjacent same-file writes (or reads)
+        coalesced into one engine call.  ``1`` disables batching.
     batch_window_s:
         How long the dispatcher lingers for late write arrivals on the
         same file that extend a batch.  ``0`` coalesces only what is
@@ -425,7 +427,8 @@ class FileService:
                 node=node,
                 offset=offset,
                 data=payload,
-                to_disk=to_disk,
+                length=payload.size,
+                disk=to_disk,
             )
         )
 
@@ -451,7 +454,7 @@ class FileService:
                 node=node,
                 offset=offset,
                 length=length,
-                from_disk=from_disk,
+                disk=from_disk,
             )
         )
 
@@ -687,13 +690,12 @@ class FileService:
                 head = fstate.queue.popleft()
                 self._vtime = max(self._vtime, head.wfq_start)
                 batch = [head]
-                if head.kind == "write":
-                    while (
-                        len(batch) < self.max_batch
-                        and fstate.queue
-                        and _batch_compatible(fstate.queue[0], batch)
-                    ):
-                        batch.append(fstate.queue.popleft())
+                while (
+                    len(batch) < self.max_batch
+                    and fstate.queue
+                    and _batch_compatible(fstate.queue[0], head)
+                ):
+                    batch.append(fstate.queue.popleft())
                 self._account_dispatch_locked(batch)
                 self._requeue_if_ready_locked(fstate)
             if (
@@ -719,7 +721,7 @@ class FileService:
         with self._qlock:
             while len(batch) < self.max_batch:
                 if fstate.queue:
-                    if _batch_compatible(fstate.queue[0], batch):
+                    if _batch_compatible(fstate.queue[0], batch[0]):
                         op = fstate.queue.popleft()
                         batch.append(op)
                         self._account_dispatch_locked([op])
@@ -851,95 +853,7 @@ class FileService:
 
     def _execute(self, batch: List[_Op]) -> None:
         head = batch[0]
-        rec = flightrec.active()
-        fkey = rec.file_key(head.name) if rec is not None else 0
-        if head.kind == "write":
-            self._m_batches.inc()
-            self._m_batch_size.observe(
-                len(batch), trace_id=head.ticket.trace_id
-            )
-            if rec is not None:
-                # trace/tenant keys computed once per op, shared with
-                # the finish records below.
-                fmeta = [
-                    (
-                        flightrec.trace_num(op.ticket.trace_id),
-                        rec.tenant_key(op.tenant),
-                    )
-                    for op in batch
-                ]
-                for op, (tnum, tkey) in zip(batch, fmeta):
-                    rec.record(
-                        flightrec.EV_OP_START,
-                        trace=tnum,
-                        tseq=op.ticket.seq,
-                        tenant=tkey,
-                        file=fkey,
-                        a=op.offset,
-                        b=op.data.size,
-                    )
-            accesses = [(op.node, op.offset, op.data) for op in batch]
-            result = self.fs.write(head.name, accesses, to_disk=head.to_disk)
-            if self.durability is not None:
-                # Group commit rides the batch: one commit record per
-                # engine call, stamped with the batch's ticket seqs,
-                # flushed *before* any ticket resolves — the ack is the
-                # commit point.  The file lock is still held here, so
-                # the redo payloads read back from the stores are
-                # exactly this batch's post-state.
-                self.durability.commit_write(
-                    self.fs,
-                    head.name,
-                    [
-                        (op.ticket.seq, op.node, op.offset, op.data.size)
-                        for op in batch
-                    ],
-                )
-            for i, op in enumerate(batch):
-                # Finish lands in the ring *before* the ticket resolves:
-                # every acknowledged write is provably present in the
-                # recorder's event stream (the forensics ack-coverage
-                # check in the chaos harness relies on this ordering).
-                if rec is not None:
-                    tnum, tkey = fmeta[i]
-                    rec.record(
-                        flightrec.EV_OP_FINISH,
-                        trace=tnum,
-                        tseq=op.ticket.seq,
-                        tenant=tkey,
-                        file=fkey,
-                        a=op.offset,
-                        b=0,
-                    )
-                op.ticket._resolve(result)
-        elif head.kind == "read":
-            if rec is not None:
-                rec.record(
-                    flightrec.EV_OP_START,
-                    trace=flightrec.trace_num(head.ticket.trace_id),
-                    tseq=head.ticket.seq,
-                    tenant=rec.tenant_key(head.tenant),
-                    file=fkey,
-                    a=head.offset,
-                    b=head.length,
-                )
-            [buf] = self.fs.read(
-                head.name,
-                [(head.node, head.offset, head.length)],
-                from_disk=head.from_disk,
-            )
-            if rec is not None:
-                rec.record(
-                    flightrec.EV_OP_FINISH,
-                    trace=flightrec.trace_num(head.ticket.trace_id),
-                    tseq=head.ticket.seq,
-                    tenant=rec.tenant_key(head.tenant),
-                    file=fkey,
-                    a=head.offset,
-                    b=0,
-                )
-            head.ticket._resolve(buf)
-        elif head.kind == "relayout":
+        if head.kind == "relayout":
             # Capture the file's views: relayout invalidates them (their
             # projections referred to the old subfiles) and the service
             # re-establishes each against the new layout.
@@ -959,5 +873,72 @@ class FileService:
                 # the new partition before acknowledging.
                 self.durability.checkpoint(self.fs, head.name)
             head.ticket._resolve(result)
-        else:  # pragma: no cover - _admit only builds the three kinds
-            raise AssertionError(f"unknown operation kind {head.kind!r}")
+            return
+        # A coalesced run of writes or of reads: one engine call.
+        self._m_batches.inc()
+        self._m_batch_size.observe(len(batch), trace_id=head.ticket.trace_id)
+        rec = flightrec.active()
+        if rec is not None:
+            fkey = rec.file_key(head.name)
+            # trace/tenant keys computed once per op, shared with the
+            # finish records below.
+            fmeta = [
+                (
+                    flightrec.trace_num(op.ticket.trace_id),
+                    rec.tenant_key(op.tenant),
+                )
+                for op in batch
+            ]
+            for op, (tnum, tkey) in zip(batch, fmeta):
+                rec.record(
+                    flightrec.EV_OP_START,
+                    trace=tnum,
+                    tseq=op.ticket.seq,
+                    tenant=tkey,
+                    file=fkey,
+                    a=op.offset,
+                    b=op.length,
+                )
+        if head.kind == "write":
+            accesses = [(op.node, op.offset, op.data) for op in batch]
+            result = self.fs.write(head.name, accesses, to_disk=head.disk)
+            results = [result] * len(batch)
+            if self.durability is not None:
+                # Group commit rides the batch: one commit record per
+                # engine call, stamped with the batch's ticket seqs,
+                # flushed *before* any ticket resolves — the ack is the
+                # commit point.  The file lock is still held here, so
+                # the redo payloads read back from the stores are
+                # exactly this batch's post-state.
+                self.durability.commit_write(
+                    self.fs,
+                    head.name,
+                    [
+                        (op.ticket.seq, op.node, op.offset, op.length)
+                        for op in batch
+                    ],
+                )
+        else:
+            # One buffer per request, in request order.
+            results = self.fs.read(
+                head.name,
+                [(op.node, op.offset, op.length) for op in batch],
+                from_disk=head.disk,
+            )
+        for i, op in enumerate(batch):
+            # Finish lands in the ring *before* the ticket resolves:
+            # every acknowledged write is provably present in the
+            # recorder's event stream (the forensics ack-coverage
+            # check in the chaos harness relies on this ordering).
+            if rec is not None:
+                tnum, tkey = fmeta[i]
+                rec.record(
+                    flightrec.EV_OP_FINISH,
+                    trace=tnum,
+                    tseq=op.ticket.seq,
+                    tenant=tkey,
+                    file=fkey,
+                    a=op.offset,
+                    b=0,
+                )
+            op.ticket._resolve(results[i])

@@ -142,6 +142,37 @@ class TestBreakdownDerivation:
                 transport.attrs["done_disk"][node] * 1e6
             )
 
+    def test_repeated_compute_node_accumulates(self, matrix_data):
+        """A node with two requests in one write has one entry: t_i
+        once, t_m / t_g summed over both ``client.prepare`` spans."""
+        fs = make_fs()
+        write_matrix(fs, "m", "c", matrix_data)
+        half = N * N // 8
+        res = fs.write(
+            "m",
+            [
+                (1, 0, matrix_data[:half]),
+                (2, 0, matrix_data[:half]),
+                (1, half, matrix_data[half : 2 * half]),
+            ],
+        )
+        assert set(res.per_compute) == {1, 2}
+        prep = [
+            s
+            for s in res.trace.children
+            if s.name == "client.prepare" and s.attrs["compute"] == 1
+        ]
+        assert len(prep) == 2
+        bd = res.per_compute[1]
+        assert bd.t_i == prep[0].attrs["t_i_us"]
+        for field, name in (("t_m", "map"), ("t_g", "gather")):
+            per_span = [
+                sum(c.wall_us for c in sp.children if c.name == name)
+                for sp in prep
+            ]
+            assert all(t > 0 for t in per_span)
+            assert getattr(bd, field) == pytest.approx(sum(per_span))
+
     def test_modelled_fields_deterministic(self, matrix_data):
         runs = []
         for _ in range(2):

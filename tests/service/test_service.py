@@ -10,6 +10,9 @@ from repro.clusterfile.fs import Clusterfile
 from repro.distributions import round_robin
 from repro.obs import metrics as obs_metrics
 from repro.service import FileService, ServiceClosed, ServiceOverloaded
+from repro.simulation import ClusterConfig
+
+from .test_tenants import _StalledService
 
 
 def _deployment(nprocs=4, chunk=16):
@@ -23,6 +26,33 @@ def _deployment(nprocs=4, chunk=16):
 def _payloads(seed, nprocs=4, nbytes=64):
     rng = np.random.default_rng(seed)
     return [rng.integers(0, 256, nbytes, dtype=np.uint8) for _ in range(nprocs)]
+
+
+def _whole_file_deployment():
+    """Files ``f0``..``f3`` seen by 8 nodes element-wise, ``whole`` seen
+    by every node as the one linear file (so views overlap), and the
+    stall machinery's ``blocked``."""
+    fs = Clusterfile(ClusterConfig(compute_nodes=8, io_nodes=8))
+    for name in ("blocked", "f0", "f1", "f2", "f3"):
+        fs.create(name, round_robin(8, 16))
+        for node in range(8):
+            fs.set_view(name, node, round_robin(8, 16))
+    fs.create("whole", round_robin(4, 16))
+    for node in range(2):
+        fs.set_view("whole", node, round_robin(1, 16), 0)
+    return fs
+
+
+@pytest.fixture
+def stalled():
+    """A one-worker service whose dispatcher is parked until
+    ``release()``: whatever is submitted meanwhile is queued, so batch
+    boundaries are exact."""
+    svc = FileService(_whole_file_deployment(), workers=1, max_batch=8)
+    stall = _StalledService(svc)
+    yield stall
+    stall.release()
+    svc.close()
 
 
 class TestSingleWorkerDeterminism:
@@ -97,21 +127,79 @@ class TestBatching:
         ]
         assert sizes["sum"] == 4  # every write counted exactly once
 
-    def test_duplicate_compute_node_breaks_batch(self):
-        """The engine takes one request per compute node per call, so a
-        run with a repeated node must split."""
-        fs = _deployment()
-        data = _payloads(11)
-        with FileService(fs, workers=1, max_batch=8) as svc:
-            svc.submit_write("f", 0, 0, data[0])
-            t1 = svc.submit_write("f", 1, 0, data[1])
-            t2 = svc.submit_write("f", 1, 0, data[2])  # same node again
-            assert svc.drain(timeout=30)
-        assert t1.result(timeout=5) is not None
-        assert t2.result(timeout=5) is not None
-        # Last write wins on the overlapping range.
-        got = fs.read("f", [(1, 0, data[2].size)])[0]
-        np.testing.assert_array_equal(got, data[2])
+    def test_repeated_compute_node_rides_one_batch(self, stalled):
+        """Adjacency in the file's order is the whole key: nodes
+        0, 1, 1, 0 coalesce into one engine call, and overlapping bytes
+        land as if the four had run one by one."""
+        svc, fs = stalled.svc, stalled.svc.fs
+        rng = np.random.default_rng(11)
+        ops = [(0, 0, 64), (1, 32, 64), (1, 16, 64), (0, 48, 32)]
+        ops = [
+            (node, off, rng.integers(0, 256, n, dtype=np.uint8))
+            for node, off, n in ops
+        ]
+        tickets = [svc.submit_write("whole", *op) for op in ops]
+        stalled.release()
+        assert svc.drain(timeout=30)
+        assert [t.batched_with for t in tickets] == [4, 4, 4, 4]
+        serial = _whole_file_deployment()
+        for op in ops:
+            serial.write("whole", [op])
+        np.testing.assert_array_equal(
+            fs.linear_contents("whole"), serial.linear_contents("whole")
+        )
+        # Last writer wins where all four overlap.
+        np.testing.assert_array_equal(
+            fs.linear_contents("whole")[48:80], ops[3][2]
+        )
+
+    def test_e2e_shape_fills_every_batch(self, stalled):
+        """The benchmark's small_write shape — op i goes to file i % 4
+        from node i % 8, 16 of them queued — offers each file four
+        adjacent writes from two nodes; every batch takes all four."""
+        svc = stalled.svc
+        batches_before = obs_metrics.snapshot("service")["service.batches"]
+        data = _payloads(14, nprocs=16, nbytes=32)
+        tickets = [
+            svc.submit_write(f"f{i % 4}", i % 8, 0, data[i])
+            for i in range(16)
+        ]
+        stalled.release()
+        assert svc.drain(timeout=30)
+        assert {t.batched_with for t in tickets} == {4}
+        # Four engine calls for the 16, one each for the two soak ops.
+        batches = obs_metrics.snapshot("service")["service.batches"]
+        assert batches - batches_before == 6
+        for i in range(8):  # each node's later write to its file won
+            [got] = svc.fs.read(f"f{i % 4}", [(i, 0, 32)])
+            np.testing.assert_array_equal(got, data[i + 8])
+
+    def test_adjacent_reads_coalesce_each_with_its_own_buffer(self, stalled):
+        svc = stalled.svc
+        data = _payloads(15, nprocs=8)
+        for node in range(8):
+            svc.fs.write("f0", [(node, 0, data[node])])
+        # Two of the three come from node 0.
+        reads = [(0, 0, 64), (0, 16, 32), (1, 8, 40)]
+        tickets = [svc.submit_read("f0", *r) for r in reads]
+        stalled.release()
+        got = [t.result(timeout=30) for t in tickets]
+        assert [t.batched_with for t in tickets] == [3, 3, 3]
+        for (node, off, n), buf in zip(reads, got):
+            np.testing.assert_array_equal(buf, data[node][off : off + n])
+        assert not np.shares_memory(got[0], got[1])
+
+    def test_write_between_reads_splits_the_run(self, stalled):
+        svc = stalled.svc
+        old, new = _payloads(16, nprocs=2)
+        svc.fs.write("f0", [(3, 0, old)])
+        before = svc.submit_read("f0", 3, 0, 64)
+        svc.submit_write("f0", 3, 0, new)
+        after = svc.submit_read("f0", 3, 0, 64)
+        stalled.release()
+        np.testing.assert_array_equal(after.result(timeout=30), new)
+        np.testing.assert_array_equal(before.result(timeout=30), old)
+        assert before.batched_with == after.batched_with == 1
 
     def test_batch_window_waits_for_stragglers(self):
         fs = _deployment()

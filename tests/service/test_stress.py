@@ -18,7 +18,10 @@ Two workloads here:
   stays exactly 0 while every file still matches its serial replay).
 
 Both reconcile the ``service.*`` metrics totals against per-operation
-sums from the tickets.
+sums from the tickets.  A third drives overlapping writes and reads
+from two compute nodes only — so coalesced batches repeat a node —
+with the journal on, in thread and process mode, and ends with a
+recovery that must reproduce the same bytes.
 """
 
 import threading
@@ -30,6 +33,7 @@ import pytest
 from repro.clusterfile.fs import Clusterfile
 from repro.clusterfile.relayout import relayout
 from repro.distributions import round_robin
+from repro.durability import DurabilityManager
 from repro.obs import metrics as obs_metrics
 from repro.service import FileService
 
@@ -39,8 +43,8 @@ FILES = ("alpha", "beta")
 LAYOUTS = (round_robin(NPROCS, CHUNK), round_robin(2, 2 * CHUNK))
 
 
-def _deployment(files=FILES):
-    fs = Clusterfile()
+def _deployment(files=FILES, workers_mode="thread"):
+    fs = Clusterfile(workers_mode=workers_mode, workers=2)
     for name in files:
         fs.create(name, LAYOUTS[0])
         for node in range(NPROCS):
@@ -48,13 +52,13 @@ def _deployment(files=FILES):
     return fs
 
 
-def _client_ops(seed, n_ops, files=FILES, relayouts=True):
+def _client_ops(seed, n_ops, files=FILES, relayouts=True, nodes=NPROCS):
     """One client's operation stream (generated, not yet submitted)."""
     rng = np.random.default_rng(seed)
     ops = []
     for _ in range(n_ops):
         name = files[int(rng.integers(len(files)))]
-        node = int(rng.integers(NPROCS))
+        node = int(rng.integers(nodes))
         roll = rng.random()
         if roll < 0.62 or (not relayouts and roll >= 0.92):
             off = int(rng.integers(0, 160))
@@ -103,7 +107,10 @@ def _replay_serially(records, files=FILES):
     return fs, read_results
 
 
-def _run_storm(fs, svc, n_threads, ops_per_thread, seed, files, relayouts=True):
+def _run_storm(
+    fs, svc, n_threads, ops_per_thread, seed, files, relayouts=True,
+    nodes=NPROCS,
+):
     """Drive the workload; returns records/tickets keyed by (file, seq)."""
     records = {}
     tickets = {}
@@ -114,7 +121,7 @@ def _run_storm(fs, svc, n_threads, ops_per_thread, seed, files, relayouts=True):
         start.wait()
         client_files = files if relayouts else (files[i % len(files)],)
         for op in _client_ops(
-            1000 * seed + i, ops_per_thread, client_files, relayouts
+            1000 * seed + i, ops_per_thread, client_files, relayouts, nodes
         ):
             if op[0] == "write":
                 _, name, node, off, data = op
@@ -172,25 +179,23 @@ def _assert_replay_identical(fs, records, tickets, files):
 def _assert_metrics_reconcile(records, tickets, total, max_queue):
     counts = obs_metrics.snapshot("service")
     gauges = obs_metrics.get_registry().gauges("service")
-    n_writes = sum(1 for op in records.values() if op[0] == "write")
+    # Writes and reads coalesce; a relayout runs alone, uncounted.
+    batched = [key for key, op in records.items() if op[0] != "relayout"]
     assert counts["service.enqueued"] == total
     assert counts["service.completed"] == total
     assert counts.get("service.failed", 0) == 0
     assert counts.get("service.rejected", 0) == 0
-    # Every write rode in exactly one engine batch.
-    assert gauges["service.batch_size"]["sum"] == n_writes
+    # Every write and read rode in exactly one engine batch.
+    assert gauges["service.batch_size"]["sum"] == len(batched)
     assert counts["service.batches"] == gauges["service.batch_size"]["count"]
     # Wait time and queue depth were sampled once per operation.
     assert gauges["service.wait_s"]["count"] == total
     assert gauges["service.queue_depth"]["count"] == total
     assert gauges["service.queue_depth"]["max"] <= max_queue
     # Ticket-side per-op facts agree with the registry aggregates.
-    write_tickets = [
-        tickets[key] for key, op in records.items() if op[0] == "write"
-    ]
-    assert sum(1.0 / t.batched_with for t in write_tickets) == pytest.approx(
-        counts["service.batches"]
-    )
+    assert sum(
+        1.0 / tickets[key].batched_with for key in batched
+    ) == pytest.approx(counts["service.batches"])
     assert sum(t.wait_s for t in tickets.values()) == pytest.approx(
         gauges["service.wait_s"]["sum"]
     )
@@ -258,3 +263,50 @@ def test_stress_independent_files_no_cross_file_conflicts(seed):
     counts = obs_metrics.snapshot("service")
     assert counts.get("service.lock.cross_file_conflicts", 0) == 0
     assert counts["service.completed"] == total
+
+
+@pytest.mark.parametrize("workers_mode", ["thread", "process"])
+def test_stress_same_node_bursts_equal_serial_replay_and_recover(
+    workers_mode, tmp_path
+):
+    """Two compute nodes, eight clients, offsets within 160 bytes: the
+    queues fill with overlapping same-node writes (and reads of them),
+    so coalesced batches carry a node several times.  Bytes and read
+    results must equal the per-file serial replay, in both executor
+    modes, and the journal those batches were committed to must
+    recover to the same bytes."""
+    obs_metrics.reset_metrics("service")
+    n_threads = 8
+    ops_per_thread = 16
+    fs = _deployment(workers_mode=workers_mode)
+    try:
+        with DurabilityManager(str(tmp_path)) as dm:
+            for name in FILES:
+                dm.register_file(fs, name)
+            with FileService(
+                fs, workers=2, max_queue=32, max_batch=8, durability=dm
+            ) as svc:
+                records, tickets = _run_storm(
+                    fs, svc, n_threads, ops_per_thread, 7, FILES,
+                    relayouts=False, nodes=2,
+                )
+        total = n_threads * ops_per_thread
+        _assert_per_file_contiguity(records, total)
+        for key, t in tickets.items():
+            assert t.exception(timeout=5) is None, f"operation {key} failed"
+        # With two nodes, any batch of three repeats one.
+        assert max(t.batched_with for t in tickets.values()) > 2
+        _assert_replay_identical(fs, records, tickets, FILES)
+        _assert_metrics_reconcile(records, tickets, total, max_queue=32)
+
+        recovered = Clusterfile()
+        with DurabilityManager(str(tmp_path)) as dm:
+            dm.recover_into(recovered)
+        for name in FILES:
+            np.testing.assert_array_equal(
+                recovered.linear_contents(name),
+                fs.linear_contents(name),
+                err_msg=f"recovered bytes of {name!r} diverge",
+            )
+    finally:
+        fs.close()

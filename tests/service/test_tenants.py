@@ -42,8 +42,9 @@ class _StalledService:
 
     ``workers=1``: one operation on the blocked file occupies the
     worker (blocked on the externally held lock), a second occupies
-    the dispatcher (blocked acquiring the worker slot).  Everything
-    admitted afterwards stays queued until :meth:`release`.
+    the dispatcher (blocked acquiring the worker slot) — a write and a
+    read, which never share a batch whatever ``max_batch`` is.
+    Everything admitted afterwards stays queued until :meth:`release`.
     """
 
     def __init__(self, svc, blocked_file="blocked"):
@@ -66,7 +67,7 @@ class _StalledService:
         # Soak the worker and the dispatcher.
         self._soak = [
             svc.submit_write(blocked_file, 0, 0, _payload(1)),
-            svc.submit_write(blocked_file, 0, 0, _payload(2)),
+            svc.submit_read(blocked_file, 0, 0, 4),
         ]
         self._wait_stalled()
 
