@@ -20,7 +20,11 @@ from repro.core import (
 from repro.core.periodic import PeriodicFallsSet
 from repro.core.segments import segments_from_pairs
 from repro.distributions import matrix_partition
-from repro.redistribution.gather_scatter import gather_segments, scatter_segments
+from repro.redistribution.gather_scatter import (
+    copy_segments,
+    gather_segments,
+    scatter_segments,
+)
 
 N = 1024
 
@@ -102,6 +106,42 @@ class TestGatherScatter:
         """The copy cost floor: one memcpy of the same volume."""
         src = np.zeros(1024 * 256, dtype=np.uint8)
         benchmark.group = "gather-uniform"
+        benchmark(lambda: src.copy())
+
+    # copy-uniform: 1024 x 1 KiB at stride 4 KiB (one transfer of a
+    # 4096 x 4096 r -> c redistribution) moved in one pass, beside the
+    # same bytes through a packed intermediate and the memcpy floor.
+    _COPY_SRC = (1024, 1024, 4096)
+    _COPY_DST = {
+        "to-contiguous": (1, 1024 * 1024, 1024 * 1024),
+        "to-strided": (512, 2048, 4096),
+    }
+
+    def _copy_case(self, dst_kind):
+        src = np.zeros(4 * 1024 * 1024, dtype=np.uint8)
+        dst = np.zeros(4 * 1024 * 1024, dtype=np.uint8)
+        return (
+            dst, self._segments(*self._COPY_DST[dst_kind]),
+            src, self._segments(*self._COPY_SRC),
+        )
+
+    @pytest.mark.parametrize("dst_kind", sorted(_COPY_DST))
+    def test_copy_segments_1k_runs(self, benchmark, dst_kind):
+        args = self._copy_case(dst_kind)
+        benchmark.group = "copy-uniform"
+        benchmark(lambda: copy_segments(*args))
+
+    @pytest.mark.parametrize("dst_kind", sorted(_COPY_DST))
+    def test_gather_then_scatter_1k_runs(self, benchmark, dst_kind):
+        dst, dst_segs, src, src_segs = self._copy_case(dst_kind)
+        benchmark.group = "copy-uniform"
+        benchmark(
+            lambda: scatter_segments(dst, dst_segs, gather_segments(src, src_segs))
+        )
+
+    def test_copy_contiguous_baseline(self, benchmark):
+        src = np.zeros(1024 * 1024, dtype=np.uint8)
+        benchmark.group = "copy-uniform"
         benchmark(lambda: src.copy())
 
 

@@ -25,11 +25,7 @@ from ..core.segments import (
     leaf_segment_arrays_set,
     merge_segment_arrays,
 )
-from ..redistribution.gather_scatter import (
-    as_flat_bytes,
-    gather_segments,
-    scatter_segments,
-)
+from ..redistribution.gather_scatter import as_flat_bytes, copy_segments
 
 __all__ = ["HaloExchange"]
 
@@ -211,8 +207,12 @@ class HaloExchange:
         segs = merge_segment_arrays(
             leaf_segment_arrays_set(self.owned[p].falls)
         )
-        packed = gather_segments(as_flat_bytes(data, "data"), segs)
-        scatter_segments(buf, self.index[p].localize(segs), packed)
+        copy_segments(
+            buf,
+            self.index[p].localize(segs),
+            as_flat_bytes(data, "data"),
+            segs,
+        )
         return buf
 
     def exchange(self, buffers: Sequence[np.ndarray]) -> Tuple[int, int]:
@@ -224,8 +224,9 @@ class HaloExchange:
             raise ValueError("one buffer per rank required")
         nbytes = 0
         for m in self.messages:
-            payload = gather_segments(buffers[m.src], m.src_local)
-            scatter_segments(buffers[m.dst], m.dst_local, payload)
+            copy_segments(
+                buffers[m.dst], m.dst_local, buffers[m.src], m.src_local
+            )
             nbytes += m.nbytes
         return len(self.messages), nbytes
 

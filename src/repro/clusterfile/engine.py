@@ -1372,12 +1372,13 @@ def run_shuffle(
 ) -> ShuffleResult:
     """Execute a redistribution plan in memory through the engine.
 
-    The gather/scatter loop is the plan executor's (scratch reuse and
-    all); the :class:`DirectTransport` prices the exchange when a
-    network model is supplied.  Used by two-phase collective I/O
+    The byte movement is the plan executor's (segment-to-segment
+    copies, resolved once per plan and file length); the
+    :class:`DirectTransport` prices the exchange when a network model
+    is supplied.  Used by two-phase collective I/O
     (phase-1 shuffle) and by checkpoint resharding (no network — ranks
     convert their own pieces).  ``window_bytes`` selects the out-of-core
-    executor (fixed file windows, bounded temporary memory),
+    executor (fixed file windows),
     ``parallel`` the thread-pool executor, ``backend`` the worker pool
     — all byte-identical to the serial executor, with or without
     faults.

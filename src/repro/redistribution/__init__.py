@@ -1,6 +1,12 @@
 """Data redistribution: schedules, gather/scatter, executors, baselines."""
 
-from .gather_scatter import gather, gather_segments, scatter, scatter_segments
+from .gather_scatter import (
+    copy_segments,
+    gather,
+    gather_segments,
+    scatter,
+    scatter_segments,
+)
 from .schedule import RedistributionPlan, Transfer, build_plan
 from .plan_cache import (
     PlanCache,
@@ -29,6 +35,7 @@ __all__ = [
     "clear_plan_cache",
     "collect",
     "configure_plan_cache",
+    "copy_segments",
     "distribute",
     "execute_plan",
     "execute_plan_windowed",

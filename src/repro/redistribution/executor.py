@@ -9,21 +9,31 @@ Data model: a file of ``file_length`` bytes distributed under a
 partition is a list of per-element NumPy ``uint8`` buffers, each holding
 that element's linear space (exactly what MAP produces).  The executor
 moves bytes from the source buffers to the destination buffers by
-gathering each transfer's source projection and scattering it through
-the destination projection — whole segments at a time, never single
-bytes.
+copying each transfer's source projection straight onto its destination
+projection (:func:`~repro.redistribution.gather_scatter.copy_segments`):
+§7 puts every intersection segment inside one leaf segment of both
+elements, so a transfer is two equally long segment lists, and with no
+wire between them there is no message to pack — one read and one write
+per moved byte, whole segments at a time.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.partition import Partition
 from ..obs.span import tracked_span
-from .gather_scatter import as_flat_bytes, gather_segments, scatter_segments
+from .gather_scatter import (
+    ResolvedCopy,
+    as_flat_bytes,
+    copy_segments,
+    gather_segments,
+    resolve_copy,
+    run_copy,
+    scatter_segments,
+)
 from .schedule import RedistributionPlan, Transfer, build_plan
 
 __all__ = [
@@ -85,75 +95,72 @@ def collect(
     return data
 
 
+def _destination_buffers(
+    plan: RedistributionPlan, file_length: int, written: Sequence[int]
+) -> List[np.ndarray]:
+    """Fresh destination buffers.  ``written[j]`` is how many bytes the
+    transfers put into element ``j``; they are disjoint, so a count equal
+    to the element length means every byte gets written and the
+    zero-fill is skipped."""
+    buffers = []
+    for j in range(plan.dst.num_elements):
+        n = plan.dst.element_length(j, file_length)
+        alloc = np.empty if written[j] == n else np.zeros
+        buffers.append(alloc(n, dtype=np.uint8))
+    return buffers
+
+
 class PlanExecutor:
     """Reusable execution state for one plan.
 
     The schedule of a plan never changes, so repeated executions (the
     amortisation workload: same views, many accesses) should not pay the
-    per-call setup again.  The executor keeps, across calls:
+    per-call setup again.  The executor keeps, for the last file length
+    it ran, each transfer's ``ResolvedCopy`` — which strided views
+    or piece list copy its source projection onto its destination
+    projection — and how many bytes each destination element receives.
+    A strided copy is a handful of integers; a piece list is three per
+    piece, no more than the projections' own window memos already hold.
 
-    * the per-transfer projection segment lists for the last few access
-      extremities (via each projection's window memo), and
-    * one preallocated gather scratch buffer per transfer, so the packed
-      intermediate is not re-allocated on every access.
-
-    Scratch buffers are **per transfer per thread**.  Cached plans are
-    process-wide shared objects, and the executor rides on the plan, so
-    two threads executing the same cached plan concurrently would
-    otherwise gather into *one* scratch buffer and scatter each other's
-    bytes.  A ``threading.local`` keeps the reuse win (the amortisation
-    workload is a loop on one thread) while making concurrent execution
-    race-free; the parallel path's pool workers likewise each see their
-    own scratch.  Obtain a process-shared instance via
-    :meth:`RedistributionPlan` + :func:`execute_plan`, or hold one
-    explicitly for a long-lived pipeline.
+    That memo is one immutable tuple, replaced whole when the file
+    length changes: threads executing one cached plan concurrently read
+    it or rebuild an equal one, and nothing in it is written to while
+    bytes move, so the shared executor needs no lock.  Obtain a
+    process-shared instance via :meth:`RedistributionPlan` +
+    :func:`execute_plan`, or hold one explicitly for a long-lived
+    pipeline.
     """
 
     def __init__(self, plan: RedistributionPlan):
         self.plan = plan
-        self._tls = threading.local()
+        self._memo: Tuple[int, tuple, tuple] | None = None
 
-    def _gather_scratch(self, key: Tuple[int, int], nbytes: int) -> np.ndarray:
-        scratch: Dict[Tuple[int, int], np.ndarray] | None = getattr(
-            self._tls, "scratch", None
-        )
-        if scratch is None:
-            scratch = self._tls.scratch = {}
-        buf = scratch.get(key)
-        if buf is None or buf.size < nbytes:
-            buf = np.empty(nbytes, dtype=np.uint8)
-            scratch[key] = buf
-        return buf
-
-    def _run_transfer(
-        self,
-        t: Transfer,
-        src_buffers: Sequence[np.ndarray],
-        dst_buffers: List[np.ndarray],
-    ) -> None:
-        src_len = src_buffers[t.src_element].size
-        dst_len = dst_buffers[t.dst_element].size
-        if src_len == 0 or dst_len == 0:
-            return
-        with tracked_span(
-            "executor.transfer", src=t.src_element, dst=t.dst_element
-        ) as sp:
+    def _resolved(self, file_length: int) -> Tuple[tuple, tuple]:
+        """``(pairs, written)``: each non-empty transfer with its
+        resolved copy, and per destination element the bytes it
+        receives."""
+        memo = self._memo
+        if memo is not None and memo[0] == file_length:
+            return memo[1], memo[2]
+        plan = self.plan
+        pairs: List[Tuple[Transfer, ResolvedCopy]] = []
+        written = [0] * plan.dst.num_elements
+        for t in plan.transfers:
+            src_len = plan.src.element_length(t.src_element, file_length)
+            dst_len = plan.dst.element_length(t.dst_element, file_length)
+            if src_len == 0 or dst_len == 0:
+                continue
             src_segs = t.src_projection.segments_in(0, src_len - 1)
             dst_segs = t.dst_projection.segments_in(0, dst_len - 1)
-            nbytes = int(src_segs[1].sum()) if src_segs[1].size else 0
-            if nbytes != (int(dst_segs[1].sum()) if dst_segs[1].size else 0):
+            if src_segs[1].sum() != dst_segs[1].sum():
                 raise AssertionError(  # pragma: no cover
                     "projection byte counts diverge - plan is corrupt"
                 )
-            scratch = self._gather_scratch(
-                (t.src_element, t.dst_element), nbytes
-            )
-            packed = gather_segments(
-                src_buffers[t.src_element], src_segs, scratch
-            )
-            scatter_segments(dst_buffers[t.dst_element], dst_segs, packed)
-            if sp is not None:
-                sp.annotate(bytes=nbytes)
+            copy = resolve_copy(dst_len, dst_segs, src_len, src_segs)
+            written[t.dst_element] += copy.nbytes
+            pairs.append((t, copy))
+        self._memo = (file_length, tuple(pairs), tuple(written))
+        return self._memo[1], self._memo[2]
 
     def execute(
         self,
@@ -171,39 +178,44 @@ class PlanExecutor:
         """
         plan = self.plan
         _check_buffers(plan.src, src_buffers, file_length)
-        dst_buffers = [
-            np.zeros(plan.dst.element_length(j, file_length), dtype=np.uint8)
-            for j in range(plan.dst.num_elements)
-        ]
+        pairs, written = self._resolved(file_length)
+        dst_buffers = _destination_buffers(plan, file_length, written)
+
+        def run_all(group) -> None:
+            for t, copy in group:
+                with tracked_span(
+                    "executor.transfer", src=t.src_element, dst=t.dst_element
+                ) as sp:
+                    run_copy(
+                        dst_buffers[t.dst_element],
+                        src_buffers[t.src_element],
+                        copy,
+                    )
+                    if sp is not None:
+                        sp.annotate(bytes=copy.nbytes)
+
         if not parallel:
             with tracked_span(
                 "executor.execute",
                 transfers=len(plan.transfers),
                 file_length=file_length,
             ):
-                for t in plan.transfers:
-                    self._run_transfer(t, src_buffers, dst_buffers)
+                run_all(pairs)
             return dst_buffers
 
         from concurrent.futures import ThreadPoolExecutor
 
-        def run_group(group) -> None:
-            for t in group:
-                self._run_transfer(t, src_buffers, dst_buffers)
-
-        groups = [
-            plan.transfers_to(j)
-            for j in range(plan.dst.num_elements)
-            if plan.transfers_to(j)
-        ]
+        groups: Dict[int, list] = {}
+        for pair in pairs:
+            groups.setdefault(pair[0].dst_element, []).append(pair)
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(run_group, groups))
+            list(pool.map(run_all, groups.values()))
         return dst_buffers
 
 
 def _executor_for(plan: RedistributionPlan) -> PlanExecutor:
     """The plan's lazily attached executor (plans cached process-wide by
-    :mod:`repro.redistribution.plan_cache` thus share scratch buffers
+    :mod:`repro.redistribution.plan_cache` thus share resolved copies
     and segment memos across every consumer)."""
     ex = plan.__dict__.get("_executor")
     if ex is None:
@@ -230,7 +242,7 @@ def execute_plan(
     redistributions scale with cores.
 
     Repeated executions of the same plan reuse cached projection
-    segments and preallocated gather scratch via the plan's attached
+    segments and resolved copies via the plan's attached
     :class:`PlanExecutor`.
     """
     return _executor_for(plan).execute(
@@ -246,31 +258,32 @@ def execute_plan_windowed(
 ) -> List[np.ndarray]:
     """Out-of-core variant: process the file in fixed windows.
 
-    A real redistribution of a file larger than memory cannot gather a
+    A real redistribution of a file larger than memory cannot touch a
     transfer's entire payload at once.  Because both projections
     enumerate the common bytes in file order, the byte ranks of a file
     window form *aligned rank windows* on both sides: clipping each
     projection to its element's rank range for the window yields
-    matching segment lists.  Peak temporary memory is bounded by the
-    window size instead of the largest transfer.
+    matching segment lists, copied onto each other directly — no
+    temporary for strided and slice copies; only a many-short-pieces
+    window builds index arrays, bounded by the window size.
 
     Results are bit-identical to :func:`execute_plan`.
     """
     if window_bytes < 1:
         raise ValueError(f"window_bytes must be >= 1, got {window_bytes}")
     _check_buffers(plan.src, src_buffers, file_length)
-    dst_buffers = [
-        np.zeros(plan.dst.element_length(j, file_length), dtype=np.uint8)
-        for j in range(plan.dst.num_elements)
-    ]
-    for t in plan.transfers:
+    totals = [t.bytes_in_file(file_length) for t in plan.transfers]
+    written = [0] * plan.dst.num_elements
+    for t, total in zip(plan.transfers, totals):
+        written[t.dst_element] += total
+    dst_buffers = _destination_buffers(plan, file_length, written)
+    for t, total in zip(plan.transfers, totals):
         src_len = src_buffers[t.src_element].size
         dst_len = dst_buffers[t.dst_element].size
         if src_len == 0 or dst_len == 0:
             continue
         # Rank windows: how many of this transfer's bytes precede each
         # file-window boundary on each side.
-        total = t.intersection.count_in(0, file_length - 1)
         src_done = dst_done = 0
         for w0 in range(0, file_length, window_bytes):
             w1 = min(file_length, w0 + window_bytes)
@@ -283,8 +296,12 @@ def execute_plan_windowed(
             dst_segs = _rank_window_segments(
                 t.dst_projection, dst_len, dst_done, dst_done + chunk
             )
-            packed = gather_segments(src_buffers[t.src_element], src_segs)
-            scatter_segments(dst_buffers[t.dst_element], dst_segs, packed)
+            copy_segments(
+                dst_buffers[t.dst_element],
+                dst_segs,
+                src_buffers[t.src_element],
+                src_segs,
+            )
             src_done += chunk
             dst_done += chunk
         if src_done != total:  # pragma: no cover - accounting guard

@@ -22,11 +22,15 @@ Three execution strategies, selected per call:
 ``slices``
     For few segments, or long ones, plain per-segment slice copies
     (each one a memcpy) beat the per-byte index-array construction.
+
+:func:`copy_segments` is the two-sided form for a copy that crosses no
+wire: source segments onto destination segments in one pass, by the
+same three strategies, without the packed buffer in between.
 """
 
 from __future__ import annotations
 
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -34,7 +38,13 @@ from numpy.lib.stride_tricks import as_strided
 from ..core.periodic import PeriodicFallsSet
 from ..core.segments import SegmentArrays
 
-__all__ = ["gather", "scatter", "gather_segments", "scatter_segments"]
+__all__ = [
+    "gather",
+    "scatter",
+    "gather_segments",
+    "scatter_segments",
+    "copy_segments",
+]
 
 Strategy = Literal["auto", "strided", "fancy", "slices"]
 
@@ -76,44 +86,48 @@ def _flat_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return reps + (ramp - resets)
 
 
-def _is_uniform(starts: np.ndarray, lengths: np.ndarray) -> bool:
-    if starts.size <= 1:
-        return True
-    if np.any(lengths != lengths[0]):
-        return False
-    d = np.diff(starts)
-    return bool(np.all(d == d[0]))
-
-
-def _strided_view(
-    buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> Optional[np.ndarray]:
-    """A (n_segments, seg_len) strided view over ``buf``, or None when the
-    view would read past the end of the buffer."""
+def _flat_falls(
+    size: int, starts: np.ndarray, lengths: np.ndarray
+) -> Optional[Tuple[int, int, int, int]]:
+    """``(first, stride, n, seg_len)`` when the segments are one flat
+    FALLS — equal lengths, starts in arithmetic progression — inside a
+    buffer of ``size`` bytes; None otherwise."""
     n = int(starts.size)
-    seg_len = int(lengths[0])
-    stride = int(starts[1] - starts[0]) if n > 1 else seg_len
-    first = int(starts[0])
-    last_needed = first + (n - 1) * stride + seg_len
-    if stride <= 0 or last_needed > buf.size:
+    first, seg_len = int(starts[0]), int(lengths[0])
+    stride = seg_len
+    if n > 1:
+        stride = int(starts[1]) - first
+        if (
+            stride <= 0
+            or np.any(lengths != seg_len)
+            or np.any(np.diff(starts) != stride)
+        ):
+            return None
+    if first < 0 or first + (n - 1) * stride + seg_len > size:
         return None
-    base = buf[first:]
-    return as_strided(base, shape=(n, seg_len), strides=(stride, 1))
+    return first, stride, n, seg_len
+
+
+def _prefer_fancy(pieces: int, total: int) -> bool:
+    """Many short pieces: one index assignment beats per-piece slices."""
+    return pieces >= _FANCY_THRESHOLD and total < _FANCY_MEAN_BYTES * pieces
 
 
 def _resolve(buf, starts, lengths, total: int, strategy: Strategy):
     """``(strategy, view)`` one copy over ``buf`` runs with; ``view`` is
-    the strided view when the strategy is ``"strided"``, else None."""
-    if strategy in ("auto", "strided") and _is_uniform(starts, lengths):
-        view = _strided_view(buf, starts, lengths)
-        # No view: the last row would over-read the buffer.
-        return ("strided", view) if view is not None else ("slices", None)
-    if strategy == "strided":
-        return "slices", None
+    the ``(n_segments, seg_len)`` strided view when the strategy is
+    ``"strided"``, else None."""
+    if strategy in ("auto", "strided"):
+        flat = _flat_falls(buf.size, starts, lengths)
+        if flat is not None:
+            first, stride, n, seg_len = flat
+            view = as_strided(buf[first:], (n, seg_len), (stride, 1))
+            return "strided", view
+        if strategy == "strided":
+            return "slices", None
     if strategy == "auto":
-        short = total < _FANCY_MEAN_BYTES * starts.size
-        many = starts.size >= _FANCY_THRESHOLD
-        return ("fancy" if many and short else "slices"), None
+        fancy = _prefer_fancy(int(starts.size), total)
+        return ("fancy" if fancy else "slices"), None
     return strategy, None
 
 
@@ -179,6 +193,133 @@ def scatter_segments(
     for a, ln in zip(starts.tolist(), lengths.tolist()):
         dst[a : a + ln] = payload[pos : pos + ln]
         pos += ln
+
+
+class ResolvedCopy(NamedTuple):
+    """What :func:`copy_segments` does for two segment lists and two
+    buffer sizes, worked out once: immutable, so it can be kept and run
+    again (from any thread) while the lists and sizes stay the same."""
+
+    nbytes: int
+    src_size: int
+    dst_size: int
+    #: ``"strided"``, ``"fancy"`` or ``"slices"``.
+    kind: str
+    #: strided: ``(first, strides)`` of the view; else the piece offsets.
+    src: tuple
+    dst: tuple
+    #: strided: the views' common shape; else the piece lengths.
+    extent: tuple
+
+
+def _check_inside(what: str, size: int, starts, lengths) -> None:
+    if int(starts.min()) < 0 or int((starts + lengths).max()) > size:
+        raise ValueError(f"{what} segments leave its {size}-byte buffer")
+
+
+def _rows_view(flat, m: int, inner: int):
+    """``(first, strides)`` showing a flat FALLS as ``(rows, m, inner)``:
+    its segments are either the ``inner`` pieces themselves, ``m`` to a
+    row, or the rows, each cut into ``m``."""
+    first, stride, _n, seg_len = flat
+    if seg_len == inner:
+        return first, (m * stride, stride, 1)
+    return first, (stride, inner, 1)
+
+
+def resolve_copy(
+    dst_size: int,
+    dst_segs: SegmentArrays,
+    src_size: int,
+    src_segs: SegmentArrays,
+) -> ResolvedCopy:
+    """The buffer-independent half of :func:`copy_segments`; raises
+    ``ValueError`` on unequal byte counts and on segments that leave a
+    buffer of the given size."""
+    (s_starts, s_lengths), (d_starts, d_lengths) = src_segs, dst_segs
+    nbytes, dst_bytes = int(s_lengths.sum()), int(d_lengths.sum())
+    if nbytes != dst_bytes:
+        raise ValueError(
+            f"source segments hold {nbytes} bytes, destination {dst_bytes}"
+        )
+    if nbytes == 0:
+        return ResolvedCopy(0, src_size, dst_size, "slices", (), (), ())
+    s_flat = _flat_falls(src_size, s_starts, s_lengths)
+    d_flat = _flat_falls(dst_size, d_starts, d_lengths)
+    if s_flat is not None and d_flat is not None:
+        inner, outer = sorted((s_flat[3], d_flat[3]))
+        if outer % inner == 0:
+            m = outer // inner
+            return ResolvedCopy(
+                nbytes, src_size, dst_size, "strided",
+                _rows_view(s_flat, m, inner),
+                _rows_view(d_flat, m, inner),
+                (nbytes // outer, m, inner),
+            )
+    _check_inside("source", src_size, s_starts, s_lengths)
+    _check_inside("destination", dst_size, d_starts, d_lengths)
+    # Refine both lists to their common boundaries: piece k is the bytes
+    # of rank [begins[k], cuts[k]) in either list's order.
+    s_ends, d_ends = np.cumsum(s_lengths), np.cumsum(d_lengths)
+    cuts = np.union1d(s_ends, d_ends)
+    cuts = cuts[cuts > 0]
+    begins = np.concatenate(([0], cuts[:-1]))
+    i = np.searchsorted(s_ends, begins, side="right")
+    j = np.searchsorted(d_ends, begins, side="right")
+    pieces = (
+        s_starts[i] + (begins - (s_ends[i] - s_lengths[i])),
+        d_starts[j] + (begins - (d_ends[j] - d_lengths[j])),
+        cuts - begins,
+    )
+    if _prefer_fancy(int(cuts.size), nbytes):
+        for arr in pieces:
+            arr.setflags(write=False)
+        return ResolvedCopy(nbytes, src_size, dst_size, "fancy", *pieces)
+    return ResolvedCopy(
+        nbytes, src_size, dst_size, "slices",
+        *(tuple(arr.tolist()) for arr in pieces),
+    )
+
+
+def run_copy(dst: np.ndarray, src: np.ndarray, copy: ResolvedCopy) -> None:
+    """Run a resolved copy on buffers of the sizes it was resolved for."""
+    if src.size != copy.src_size or dst.size != copy.dst_size:
+        raise ValueError(
+            f"copy resolved for a {copy.src_size}-byte source and a "
+            f"{copy.dst_size}-byte destination, got {src.size} and {dst.size}"
+        )
+    if copy.nbytes == 0:
+        return
+    if copy.kind == "strided":
+        # The ndarray constructor checks shape and strides against the
+        # buffer, which as_strided does not, and costs a tenth of it.
+        (s_first, s_strides), (d_first, d_strides) = copy.src, copy.dst
+        np.copyto(
+            np.ndarray(copy.extent, np.uint8, dst, d_first, d_strides),
+            np.ndarray(copy.extent, np.uint8, src, s_first, s_strides),
+        )
+    elif copy.kind == "fancy":
+        dst[_flat_indices(copy.dst, copy.extent)] = src[
+            _flat_indices(copy.src, copy.extent)
+        ]
+    else:
+        for s, d, ln in zip(copy.src, copy.dst, copy.extent):
+            dst[d : d + ln] = src[s : s + ln]
+
+
+def copy_segments(
+    dst: np.ndarray,
+    dst_segs: SegmentArrays,
+    src: np.ndarray,
+    src_segs: SegmentArrays,
+) -> None:
+    """Copy the bytes of ``src`` at ``src_segs`` onto ``dst`` at
+    ``dst_segs``, in list order — ``scatter_segments(dst, dst_segs,
+    gather_segments(src, src_segs))`` in one pass, with no packed
+    intermediate.  Both buffers are 1-D uint8 arrays that share no
+    memory; the two lists must hold equally many bytes and stay inside
+    their buffer (``ValueError`` otherwise)."""
+    run_copy(dst, src, resolve_copy(dst.size, dst_segs, src.size, src_segs))
 
 
 def _window_segments(

@@ -6,6 +6,7 @@ import pytest
 from repro.clusterfile import Clusterfile
 from repro.core import Falls, FallsSet, Partition
 from repro.distributions import matrix_partition, row_blocks
+from repro.redistribution import clear_plan_cache
 from repro.simulation import ClusterConfig
 
 N = 32
@@ -177,9 +178,13 @@ class TestTimingShapes:
 
     def test_intersection_time_ordering(self):
         # t_i is a measured wall time; take medians over several runs.
+        # Each run starts from an empty plan cache: on a warm one every
+        # view set is a hit and t_i times the lookup, which does not
+        # depend on the layout.
         self.run_layouts(256)  # warmup
         samples = {k: [] for k in LAYOUTS}
         for _ in range(5):
+            clear_plan_cache()
             res = self.run_layouts(256)
             for k, v in res.items():
                 samples[k].append(v.per_compute[0].t_i)

@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 
 from repro import collect, distribute, execute_plan, build_plan
 from repro.core.segments import segments_from_pairs
-from repro.redistribution.gather_scatter import gather_segments, scatter_segments
+from repro.redistribution.gather_scatter import (
+    copy_segments,
+    gather_segments,
+    scatter_segments,
+)
 from repro.redistribution.naive import redistribute_bytewise_vectorized
 
 from .strategies import any_partition
@@ -61,6 +65,39 @@ class TestGatherScatterProperties:
         ]
         for o in outs[1:]:
             np.testing.assert_array_equal(outs[0], o)
+
+
+def _first_bytes(segs, total):
+    """A segment list cut after its first ``total`` bytes."""
+    starts, lengths = segs
+    before = np.cumsum(lengths) - lengths
+    keep = np.clip(total - before, 0, lengths)
+    return starts[keep > 0], keep[keep > 0]
+
+
+class TestCopySegmentsProperties:
+    """The one-pass kernel against the two-pass definition."""
+
+    # 12 segments stay on the slice path; 60 short ones reach the
+    # index-array path.
+    @given(
+        st.sampled_from([(200, 12), (600, 60)]).flatmap(
+            lambda c: st.tuples(
+                st.just(c[0]), segment_lists(*c), segment_lists(*c)
+            )
+        )
+    )
+    @settings(max_examples=150)
+    def test_equals_gather_then_scatter(self, case):
+        space, a, b = case
+        total = min(int(a[1].sum()), int(b[1].sum()))
+        src_segs, dst_segs = _first_bytes(a, total), _first_bytes(b, total)
+        src = np.random.default_rng(0).integers(0, 256, space, dtype=np.uint8)
+        want = np.full(space, 7, dtype=np.uint8)
+        scatter_segments(want, dst_segs, gather_segments(src, src_segs))
+        got = np.full(space, 7, dtype=np.uint8)
+        copy_segments(got, dst_segs, src, src_segs)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDistributeCollectProperties:

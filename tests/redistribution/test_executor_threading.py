@@ -1,12 +1,11 @@
 """Regression test: cached plans share one executor process-wide, and
-its gather scratch must not be shared between threads.
+threads executing one plan concurrently must not see each other's bytes.
 
-Before the fix, ``PlanExecutor._scratch`` was a plain dict on the
-executor attached to the (process-wide cached) plan: two threads
-executing the same plan concurrently gathered into the *same* scratch
-buffer and scattered each other's bytes.  The scratch is now
-``threading.local``; this test drives the exact racing shape and checks
-every thread's output against the serial result.
+The executor once gathered every transfer into a scratch buffer kept on
+the (process-wide cached) plan, which two threads could fill at once.
+It now copies source segments straight onto destination segments and
+keeps only an immutable memo; this test drives the racing shape and
+checks every thread's output against the serial result.
 """
 
 import threading
@@ -34,9 +33,9 @@ class TestSharedPlanScratchRace:
         plan = get_plan(src_p, dst_p)
         assert get_plan(src_p, dst_p) is plan  # genuinely shared object
 
-        # Per-thread distinct payloads: if any thread's gather scratch is
-        # overwritten by a neighbour, its scattered bytes come from the
-        # wrong payload and the comparison below fails.
+        # Per-thread distinct payloads: bytes that reach a neighbour's
+        # destination come from the wrong payload and fail the
+        # comparison below.
         n_threads = 8
         reps = 20
         payloads = [
@@ -71,24 +70,3 @@ class TestSharedPlanScratchRace:
         for t in threads:
             t.join()
         assert not failures, f"threads {sorted(set(failures))} saw corrupt bytes"
-
-    def test_scratch_is_thread_local(self):
-        """The executor hands different threads different scratch buffers
-        for the same transfer key."""
-        data, src_p, dst_p = _case(12)
-        plan = get_plan(src_p, dst_p)
-        from repro.redistribution.executor import _executor_for
-
-        ex = _executor_for(plan)
-        main_buf = ex._gather_scratch((0, 0), 64)
-        seen = {}
-
-        def other():
-            seen["buf"] = ex._gather_scratch((0, 0), 64)
-
-        t = threading.Thread(target=other)
-        t.start()
-        t.join()
-        assert seen["buf"] is not main_buf
-        # Same thread, same key: the buffer is reused (the amortisation win).
-        assert ex._gather_scratch((0, 0), 32) is main_buf

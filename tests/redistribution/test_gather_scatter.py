@@ -6,6 +6,7 @@ import pytest
 from repro.core import Falls, FallsSet, PeriodicFallsSet
 from repro.core.segments import segments_from_pairs
 from repro.redistribution.gather_scatter import (
+    copy_segments,
     gather,
     gather_segments,
     scatter,
@@ -101,6 +102,113 @@ class TestScatterSegments:
     def test_empty_noop(self):
         dst = np.zeros(8, dtype=np.uint8)
         scatter_segments(dst, segments_from_pairs([]), np.empty(0, dtype=np.uint8))
+        assert not dst.any()
+
+
+def _falls(first, seg_len, stride, n):
+    return segments_from_pairs(
+        [(first + i * stride, first + i * stride + seg_len - 1) for i in range(n)]
+    )
+
+
+def _irregular(rng, space, n):
+    """``n`` sorted disjoint segments of mixed lengths inside ``space``."""
+    points = np.sort(rng.choice(space, size=2 * n, replace=False))
+    return segments_from_pairs(
+        [(int(points[2 * i]), int(points[2 * i + 1])) for i in range(n)]
+    )
+
+
+def _cut(segs, total):
+    starts, lengths = segs
+    keep = np.clip(total - (np.cumsum(lengths) - lengths), 0, lengths)
+    return starts[keep > 0], keep[keep > 0]
+
+
+class TestCopySegments:
+    """One pass, same bytes as gather-then-scatter."""
+
+    SIZE = 4096
+
+    def _check(self, dst_segs, src_segs):
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, 256, self.SIZE, dtype=np.uint8)
+        want = np.full(self.SIZE, 9, dtype=np.uint8)
+        scatter_segments(want, dst_segs, gather_segments(src, src_segs))
+        got = np.full(self.SIZE, 9, dtype=np.uint8)
+        copy_segments(got, dst_segs, src, src_segs)
+        # Equal everywhere: copied bytes match, the rest still reads 9.
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "src,dst",
+        [
+            # (first, seg_len, stride, n) on each side
+            ((0, 16, 64, 32), (100, 512, 512, 1)),  # strided -> contiguous
+            ((7, 512, 512, 1), (3, 16, 100, 32)),  # contiguous -> strided
+            ((0, 4, 10, 24), (5, 12, 40, 8)),  # src length divides dst's
+            ((1, 12, 50, 8), (0, 4, 9, 24)),  # dst length divides src's
+            ((0, 8, 16, 10), (2, 8, 24, 10)),  # equal lengths
+            ((0, 4, 9, 3), (20, 3, 7, 4)),  # 3 x 4 B onto 4 x 3 B
+            ((0, 3, 5, 400), (1, 4, 6, 300)),  # non-dividing, many short
+        ],
+    )
+    def test_strided_to_strided(self, src, dst):
+        self._check(_falls(*dst), _falls(*src))
+
+    # few long pieces -> slices, many short ones -> index arrays
+    @pytest.mark.parametrize("pieces,seg_len", [(5, 256), (200, 8)])
+    @pytest.mark.parametrize("irregular_side", ["src", "dst"])
+    def test_strided_and_irregular(self, pieces, seg_len, irregular_side):
+        irregular = _irregular(np.random.default_rng(pieces), self.SIZE, pieces)
+        n = int(irregular[1].sum()) // seg_len
+        sides = [_cut(irregular, n * seg_len), _falls(3, seg_len, seg_len + 3, n)]
+        if irregular_side == "dst":
+            sides.reverse()
+        self._check(sides[1], sides[0])
+
+    def test_irregular_to_irregular(self):
+        rng = np.random.default_rng(2)
+        a, b = _irregular(rng, self.SIZE, 40), _irregular(rng, self.SIZE, 7)
+        total = min(int(a[1].sum()), int(b[1].sum()))
+        self._check(_cut(a, total), _cut(b, total))
+        self._check(_cut(b, total), _cut(a, total))
+
+    def test_zero_length_segments_are_skipped(self):
+        src_segs = (np.array([4, 10, 20]), np.array([0, 6, 2]))
+        dst_segs = (np.array([0, 50, 60]), np.array([3, 0, 5]))
+        self._check(dst_segs, src_segs)
+
+    def test_one_segment(self):
+        self._check(segments_from_pairs([(40, 99)]), segments_from_pairs([(7, 66)]))
+
+    def test_zero_bytes(self):
+        dst = np.full(8, 9, dtype=np.uint8)
+        empty = segments_from_pairs([])
+        copy_segments(dst, empty, np.arange(8, dtype=np.uint8), empty)
+        assert (dst == 9).all()
+
+    def test_unequal_totals_raise(self):
+        buf = np.zeros(64, dtype=np.uint8)
+        with pytest.raises(ValueError, match="bytes"):
+            copy_segments(buf, _falls(0, 4, 8, 3), buf.copy(), _falls(0, 4, 8, 4))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            segments_from_pairs([(60, 67)]),  # one run past the end
+            _falls(0, 4, 21, 4),  # a flat FALLS whose last row leaves
+            (np.array([-2, 10]), np.array([4, 4])),  # starts before 0
+        ],
+    )
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_out_of_range_segments_raise(self, bad, side):
+        total = int(bad[1].sum())
+        ok = segments_from_pairs([(0, total - 1)])
+        src, dst = np.zeros(64, dtype=np.uint8), np.zeros(64, dtype=np.uint8)
+        src_segs, dst_segs = (bad, ok) if side == "src" else (ok, bad)
+        with pytest.raises(ValueError, match="leave"):
+            copy_segments(dst, dst_segs, src, src_segs)
         assert not dst.any()
 
 

@@ -24,7 +24,7 @@ from repro.distributions import (
     round_robin,
 )
 from repro.durability import DurabilityManager
-from repro.redistribution import collect, distribute
+from repro.redistribution import build_plan, collect, distribute, execute_plan
 
 ROWS, COLS = 4096, 8192  # 32 MiB
 CEILING_S = 0.25
@@ -85,6 +85,30 @@ def test_32mib_matrix_linearises_within_ceilings(layout, matrix_bytes):
     finally:
         tracemalloc.stop()
     assert peak < 2 * matrix_bytes.size
+
+
+def test_16mib_redistribution_allocates_only_its_result(matrix_bytes):
+    """The plan executor copies source segments straight onto
+    destination segments: the first run of a fresh plan allocates the
+    destination buffers and little else, and the plan keeps nothing
+    file-sized afterwards (a packed intermediate per transfer, kept for
+    reuse, made that 2.03x and 1.03x)."""
+    side = 4096
+    size = side * side
+    src, dst = (matrix_partition(c, side, side, 4) for c in "rc")
+    pieces = distribute(matrix_bytes[:size], src)
+    plan = build_plan(src, dst)
+    tracemalloc.start()
+    try:
+        out = execute_plan(plan, pieces, size)
+        _, peak = tracemalloc.get_traced_memory()
+        np.testing.assert_array_equal(collect(out, dst, size), matrix_bytes[:size])
+        del out
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * size
+    assert retained <= 0.1 * size
 
 
 def test_4mib_unit_block_cyclic_file_within_ceiling(matrix_bytes):

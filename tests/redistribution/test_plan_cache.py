@@ -238,18 +238,6 @@ class TestPlanExecutor:
         for a, b in zip(serial, par):
             np.testing.assert_array_equal(a, b)
 
-    def test_scratch_reused_across_runs(self):
-        src, dst = _pair(b="b")
-        n = 32 * 32
-        plan = build_plan(src, dst)
-        ex = PlanExecutor(plan)
-        data = np.arange(n, dtype=np.uint8)
-        ex.execute(distribute(data, src), n)
-        scratch_ids = {k: id(v) for k, v in ex._tls.scratch.items()}
-        assert scratch_ids  # the b layout fragments: scratch is in play
-        ex.execute(distribute(data, src), n)
-        assert {k: id(v) for k, v in ex._tls.scratch.items()} == scratch_ids
-
 
 class TestRedistributeStructural:
     def test_plan_for_equal_partitions_accepted(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.clusterfile.engine import run_shuffle
 from repro.core import Falls, Partition
 from repro.distributions import matrix_partition, round_robin
 from repro.redistribution import (
@@ -10,6 +11,7 @@ from repro.redistribution import (
     collect,
     distribute,
     execute_plan,
+    execute_plan_windowed,
     redistribute,
     redistribute_bytewise,
     redistribute_bytewise_vectorized,
@@ -174,6 +176,35 @@ class TestExecution:
         back = collect(out, dst_p, data.size)
         # Only bytes beyond the destination displacement are defined.
         np.testing.assert_array_equal(back[6:], data[6:])
+
+    @pytest.mark.parametrize(
+        "execute",
+        [
+            execute_plan,
+            lambda *a: execute_plan(*a, parallel=True),
+            lambda *a: execute_plan_windowed(*a, window_bytes=5),
+            lambda *a: run_shuffle(*a).buffers,
+        ],
+        ids=["serial", "parallel", "windowed", "run_shuffle"],
+    )
+    def test_destination_bytes_without_a_source_read_zero(self, execute):
+        # The source pattern starts later than the destination's: file
+        # bytes 0..5 belong to destination elements but to no source
+        # element, so no transfer writes them.
+        src_p = round_robin(2, 4, displacement=6)
+        dst_p = round_robin(2, 4, displacement=0)
+        data = np.arange(1, 65, dtype=np.uint8)
+        want = data.copy()
+        want[:6] = 0
+        plan = build_plan(src_p, dst_p)
+        buffers = distribute(data, src_p)
+        for _ in range(2):  # the second run rides the executor's memo
+            # Leave recycled allocator blocks of the destination sizes
+            # dirty, so an unzeroed destination would show.
+            for e in range(dst_p.num_elements):
+                np.full(dst_p.element_length(e, data.size), 0xFF, dtype=np.uint8)
+            out = execute(plan, buffers, data.size)
+            np.testing.assert_array_equal(collect(out, dst_p, data.size), want)
 
     def test_partial_trailing_period(self):
         src_p = round_robin(4, 4)  # period 16
