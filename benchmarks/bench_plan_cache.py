@@ -1,25 +1,25 @@
 """Plan-cache benchmark: cold schedule construction vs warm cache hits.
 
-Measures, for every Table-1 partition pair (row-block logical views vs
-the three physical layouts at each paper size):
+For every Table-1 partition pair (row-block logical views vs the three
+physical layouts at each paper size) it times
 
-* **cold** — a full ``build_plan`` (INTERSECT + PROJ over all element
-  pairs), the paper's ``t_i``;
+* **cold** — a full ``build_plan`` (segment-space intersection + PROJ
+  over all element pairs), the paper's ``t_i``;
 * **warm** — ``PlanCache.get`` on a populated cache, what every view
   set, collective, relayout and reshard after the first one pays;
-* the pair-pruning effect: candidate vs pruned vs surviving pairs.
 
-Run as a module to (re)generate the committed results file::
+and reports how many element pairs communicate (candidate vs pruned vs
+transfers).
 
-    PYTHONPATH=src python benchmarks/bench_plan_cache.py
+Structural assertions only — no committed result file, no budget: warm
+hits are at least 10x faster than cold builds for every pair, and the
+metrics registry's hit/miss counters match the traffic.  What a cold
+build costs inside a whole op is ``benchmarks/e2e``'s ``cold_views``.
 
-which writes ``BENCH_plan_cache.json`` at the repository root, or under
-pytest (``pytest benchmarks/bench_plan_cache.py --benchmark-only``) for
-the usual timing tables.
+    PYTHONPATH=src python benchmarks/bench_plan_cache.py     # the table
+    PYTHONPATH=src python -m pytest benchmarks/bench_plan_cache.py -q
 """
 
-import json
-import os
 import statistics
 import time
 
@@ -30,10 +30,6 @@ from repro.redistribution.plan_cache import PlanCache
 from repro.redistribution.schedule import build_plan
 
 NPROCS = 4
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_plan_cache.json",
-)
 
 
 def _pairs():
@@ -54,7 +50,7 @@ def _median_time(fn, repeats):
 
 
 def measure(repeats: int = 9) -> dict:
-    """Cold/warm medians and pruning counts for every Table-1 pair.
+    """Cold/warm medians and pair counts for every Table-1 pair.
 
     Cache traffic is read back from the process-wide metrics registry
     (the benchmark cache is named ``bench``, so its hits/misses land
@@ -65,16 +61,12 @@ def measure(repeats: int = 9) -> dict:
     for n, ph, logical, physical in _pairs():
         cold_s = _median_time(lambda: build_plan(logical, physical), repeats)
         cache = PlanCache(capacity=8, name="bench")
-        cache.get(logical, physical)  # populate
+        plan = cache.get(logical, physical)  # populate
         warm_s = _median_time(lambda: cache.get(logical, physical), repeats)
-        plan = build_plan(logical, physical, prune=True)
-        unpruned = build_plan(logical, physical, prune=False)
-        assert len(plan.transfers) == len(unpruned.transfers)
         rows.append(
             {
                 "size": n,
                 "physical": ph,
-                "logical": "r",
                 "cold_us": cold_s * 1e6,
                 "warm_us": warm_s * 1e6,
                 "speedup": cold_s / warm_s if warm_s else float("inf"),
@@ -83,9 +75,7 @@ def measure(repeats: int = 9) -> dict:
                 "transfers": len(plan.transfers),
             }
         )
-    speedups = [r["speedup"] for r in rows]
     snap = metrics.snapshot("plan_cache.bench")
-    n_pairs = len(rows)
     cache_stats = {
         "hits": snap.get("plan_cache.bench.hits", 0),
         "misses": snap.get("plan_cache.bench.misses", 0),
@@ -93,55 +83,25 @@ def measure(repeats: int = 9) -> dict:
     }
     # One miss (populate) + `repeats` hits per pair, no evictions: a
     # mismatch means the registry mirroring regressed.
-    assert cache_stats["misses"] == n_pairs, cache_stats
-    assert cache_stats["hits"] == n_pairs * repeats, cache_stats
-    return {
-        "benchmark": "plan_cache",
-        "nprocs": NPROCS,
-        "repeats": repeats,
-        "rows": rows,
-        "cache_stats": cache_stats,
-        "min_speedup": min(speedups),
-        "median_speedup": statistics.median(speedups),
-    }
+    assert cache_stats["misses"] == len(rows), cache_stats
+    assert cache_stats["hits"] == len(rows) * repeats, cache_stats
+    return {"rows": rows, "cache_stats": cache_stats}
 
 
-class TestPlanCacheBench:
-    def test_cold_build(self, benchmark):
-        logical = row_blocks(1024, 1024, NPROCS)
-        physical = matrix_partition("b", 1024, 1024, NPROCS)
-        benchmark.group = "plan-cache"
-        plan = benchmark(lambda: build_plan(logical, physical))
-        assert plan.transfers
-
-    def test_warm_hit(self, benchmark):
-        logical = row_blocks(1024, 1024, NPROCS)
-        physical = matrix_partition("b", 1024, 1024, NPROCS)
-        cache = PlanCache(capacity=8)
-        cache.get(logical, physical)
-        benchmark.group = "plan-cache"
-        plan = benchmark(lambda: cache.get(logical, physical))
-        assert plan.transfers
-
-    def test_warm_is_10x_faster(self):
-        """The ISSUE acceptance bar: warm acquisition at least 10x the
-        cold build, for every Table-1 pair."""
-        result = measure(repeats=5)
-        assert result["min_speedup"] >= 10, result
-
-
-def main() -> None:
-    result = measure()
-    with open(RESULT_PATH, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {RESULT_PATH}")
-    print(
-        f"min speedup {result['min_speedup']:.1f}x, "
-        f"median {result['median_speedup']:.1f}x over "
-        f"{len(result['rows'])} pairs"
-    )
+def test_warm_hits_are_10x_faster_than_cold_builds():
+    result = measure(repeats=5)
+    for row in result["rows"]:
+        assert row["speedup"] >= 10, row
+        assert row["transfers"] == row["candidate_pairs"] - row["pruned_pairs"]
 
 
 if __name__ == "__main__":
-    main()
+    result = measure()
+    for row in result["rows"]:
+        print(
+            f"{row['size']:5d} r->{row['physical']}: "
+            f"cold {row['cold_us']:9.1f} us, warm {row['warm_us']:6.2f} us "
+            f"({row['speedup']:8.0f}x), {row['transfers']:2d} of "
+            f"{row['candidate_pairs']} pairs communicate"
+        )
+    print(f"cache traffic {result['cache_stats']}")

@@ -3,9 +3,10 @@
 Two families of utilities live here:
 
 * **Run compression** — turning a sorted list of disjoint byte segments
-  back into a compact list of flat FALLS by detecting maximal arithmetic
-  runs of equally sized segments.  The intersection and projection
-  algorithms produce their results as segment lists per period; this is
+  back into compact nested FALLS by detecting the period at which the
+  list repeats, level by level, with maximal arithmetic runs of equally
+  sized segments as the flat fallback.  Plan construction produces its
+  intersections and projections as segment lists per period; this is
   how those lists become FALLS again.
 
 * **Tree shaping** — the paper's nested intersection algorithm "assumes,
@@ -20,6 +21,8 @@ Two families of utilities live here:
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .falls import Falls, FallsSet
 from .segments import SegmentArrays, merge_segment_arrays
@@ -70,9 +73,64 @@ def compress_segments(segs: SegmentArrays) -> List[Falls]:
     return out
 
 
+def _smallest_period(starts: np.ndarray, lengths: np.ndarray) -> int | None:
+    """The smallest ``p`` dividing ``N = starts.size`` (``p < N``) for which
+    the segment list is ``N / p`` translated copies of its first ``p``
+    segments, or ``None``.
+
+    The list repeats with ``p`` exactly when the lengths and the steps
+    between consecutive starts are ``p``-periodic sequences; the repeat
+    distance is then ``starts[p] - starts[0]``, never less than the
+    extent of the first ``p`` segments because the input is sorted and
+    disjoint.  Candidates are bounded cheaply before the full check: a
+    period cannot be shorter than the first position whose ``(length,
+    step)`` pair differs from the first segment's, and must carry the
+    first segment's pair itself.
+    """
+    n = starts.size
+    steps = np.diff(starts)
+    like_first = lengths == lengths[0]
+    like_first[:-1] &= steps == steps[0]
+    breaks = np.flatnonzero(~like_first)
+    lower = int(breaks[0]) + 1 if breaks.size else 1
+    candidates = np.arange(lower, n // 2 + 1)
+    candidates = candidates[n % candidates == 0]
+    for p in candidates[like_first[candidates]].tolist():
+        if np.array_equal(lengths[p:], lengths[:-p]) and np.array_equal(
+            steps[p:], steps[:-p]
+        ):
+            return p
+    return None
+
+
 def falls_set_from_segments(segs: SegmentArrays) -> FallsSet:
-    """Build a :class:`FallsSet` from sorted disjoint segments."""
-    return FallsSet(compress_segments(segs))
+    """Build a :class:`FallsSet` from sorted disjoint segments: the one
+    canonical nested compressor.
+
+    When the ``N`` segments are ``N / p`` equally spaced copies of their
+    first ``p`` (smallest such ``p``), they become one outer FALLS of
+    ``N / p`` blocks whose inner FALLS are the first ``p`` segments,
+    compressed by the same rule.  A block-cyclic lattice is such a list
+    at every level, so the result's size depends on the pattern, not on
+    the number of rows: ``d``-dimensional lattices come back as one tree
+    of height at most ``d``.  Only a list without a period (an irregular
+    tail, a partial last block) falls back to :func:`compress_segments`'
+    flat greedy runs.
+    """
+    starts, lengths = segs
+    n = int(starts.size)
+    if n < 2:
+        return FallsSet(compress_segments(segs))
+    p = _smallest_period(starts, lengths)
+    if p is None:
+        return FallsSet(compress_segments(segs))
+    first = int(starts[0])
+    shift = int(starts[p]) - first
+    if p == 1:
+        return FallsSet((Falls(first, first + int(lengths[0]) - 1, shift, n),))
+    stop = int(starts[p - 1] + lengths[p - 1]) - 1
+    inner = falls_set_from_segments((starts[:p] - first, lengths[:p]))
+    return FallsSet((Falls(first, stop, shift, n // p, inner.falls),))
 
 
 def coalesced_falls_set(segs: SegmentArrays) -> FallsSet:

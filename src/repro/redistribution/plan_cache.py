@@ -86,9 +86,7 @@ class PlanCache:
 
     # -- core API ------------------------------------------------------------
 
-    def get(
-        self, src: Partition, dst: Partition, prune: bool = True
-    ) -> RedistributionPlan:
+    def get(self, src: Partition, dst: Partition) -> RedistributionPlan:
         """The plan between ``src`` and ``dst``, built at most once per
         structural pattern pair.
 
@@ -97,7 +95,7 @@ class PlanCache:
         is shared by every consumer as well.
         """
         if self._capacity == 0:
-            return build_plan(src, dst, prune=prune)
+            return build_plan(src, dst)
         key = (src.structure_key(), dst.structure_key())
         with self._lock:
             plan = self._plans.get(key)
@@ -110,7 +108,7 @@ class PlanCache:
             self._mirror("misses")
         # Build outside the lock: plan construction is the expensive part
         # and must not serialise unrelated lookups.
-        plan = build_plan(src, dst, prune=prune)
+        plan = build_plan(src, dst)
         with self._lock:
             if key not in self._plans:
                 self._plans[key] = plan
@@ -187,9 +185,7 @@ _GLOBAL_PLANS = PlanCache(name="global")
 _GLOBAL_MAPPERS = _MapperCache()
 
 
-def get_plan(
-    src: Partition, dst: Partition, prune: bool = True
-) -> RedistributionPlan:
+def get_plan(src: Partition, dst: Partition) -> RedistributionPlan:
     """The process-wide cached redistribution plan for a pattern pair.
 
     Drop-in replacement for
@@ -197,7 +193,7 @@ def get_plan(
     does not mutate the plan (no caller does — plans are
     data-independent schedules).
     """
-    return _GLOBAL_PLANS.get(src, dst, prune=prune)
+    return _GLOBAL_PLANS.get(src, dst)
 
 
 def get_mapper(partition: Partition, element: int) -> ElementMapper:

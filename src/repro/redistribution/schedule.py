@@ -24,14 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..core.intersect_nested import intersect_elements
 from ..core.mapping import ElementMapper
+from ..core.normalize import falls_set_from_segments
 from ..core.partition import Partition
 from ..core.periodic import PeriodicFallsSet
 from ..core.projection import project
-from ..core.segments import SegmentArrays, intersect_segment_arrays
+from ..core.segments import intersect_segment_arrays
 from ..obs import metrics as _metrics
 
 __all__ = ["Transfer", "RedistributionPlan", "build_plan"]
@@ -74,8 +74,8 @@ class RedistributionPlan:
     transfers: List[Transfer]
     #: Element pairs the schedule construction considered (``p * q``).
     candidate_pairs: int = 0
-    #: Pairs skipped by the cheap segment-overlap test before the nested
-    #: intersection ran (see :func:`build_plan`).
+    #: Pairs with no common byte, which carry no transfer (see
+    #: :func:`build_plan`).
     pruned_pairs: int = 0
 
     @cached_property
@@ -158,70 +158,59 @@ class RedistributionPlan:
         }
 
 
-def _element_window_segments(
-    p: Partition, window_lo: int, window_hi: int
-) -> Optional[List[SegmentArrays]]:
-    """Absolute byte segments each element of ``p`` selects within the
-    common window ``[window_lo, window_hi]``, or ``None`` when the
-    pattern cannot be expressed periodically (pruning is then skipped).
-    """
-    try:
-        return [
-            p.element_segments(e, window_lo, window_hi)
-            for e in range(p.num_elements)
-        ]
-    except ValueError:  # pragma: no cover - non-tiling pattern, be safe
-        return None
-
-
-def build_plan(
-    src: Partition, dst: Partition, prune: bool = True
-) -> RedistributionPlan:
+def build_plan(src: Partition, dst: Partition) -> RedistributionPlan:
     """Compute the redistribution schedule between two partitions.
 
-    Every (source element, destination element) pair is intersected; the
-    non-empty intersections are projected onto both sides.  Mappers are
-    built once per element and shared across the pairs, as a view-set
-    implementation would cache them.
+    Everything is periodic with the lcm of the two pattern sizes,
+    starting at the larger displacement (the paper's PREPROCESS), so one
+    such window says everything.  Both partitions' elements are
+    enumerated over it once as merged segment lists, and every
+    (source element, destination element) pair is intersected as flat
+    arrays (:func:`repro.core.segments.intersect_segment_arrays`): the
+    result is the pair's byte-exact intersection over one period, and
+    its emptiness is the one test for "this pair does not communicate".
+    A non-empty one is re-nested by period detection
+    (:func:`repro.core.normalize.falls_set_from_segments`) — one
+    periodic nested-FALLS structure per lcm period, as §7 describes —
+    and projected onto both sides.  Mappers are built once per element
+    and shared across the pairs, as a view-set implementation would
+    cache them.
 
-    With ``prune=True`` (the default) each pair is first tested with a
-    cheap byte-exact overlap check: both elements' merged segment lists
-    over one common lcm period are intersected as flat arrays
-    (:func:`repro.core.segments.intersect_segment_arrays`), and provably
-    empty pairs skip the nested intersection entirely.  Everything is
-    periodic with the lcm period starting at the larger displacement, so
-    emptiness over that single window is emptiness everywhere — the test
-    never drops a communicating pair.  Sparse communication matrices
-    (matching and near-matching layouts) therefore cost O(non-zero
-    pairs) nested intersections instead of O(p*q).
+    The paper's structural INTERSECT-AUX
+    (:func:`repro.core.intersect_nested.intersect_elements`) selects the
+    same bytes; it is the reference the test suite compares plans
+    against.
     """
     transfers: List[Transfer] = []
     candidates = src.num_elements * dst.num_elements
     pruned = 0
 
-    src_window = dst_window = None
-    if prune:
-        window_lo = max(src.displacement, dst.displacement)
-        window_hi = window_lo + math.lcm(src.size, dst.size) - 1
-        src_window = _element_window_segments(src, window_lo, window_hi)
-        dst_window = _element_window_segments(dst, window_lo, window_hi)
-    can_prune = src_window is not None and dst_window is not None
+    window_lo = max(src.displacement, dst.displacement)
+    period = math.lcm(src.size, dst.size)
+    window_hi = window_lo + period - 1
+    src_window, dst_window = (
+        [
+            p.element_segments(e, window_lo, window_hi)
+            for e in range(p.num_elements)
+        ]
+        for p in (src, dst)
+    )
 
     src_mappers: Dict[int, ElementMapper] = {}
     dst_mappers: Dict[int, ElementMapper] = {}
     for i in range(src.num_elements):
         for j in range(dst.num_elements):
-            if can_prune and (
-                intersect_segment_arrays(src_window[i], dst_window[j])[
-                    0
-                ].size
-                == 0
-            ):
+            starts, lengths = intersect_segment_arrays(
+                src_window[i], dst_window[j]
+            )
+            if starts.size == 0:
                 pruned += 1
                 continue
-            inter = intersect_elements(src, i, dst, j)
-            if inter.is_empty:
-                continue
+            inter = PeriodicFallsSet(
+                falls_set_from_segments((starts - window_lo, lengths)),
+                window_lo,
+                period,
+            )
             if i not in src_mappers:
                 src_mappers[i] = ElementMapper(src, i)
             if j not in dst_mappers:

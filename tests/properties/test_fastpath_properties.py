@@ -2,8 +2,9 @@
 
 * closed-form ``PeriodicFallsSet.count_in`` against the byte-index
   oracle (no tiling may change the answer);
-* pair pruning in ``build_plan`` never drops a communicating pair and
-  never changes the schedule;
+* ``build_plan``'s segment-space intersections and projections select
+  exactly the bytes of the paper's INTERSECT-AUX and PROJ, and a pair
+  is dropped exactly when it has no common byte;
 * plan-cache hits are structurally identical to fresh plans, and
   structure keys are stable across independent construction and the
   JSON round-trip.
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.indexset import pattern_element_indices
+from repro.core.intersect_nested import intersect_elements
 from repro.core.periodic import PeriodicFallsSet
+from repro.core.projection import project
 from repro.core.serialize import (
     partition_from_json,
     partition_structure_key,
@@ -23,7 +26,7 @@ from repro.core.serialize import (
 from repro.redistribution.plan_cache import PlanCache
 from repro.redistribution.schedule import build_plan
 
-from .strategies import any_partition, falls_sets
+from .strategies import any_partition, falls_sets, nested_partitions
 
 MAX_EXAMPLES = 200
 
@@ -76,33 +79,57 @@ class TestClosedFormCounting:
             assert pfs.count_in(lo, hi) == periods * pfs.size_per_period
 
 
+def _selected(pfs: PeriodicFallsSet, length: int) -> np.ndarray:
+    """The byte-index oracle of a periodic set over ``[0, length)``."""
+    return pattern_element_indices(
+        pfs.falls, pfs.period, pfs.displacement, length
+    )
+
+
 class TestPruningCompleteness:
-    @given(any_partition(), any_partition())
+    @given(nested_partitions(), nested_partitions())
     @settings(max_examples=100, deadline=None)
-    def test_pruned_plan_equals_unpruned(self, src, dst):
-        pruned = build_plan(src, dst, prune=True)
-        full = build_plan(src, dst, prune=False)
-        assert pruned.candidate_pairs == full.candidate_pairs
-        assert [
-            (t.src_element, t.dst_element) for t in pruned.transfers
-        ] == [(t.src_element, t.dst_element) for t in full.transfers]
-        length = max(src.displacement, dst.displacement) + 2 * np.lcm(
-            src.size, dst.size
-        )
-        for tp, tf in zip(pruned.transfers, full.transfers):
-            assert tp.bytes_per_period == tf.bytes_per_period
-            for attr in ("intersection", "src_projection", "dst_projection"):
-                a = getattr(tp, attr).segments_in(0, length)
-                b = getattr(tf, attr).segments_in(0, length)
-                np.testing.assert_array_equal(a[0], b[0])
-                np.testing.assert_array_equal(a[1], b[1])
+    def test_plan_matches_intersect_aux(self, src, dst):
+        """The segment-space plan against the paper's INTERSECT-AUX and
+        PROJ, byte for byte: same communicating pairs, same intersection
+        bytes, same bytes selected by both projections."""
+        plan = build_plan(src, dst)
+        reference = {
+            (i, j): inter
+            for i in range(src.num_elements)
+            for j in range(dst.num_elements)
+            if not (inter := intersect_elements(src, i, dst, j)).is_empty
+        }
+        assert set(plan.by_pair) == set(reference)
+        assert plan.pruned_pairs == plan.candidate_pairs - len(reference)
+        period = int(np.lcm(src.size, dst.size))
+        length = max(src.displacement, dst.displacement) + 2 * period
+        for (i, j), t in plan.by_pair.items():
+            ref = reference[(i, j)]
+            np.testing.assert_array_equal(
+                _selected(t.intersection, length), _selected(ref, length)
+            )
+            for attr, part, e in (
+                ("src_projection", src, i),
+                ("dst_projection", dst, j),
+            ):
+                want = project(ref, part, e)
+                got = getattr(t, attr)
+                assert (got.displacement, got.period) == (
+                    want.displacement,
+                    want.period,
+                )
+                span = want.displacement + 2 * want.period
+                np.testing.assert_array_equal(
+                    _selected(got, span), _selected(want, span)
+                )
 
     @given(any_partition(), any_partition())
     @settings(max_examples=100, deadline=None)
     def test_pruning_accounting(self, src, dst):
-        plan = build_plan(src, dst, prune=True)
+        plan = build_plan(src, dst)
         assert 0 <= plan.pruned_pairs <= plan.candidate_pairs
-        assert len(plan.transfers) <= plan.candidate_pairs - plan.pruned_pairs
+        assert len(plan.transfers) == plan.candidate_pairs - plan.pruned_pairs
 
 
 class TestPlanCacheEquivalence:
