@@ -40,7 +40,6 @@ def reshard(
     total_bytes: int | None = None,
     injector=None,
     retry_policy=None,
-    backend=None,
 ) -> List[np.ndarray]:
     """Convert per-rank byte pieces from one decomposition to another.
 
@@ -49,11 +48,7 @@ def reshard(
     partitions may have different element counts — that is the point.
 
     An ``injector`` (a :class:`repro.faults.FaultInjector`) subjects the
-    per-transfer moves to the engine's checksum-verify-retry loop.  A
-    ``backend`` (:class:`~repro.mp.pool.ProcessPoolExecutorBackend`)
-    scatters the conversion across worker processes (an injector's
-    fates are settled first) — byte-identical, destination elements
-    partitioned over workers.
+    per-transfer moves to the engine's checksum-verify-retry loop.
     """
     buffers = [as_flat_bytes(p, "pieces") for p in pieces]
     if total_bytes is None:
@@ -67,7 +62,6 @@ def reshard(
         total_bytes,
         injector=injector,
         retry_policy=retry_policy,
-        backend=backend,
     ).buffers
 
 

@@ -18,10 +18,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..core.algebra import difference
 from ..core.falls import Falls, FallsSet
-from ..core.intersect_nested import intersect_nested_sets
 from ..core.segments import (
     SegmentArrays,
+    intersect_segment_arrays,
     leaf_segment_arrays_set,
     merge_segment_arrays,
 )
@@ -89,21 +90,18 @@ class HaloExchange:
         self.messages: List[_Message] = []
         owner_index = [_LocalIndex(o) for o in self.owned]
         for p, need in enumerate(self.needed):
-            from ..core.algebra import difference
-
             ghosts = difference(need, self.owned[p])
             if ghosts.is_empty:
                 continue
-            for q, owned_q in enumerate(self.owned):
+            ghost_segs = merge_segment_arrays(
+                leaf_segment_arrays_set(ghosts.falls)
+            )
+            for q, owner in enumerate(owner_index):
                 if q == p:
                     continue
-                common = intersect_nested_sets(
-                    list(ghosts.falls), list(owned_q.falls)
-                )
-                if not common:
-                    continue
-                segs = merge_segment_arrays(
-                    leaf_segment_arrays_set(common)
+                # Both lists are merged, so their intersection is too.
+                segs = intersect_segment_arrays(
+                    ghost_segs, (owner.starts, owner.lengths)
                 )
                 nbytes = int(segs[1].sum())
                 if nbytes == 0:
@@ -115,7 +113,6 @@ class HaloExchange:
                 self.messages.append(
                     _Message(q, p, src_local, dst_local, nbytes)
                 )
-        del owner_index
 
     # -- convenience constructors -----------------------------------------
 

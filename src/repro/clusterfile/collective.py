@@ -146,7 +146,6 @@ def two_phase_write(
         network=fs.cluster.network.model,
         injector=fs.fault_injector,
         retry_policy=fs.retry_policy,
-        backend=fs.backend,
     )
     agg_buffers = sh.buffers
 
@@ -250,7 +249,6 @@ def two_phase_read(
         network=fs.cluster.network.model,
         injector=fs.fault_injector,
         retry_policy=fs.retry_policy,
-        backend=fs.backend,
     )
     out_by_element = sh.buffers
 

@@ -62,7 +62,7 @@ from ..faults import (
 from ..obs import metrics as obs_metrics
 from ..obs.context import current_trace_id, new_trace_id
 from ..obs.span import Span, open_span
-from ..redistribution.executor import execute_plan, execute_plan_windowed
+from ..redistribution.executor import execute_plan
 from ..redistribution.gather_scatter import gather_segments, scatter_segments
 from ..redistribution.schedule import RedistributionPlan
 from ..simulation.cluster import Cluster
@@ -1261,9 +1261,9 @@ def _shuffle_fate_accounting(
     """Draw each transfer's wire fates without moving any bytes.
 
     Fates are a pure function of ``(seed, op_id, transfer, attempt)``,
-    so retry counts and budget failures are identical whichever executor
-    later moves the data; a transfer's packed payload is gathered only
-    to answer a corrupt attempt's checksum question."""
+    so settling them first leaves the executor's one copy per byte
+    untouched; a transfer's packed payload is gathered only to answer a
+    corrupt attempt's checksum question."""
     retries = 0
     for t in plan.transfers:
         src = src_buffers[t.src_element]
@@ -1287,88 +1287,13 @@ def _shuffle_fate_accounting(
     return retries
 
 
-def _execute_plan_mp(
-    plan: RedistributionPlan,
-    src_buffers: Sequence[np.ndarray],
-    file_length: int,
-    backend,
-    root: Span,
-) -> List[np.ndarray]:
-    """Execute a redistribution plan across the worker pool.
-
-    Destination elements are partitioned into contiguous blocks, one
-    block per worker; the parent gathers every transfer's packed
-    payload (sources are read-only, so gather order is free) and ships
-    all of a worker's payloads in one packed round; workers scatter in
-    the plan's transfer order per destination element — the only order
-    that matters for bytes — and a second round brings the finished
-    destination buffers back.  Byte-identical to :func:`execute_plan`.
-    """
-    nproc = backend.processes
-    n_dst = plan.dst.num_elements
-    jobs: List[List[dict]] = [[] for _ in range(nproc)]
-    owned: List[List[int]] = [[] for _ in range(nproc)]
-    job_index: Dict[int, Tuple[int, int]] = {}
-    for j in range(n_dst):
-        w = min(j * nproc // n_dst, nproc - 1)
-        job_index[j] = (w, len(jobs[w]))
-        owned[w].append(j)
-        jobs[w].append(
-            {
-                "dst_len": plan.dst.element_length(j, file_length),
-                "transfers": [],
-            }
-        )
-    gathers: List[List[List[tuple]]] = [
-        [[] for _ in jobs[w]] for w in range(nproc)
-    ]
-    for t in plan.transfers:
-        src_len = src_buffers[t.src_element].size
-        dst_len = plan.dst.element_length(t.dst_element, file_length)
-        if src_len == 0 or dst_len == 0:
-            continue
-        src_segs = t.src_projection.segments_in(0, src_len - 1)
-        dst_segs = t.dst_projection.segments_in(0, dst_len - 1)
-        nbytes = int(src_segs[1].sum()) if src_segs[1].size else 0
-        if nbytes == 0:
-            continue
-        w, jpos = job_index[t.dst_element]
-        jobs[w][jpos]["transfers"].append(
-            {"starts": dst_segs[0], "lengths": dst_segs[1], "nbytes": nbytes}
-        )
-        gathers[w][jpos].append((t.src_element, src_segs))
-    # Pack payloads in exactly the order a worker will slice its block:
-    # job by job, transfer by transfer.
-    outbox = [
-        (w + 1, gather_segments(src_buffers[src], segs))
-        for w in range(nproc)
-        for per_job in gathers[w]
-        for src, segs in per_job
-    ]
-    with backend.lock:
-        _results, inbox = backend.exchange_shuffle(jobs, outbox, root)
-    buffers: List[np.ndarray] = [
-        np.zeros(0, dtype=np.uint8) for _ in range(n_dst)
-    ]
-    for w in range(nproc):
-        block, off = inbox[w + 1], 0
-        for j in owned[w]:
-            dst_len = plan.dst.element_length(j, file_length)
-            buffers[j] = block[off : off + dst_len]
-            off += dst_len
-    return buffers
-
-
 def run_shuffle(
     plan: RedistributionPlan,
     src_buffers: Sequence[np.ndarray],
     file_length: int,
     network: Optional[NetworkModel] = None,
-    parallel: bool = False,
     injector: Optional[FaultInjector] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    window_bytes: Optional[int] = None,
-    backend=None,
 ) -> ShuffleResult:
     """Execute a redistribution plan in memory through the engine.
 
@@ -1377,26 +1302,17 @@ def run_shuffle(
     :class:`DirectTransport` prices the exchange when a network model
     is supplied.  Used by two-phase collective I/O
     (phase-1 shuffle) and by checkpoint resharding (no network — ranks
-    convert their own pieces).  ``window_bytes`` selects the out-of-core
-    executor (fixed file windows),
-    ``parallel`` the thread-pool executor, ``backend`` the worker pool
-    — all byte-identical to the serial executor, with or without
-    faults.
+    convert their own pieces).  The copy runs in this process in every
+    worker mode: with no wire between source and destination, a pool
+    would only add passes over the bytes.
 
     With an injector, each transfer's wire fate is drawn per attempt
     before any byte moves; dropped/corrupt transfers re-send the same
     packed bytes (source buffers are never modified by the shuffle, so
     the re-gather is idempotent) until the retry budget runs out.  Fate
     draws depend only on the plan seed, the operation id and the
-    transfer identity — never on the executor — so retry counts are
-    reproducible across executors.
+    transfer identity, so retry counts are reproducible.
     """
-    if window_bytes is not None and parallel:
-        raise ValueError("window_bytes and parallel are mutually exclusive")
-    if backend is not None and (parallel or window_bytes is not None):
-        raise ValueError(
-            "backend is mutually exclusive with parallel/window_bytes"
-        )
     op_id, attrs = _begin_op(
         injector,
         "shuffle",
@@ -1415,18 +1331,7 @@ def run_shuffle(
                     op_id,
                     root,
                 )
-            if backend is not None:
-                buffers = _execute_plan_mp(
-                    plan, src_buffers, file_length, backend, root
-                )
-            elif window_bytes is not None:
-                buffers = execute_plan_windowed(
-                    plan, src_buffers, file_length, window_bytes
-                )
-            else:
-                buffers = execute_plan(
-                    plan, src_buffers, file_length, parallel=parallel
-                )
+            buffers = execute_plan(plan, src_buffers, file_length)
         messages, off_node_bytes, time_s = DirectTransport(network).cost(
             (t.src_element, t.dst_element, t.bytes_in_file(file_length))
             for t in plan.transfers

@@ -14,7 +14,11 @@ workers can each track a head for the same I/O node.  Workers run the same
 :func:`~repro.clusterfile.server.serve_request` loop the engine runs
 in-process; fault decisions stay with the parent, which ships each
 job's payload (already corrupted, if that is its fate), checksum and
-slow-disk factors.
+slow-disk factors.  Memory-to-memory redistributions (collective
+shuffles, resharding) never reach the pool: no subfile store is
+involved, and the parent's plan executor already moves each byte with
+one read and one write, which shipping it to a worker could only add
+to.
 
 Plumbing per worker: one command ring (parent -> worker) and one result
 ring (worker -> parent), both :class:`~repro.mp.shm.ShmRing`, carrying
@@ -92,7 +96,6 @@ def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
     from ..obs import metrics as obs_metrics
     from ..obs.export import span_to_dict
     from ..obs.span import Tracer, open_span
-    from ..redistribution.gather_scatter import scatter_segments
     from ..simulation.cluster import Cluster
     from . import shm as shm_mod
 
@@ -215,38 +218,6 @@ def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
                         if job_error is not None:
                             raise TransportError(job_error)
                         result["costs"] = costs
-                    elif op == "shuffle":
-                        # Round 1: receive this worker's packed transfer
-                        # payloads; scatter them into fresh destination
-                        # element buffers; round 2: ship the buffers back.
-                        # Same round-safety rule as "read": job failures
-                        # are deferred until round 2 has completed.
-                        inbox = transport.alltoallv(rank, [],
-                                                    liveness=parent_alive)
-                        block, off = inbox[0], 0
-                        buffers = []
-                        job_error = None
-                        for job in jobs:
-                            dst = np.zeros(job["dst_len"], dtype=np.uint8)
-                            try:
-                                for t in job["transfers"]:
-                                    n = int(t["nbytes"])
-                                    scatter_segments(
-                                        dst,
-                                        (t["starts"], t["lengths"]),
-                                        block[off : off + n],
-                                    )
-                                    off += n
-                            except Exception:
-                                job_error = traceback.format_exc()
-                            buffers.append(dst)
-                        transport.alltoallv(
-                            rank, [(0, b) for b in buffers],
-                            liveness=parent_alive,
-                        )
-                        if job_error is not None:
-                            raise TransportError(job_error)
-                        result["buffers"] = len(buffers)
                     else:  # pragma: no cover - protocol guard
                         raise TransportError(f"unknown command {op!r}")
             obs_metrics.inc("mp.worker.batches")
@@ -473,31 +444,6 @@ class ProcessPoolExecutorBackend:
             for w in range(self.processes):
                 self._send(w, {"op": "read", "jobs": list(jobs[w]),
                                "from_disk": from_disk, "trace": trace})
-            inbox = self.transport.alltoallv(0, [], liveness=self._alive)
-            return self._collect(root), inbox
-        except WorkerCrashed:
-            raise
-        except TransportError:
-            if not self._alive():
-                self._mark_broken(-1)
-                self._check_usable()
-            raise
-
-    def exchange_shuffle(
-        self,
-        jobs: Sequence[Sequence[dict]],
-        outbox: Sequence[Tuple[int, np.ndarray]],
-        root=None,
-    ) -> Tuple[List[dict], List[np.ndarray]]:
-        """Two packed rounds: transfer payloads out, destination-element
-        buffers back (``inbox[w + 1]`` concatenates worker ``w``'s)."""
-        self._check_usable()
-        try:
-            trace = self._tracing(root)
-            for w in range(self.processes):
-                self._send(w, {"op": "shuffle", "jobs": list(jobs[w]),
-                               "trace": trace})
-            self.transport.alltoallv(0, outbox, liveness=self._alive)
             inbox = self.transport.alltoallv(0, [], liveness=self._alive)
             return self._collect(root), inbox
         except WorkerCrashed:

@@ -1,4 +1,4 @@
-"""Data redistribution: schedules, gather/scatter, executors, baselines."""
+"""Data redistribution: schedules, gather/scatter, the executor, baselines."""
 
 from .gather_scatter import (
     copy_segments,
@@ -21,7 +21,6 @@ from .executor import (
     collect,
     distribute,
     execute_plan,
-    execute_plan_windowed,
     redistribute,
 )
 from .naive import redistribute_bytewise, redistribute_bytewise_vectorized
@@ -38,7 +37,6 @@ __all__ = [
     "copy_segments",
     "distribute",
     "execute_plan",
-    "execute_plan_windowed",
     "gather",
     "gather_segments",
     "get_mapper",

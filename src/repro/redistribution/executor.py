@@ -19,7 +19,7 @@ per moved byte, whole segments at a time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from ..obs.span import tracked_span
 from .gather_scatter import (
     ResolvedCopy,
     as_flat_bytes,
-    copy_segments,
     gather_segments,
     resolve_copy,
     run_copy,
@@ -163,26 +162,24 @@ class PlanExecutor:
         return self._memo[1], self._memo[2]
 
     def execute(
-        self,
-        src_buffers: Sequence[np.ndarray],
-        file_length: int,
-        parallel: bool = False,
-        max_workers: int | None = None,
+        self, src_buffers: Sequence[np.ndarray], file_length: int
     ) -> List[np.ndarray]:
         """One redistribution pass; see :func:`execute_plan`.
 
         Inside a traced operation the pass shows up as an
         ``executor.execute`` span with one ``executor.transfer`` child
-        per executed transfer (serial path; worker threads of the
-        parallel path have no trace context and skip the bookkeeping).
+        per executed transfer.
         """
         plan = self.plan
         _check_buffers(plan.src, src_buffers, file_length)
         pairs, written = self._resolved(file_length)
         dst_buffers = _destination_buffers(plan, file_length, written)
-
-        def run_all(group) -> None:
-            for t, copy in group:
+        with tracked_span(
+            "executor.execute",
+            transfers=len(plan.transfers),
+            file_length=file_length,
+        ):
+            for t, copy in pairs:
                 with tracked_span(
                     "executor.transfer", src=t.src_element, dst=t.dst_element
                 ) as sp:
@@ -193,23 +190,6 @@ class PlanExecutor:
                     )
                     if sp is not None:
                         sp.annotate(bytes=copy.nbytes)
-
-        if not parallel:
-            with tracked_span(
-                "executor.execute",
-                transfers=len(plan.transfers),
-                file_length=file_length,
-            ):
-                run_all(pairs)
-            return dst_buffers
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        groups: Dict[int, list] = {}
-        for pair in pairs:
-            groups.setdefault(pair[0].dst_element, []).append(pair)
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(run_all, groups.values()))
         return dst_buffers
 
 
@@ -228,110 +208,15 @@ def execute_plan(
     plan: RedistributionPlan,
     src_buffers: Sequence[np.ndarray],
     file_length: int,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> List[np.ndarray]:
     """Move data from source-partition buffers to destination-partition
     buffers according to a precomputed plan.
-
-    With ``parallel=True`` the transfers run on a thread pool, grouped
-    by destination element so no two threads write the same buffer
-    (transfers to one destination are disjoint in bytes but NumPy
-    scatter into a shared buffer from multiple threads is still best
-    avoided); NumPy's block copies release the GIL, so large
-    redistributions scale with cores.
 
     Repeated executions of the same plan reuse cached projection
     segments and resolved copies via the plan's attached
     :class:`PlanExecutor`.
     """
-    return _executor_for(plan).execute(
-        src_buffers, file_length, parallel=parallel, max_workers=max_workers
-    )
-
-
-def execute_plan_windowed(
-    plan: RedistributionPlan,
-    src_buffers: Sequence[np.ndarray],
-    file_length: int,
-    window_bytes: int,
-) -> List[np.ndarray]:
-    """Out-of-core variant: process the file in fixed windows.
-
-    A real redistribution of a file larger than memory cannot touch a
-    transfer's entire payload at once.  Because both projections
-    enumerate the common bytes in file order, the byte ranks of a file
-    window form *aligned rank windows* on both sides: clipping each
-    projection to its element's rank range for the window yields
-    matching segment lists, copied onto each other directly — no
-    temporary for strided and slice copies; only a many-short-pieces
-    window builds index arrays, bounded by the window size.
-
-    Results are bit-identical to :func:`execute_plan`.
-    """
-    if window_bytes < 1:
-        raise ValueError(f"window_bytes must be >= 1, got {window_bytes}")
-    _check_buffers(plan.src, src_buffers, file_length)
-    totals = [t.bytes_in_file(file_length) for t in plan.transfers]
-    written = [0] * plan.dst.num_elements
-    for t, total in zip(plan.transfers, totals):
-        written[t.dst_element] += total
-    dst_buffers = _destination_buffers(plan, file_length, written)
-    for t, total in zip(plan.transfers, totals):
-        src_len = src_buffers[t.src_element].size
-        dst_len = dst_buffers[t.dst_element].size
-        if src_len == 0 or dst_len == 0:
-            continue
-        # Rank windows: how many of this transfer's bytes precede each
-        # file-window boundary on each side.
-        src_done = dst_done = 0
-        for w0 in range(0, file_length, window_bytes):
-            w1 = min(file_length, w0 + window_bytes)
-            chunk = t.intersection.count_in(w0, w1 - 1)
-            if chunk == 0:
-                continue
-            src_segs = _rank_window_segments(
-                t.src_projection, src_len, src_done, src_done + chunk
-            )
-            dst_segs = _rank_window_segments(
-                t.dst_projection, dst_len, dst_done, dst_done + chunk
-            )
-            copy_segments(
-                dst_buffers[t.dst_element],
-                dst_segs,
-                src_buffers[t.src_element],
-                src_segs,
-            )
-            src_done += chunk
-            dst_done += chunk
-        if src_done != total:  # pragma: no cover - accounting guard
-            raise AssertionError("window sweep lost bytes")
-    return dst_buffers
-
-
-def _rank_window_segments(projection, element_len: int, lo_rank: int, hi_rank: int):
-    """Segments of a projection restricted to its k-th..m-th selected
-    bytes (selection order == file order == element order)."""
-    starts, lengths = projection.segments_in(0, element_len - 1)
-    if starts.size == 0 or hi_rank <= lo_rank:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    ends = np.cumsum(lengths)
-    begins = ends - lengths
-    out_starts = []
-    out_lengths = []
-    for s, b, e in zip(starts.tolist(), begins.tolist(), ends.tolist()):
-        take_lo = max(b, lo_rank)
-        take_hi = min(e, hi_rank)
-        if take_lo < take_hi:
-            out_starts.append(s + (take_lo - b))
-            out_lengths.append(take_hi - take_lo)
-    return (
-        np.array(out_starts, dtype=np.int64),
-        np.array(out_lengths, dtype=np.int64),
-    )
+    return _executor_for(plan).execute(src_buffers, file_length)
 
 
 def redistribute(

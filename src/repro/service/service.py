@@ -319,6 +319,7 @@ class FileService:
         # admission is measurable at small-operation rates).
         self._m_enqueued = obs_metrics.counter("service.enqueued")
         self._m_rejected = obs_metrics.counter("service.rejected")
+        self._m_parked = obs_metrics.counter("service.parked_submits")
         self._m_completed = obs_metrics.counter("service.completed")
         self._m_failed = obs_metrics.counter("service.failed")
         self._m_batches = obs_metrics.counter("service.batches")
@@ -576,6 +577,7 @@ class FileService:
             if self._closed:
                 raise ServiceClosed("service closed")
             tstate = self._tenant_locked(op.tenant)
+            parked = False
             while (
                 self._queued >= self.max_queue
                 or tstate.queued >= tstate.quota
@@ -591,6 +593,9 @@ class FileService:
                     raise ServiceOverloaded(
                         f"admission queue full ({self.max_queue})"
                     )
+                if not parked:  # once per submit, not per wakeup
+                    parked = True
+                    self._m_parked.inc()
                 self._not_full.wait()
                 if self._closed:
                     raise ServiceClosed("service closed")

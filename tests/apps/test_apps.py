@@ -6,6 +6,10 @@ import pytest
 from repro import matrix_partition, round_robin, row_blocks
 from repro.apps import CheckpointStore, HaloExchange, reshard, transpose_out_of_core
 from repro.clusterfile import Clusterfile
+from repro.core.algebra import difference, union
+from repro.core.falls import Falls, FallsSet
+from repro.core.intersect_nested import intersect_nested_sets
+from repro.core.segments import leaf_segment_arrays_set, merge_segment_arrays
 from repro.redistribution import collect, distribute
 from repro.simulation import ClusterConfig
 
@@ -210,6 +214,101 @@ class TestHalo2D:
             HaloExchange.block_2d(9, 8, (2, 2), 1)
         with _pytest.raises(ValueError):
             HaloExchange.block_2d(8, 8, (2, 2), 4)
+
+
+def _intersect_aux_messages(ex):
+    """The schedule INTERSECT-AUX derives for ``ex``'s regions: each
+    ghost region intersected with every other rank's owned set as nested
+    FALLS, leaf segments merged, localised on both sides."""
+    out = []
+    for p, need in enumerate(ex.needed):
+        ghosts = difference(need, ex.owned[p])
+        for q, owned_q in enumerate(ex.owned):
+            if q == p or ghosts.is_empty:
+                continue
+            common = intersect_nested_sets(
+                list(ghosts.falls), list(owned_q.falls)
+            )
+            if not common:
+                continue
+            segs = merge_segment_arrays(leaf_segment_arrays_set(common))
+            nbytes = int(segs[1].sum())
+            if nbytes:
+                out.append(
+                    (q, p, ex.index[q].localize(segs),
+                     ex.index[p].localize(segs), nbytes)
+                )
+    return out
+
+
+def _cyclic_columns(rows=8, cols=16, nprocs=4, block=2):
+    """Column blocks dealt cyclically over the ranks of a ``rows x cols``
+    byte matrix (nested FALLS), each rank also needing the column after
+    each of its blocks and the one before its first (wrapping)."""
+
+    def columns(cs):
+        return FallsSet([
+            Falls(0, cols - 1, cols, rows, inner=(Falls(c, c, cols, 1),))
+            for c in sorted(cs)
+        ])
+
+    owned, needed = [], []
+    for p in range(nprocs):
+        mine = FallsSet([
+            Falls(0, cols - 1, cols, rows,
+                  inner=(Falls(block * p, block * p + block - 1,
+                               block * nprocs, cols // (block * nprocs)),))
+        ])
+        firsts = range(block * p, cols, block * nprocs)
+        ghosts = {(c + block) % cols for c in firsts} | {
+            (block * p - 1) % cols
+        }
+        owned.append(mine)
+        needed.append(union(mine, columns(ghosts)))
+    return HaloExchange(owned, needed)
+
+
+class TestHaloScheduleMatchesIntersectAux:
+    """The production schedule intersects merged segment lists; every
+    message must be the one INTERSECT-AUX derives."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: HaloExchange.block_1d(32, 1, 4, 2),
+            lambda: HaloExchange.block_1d(16, 4, 2, 1),
+            lambda: HaloExchange.block_2d(12, 8, (3, 2), 2),
+            lambda: HaloExchange.block_2d(8, 8, (2, 2), 1, itemsize=4),
+            _cyclic_columns,
+        ],
+        ids=["block_1d", "block_1d_multibyte", "block_2d",
+             "block_2d_multibyte", "cyclic_nested"],
+    )
+    def test_messages_equal_intersect_aux(self, build):
+        ex = build()
+        want = _intersect_aux_messages(ex)
+        assert len(ex.messages) == len(want) > 0
+        for m, (src, dst, src_local, dst_local, nbytes) in zip(
+            ex.messages, want
+        ):
+            assert (m.src, m.dst, m.nbytes) == (src, dst, nbytes)
+            for got, ref in zip(m.src_local + m.dst_local,
+                                src_local + dst_local):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_cyclic_exchange_fills_every_ghost(self):
+        ex = _cyclic_columns()
+        data = np.arange(8 * 16, dtype=np.uint8)
+        buffers = [ex.scatter_owned(p, data) for p in range(4)]
+        ex.exchange(buffers)
+        for p, need in enumerate(ex.needed):
+            starts, lengths = merge_segment_arrays(
+                leaf_segment_arrays_set(need.falls)
+            )
+            want = np.concatenate(
+                [data[a : a + n] for a, n in zip(starts, lengths)]
+            )
+            np.testing.assert_array_equal(buffers[p], want)
 
 
 class TestOutOfCoreMatmul:

@@ -1,7 +1,7 @@
 """Serial-equivalence of snapshot bytes (the scda property).
 
 The same logical file — whatever node count stored it, whatever
-partition scattered it, whatever executor mode moved the bytes —
+partition scattered it, thread or process workers —
 must emit *byte-identical* snapshot files.  Every test here builds one
 logical byte sequence many different ways and compares the raw
 snapshot bytes with ``==``, no parsing involved.
@@ -17,10 +17,7 @@ from repro.core.falls import Falls
 from repro.core.partition import Partition
 from repro.durability import DurabilityManager
 from repro.durability.manager import SNAPSHOT_NAME
-from repro.redistribution.executor import (
-    execute_plan,
-    execute_plan_windowed,
-)
+from repro.redistribution.executor import execute_plan
 from repro.redistribution.plan_cache import get_plan
 from repro.simulation.cluster import ClusterConfig
 
@@ -47,22 +44,12 @@ def _linear():
     return Partition([Falls(0, LENGTH - 1, LENGTH, 1)])
 
 
-def _pieces(physical, mode):
-    """Distribute the logical bytes under ``physical`` with the chosen
-    executor mode — all three must agree bit-for-bit."""
-    plan = get_plan(_linear(), physical)
-    src = [_data()]
-    if mode == "serial":
-        return execute_plan(plan, src, LENGTH, parallel=False)
-    if mode == "parallel":
-        return execute_plan(plan, src, LENGTH, parallel=True)
-    if mode == "windowed":
-        return execute_plan_windowed(plan, src, LENGTH, window_bytes=100)
-    raise AssertionError(mode)
+def _pieces(physical):
+    """The logical bytes distributed under ``physical``."""
+    return execute_plan(get_plan(_linear(), physical), [_data()], LENGTH)
 
 
-def _snapshot_via_manager(tmp_path, tag, physical, mode,
-                          workers_mode="thread"):
+def _snapshot_via_manager(tmp_path, tag, physical, workers_mode="thread"):
     """Store the logical bytes under one configuration and checkpoint;
     returns the raw snapshot bytes."""
     fs = Clusterfile(
@@ -75,7 +62,7 @@ def _snapshot_via_manager(tmp_path, tag, physical, mode,
     )
     try:
         cfile = fs.create("f", physical)
-        for s, piece in enumerate(_pieces(physical, mode)):
+        for s, piece in enumerate(_pieces(physical)):
             if piece.size:
                 cfile.stores[s].view(0, piece.size - 1)[:] = piece
         manager = DurabilityManager(str(tmp_path / tag))
@@ -90,28 +77,24 @@ def _snapshot_via_manager(tmp_path, tag, physical, mode,
 
 
 class TestSnapshotSerialEquivalence:
-    def test_identical_across_nodes_partitions_and_modes(self, tmp_path):
-        """1/2/4 nodes x serial/parallel/windowed: one snapshot byte
-        sequence."""
+    def test_identical_across_nodes_and_partitions(self, tmp_path):
+        """1/2/4 nodes, four partitions: one snapshot byte sequence."""
         blobs = {}
         for nodes, chunk in ((1, LENGTH), (2, 32), (4, 16), (4, 48)):
-            for mode in ("serial", "parallel", "windowed"):
-                tag = f"n{nodes}-c{chunk}-{mode}"
-                blobs[tag] = _snapshot_via_manager(
-                    tmp_path, tag, _cyclic(nodes, chunk), mode
-                )
+            tag = f"n{nodes}-c{chunk}"
+            blobs[tag] = _snapshot_via_manager(
+                tmp_path, tag, _cyclic(nodes, chunk)
+            )
         reference = next(iter(blobs.values()))
         for tag, blob in blobs.items():
             assert blob == reference, tag
 
     def test_identical_across_thread_and_process_executors(self, tmp_path):
         a = _snapshot_via_manager(
-            tmp_path, "thr", _cyclic(2, 32), "serial",
-            workers_mode="thread",
+            tmp_path, "thr", _cyclic(2, 32), workers_mode="thread"
         )
         b = _snapshot_via_manager(
-            tmp_path, "proc", _cyclic(4, 16), "parallel",
-            workers_mode="process",
+            tmp_path, "proc", _cyclic(4, 16), workers_mode="process"
         )
         assert a == b
 
@@ -137,9 +120,7 @@ class TestSnapshotSerialEquivalence:
         via_views = open(
             os.path.join(manager.file_dir("f"), SNAPSHOT_NAME), "rb"
         ).read()
-        direct = _snapshot_via_manager(
-            tmp_path, "direct", _cyclic(2, 32), "serial"
-        )
+        direct = _snapshot_via_manager(tmp_path, "direct", _cyclic(2, 32))
         assert via_views == direct
 
     def test_snapshot_survives_relayout_unchanged(self, tmp_path):
@@ -151,7 +132,7 @@ class TestSnapshotSerialEquivalence:
         fs = Clusterfile(ClusterConfig(compute_nodes=4, io_nodes=4))
         physical = _cyclic(4, 16)
         cfile = fs.create("f", physical)
-        for s, piece in enumerate(_pieces(physical, "serial")):
+        for s, piece in enumerate(_pieces(physical)):
             if piece.size:
                 cfile.stores[s].view(0, piece.size - 1)[:] = piece
         manager = DurabilityManager(str(tmp_path / "rl"))

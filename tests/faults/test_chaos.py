@@ -1,6 +1,6 @@
 """End-to-end chaos: byte-exactness of all four data paths under
-injected faults, reproducibility of the schedule, and the hard failure
-modes (budget exhaustion, no live replica)."""
+injected faults, reproducibility of the schedule, the hard failure
+modes (budget exhaustion, no live replica), and the fault counters."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.faults.chaos import default_plan, run_chaos
+from repro.obs import metrics as obs_metrics
 from repro.simulation import ClusterConfig
 from repro.simulation.network import NetworkModel
 
@@ -32,6 +33,14 @@ def _small_fs(plan, replication=1, policy=None):
     for node in range(4):
         fs.set_view("f", node, round_robin(4, 8), element=node)
     return fs
+
+
+def _shuffle_case():
+    """A 320-byte redistribution ``round_robin(4, 8) -> round_robin(2, 16)``:
+    ``(plan, source buffers, file length)``."""
+    src, dst = round_robin(4, 8), round_robin(2, 16)
+    data = np.random.default_rng(3).integers(0, 256, 320, dtype=np.uint8)
+    return build_plan(src, dst), distribute(data, src), 320
 
 
 class TestByteExactnessUnderChaos:
@@ -157,6 +166,18 @@ class TestHardFailureModes:
         with pytest.raises(RetryBudgetExceeded):
             fs.write("f", [(0, 0, np.ones(16, np.uint8))])
 
+    def test_certain_drop_exhausts_the_shuffle_budget(self):
+        plan, src_buffers, length = _shuffle_case()
+        certain = FaultPlan(seed=0, rules=(FaultRule(kind="drop", rate=1.0),))
+        with pytest.raises(RetryBudgetExceeded):
+            run_shuffle(
+                plan,
+                src_buffers,
+                length,
+                injector=FaultInjector(certain),
+                retry_policy=self.POLICY,
+            )
+
     def test_unreplicated_crash_means_no_live_replica(self):
         plan = FaultPlan(seed=0, rules=(FaultRule(kind="crash", io_node=0),))
         fs = _small_fs(plan, replication=1)
@@ -171,92 +192,6 @@ class TestHardFailureModes:
         got, rres = fs.read_with_result("f", [(0, 0, 16)], from_disk=True)
         assert got[0].tolist() == [9] * 16
         assert rres.failed_over > 0
-
-
-class TestExecutorVariantsUnderChaos:
-    """The parallel and windowed (out-of-core) executors under fault
-    injection: same bytes, same deterministic retry schedule, same
-    budget failures as the serial robust path."""
-
-    @staticmethod
-    def _case(seed=3):
-        src = round_robin(4, 8)
-        dst = round_robin(2, 16)
-        length = 320
-        data = np.random.default_rng(seed).integers(
-            0, 256, length, dtype=np.uint8
-        )
-        return build_plan(src, dst), distribute(data, src), length
-
-    FAULTS = FaultPlan(
-        seed=7,
-        rules=(
-            FaultRule(kind="drop", rate=0.25, op="shuffle"),
-            FaultRule(kind="corrupt", rate=0.25, op="shuffle"),
-        ),
-    )
-
-    def test_variants_byte_identical_under_drop_and_corrupt(self):
-        plan, src_buffers, length = self._case()
-        # Fresh injector per call: every run is operation id 0 of the
-        # same fault plan, so all three draw identical fates.
-        serial = run_shuffle(
-            plan, src_buffers, length, injector=FaultInjector(self.FAULTS)
-        )
-        assert serial.retries > 0  # the plan actually bites
-        threaded = run_shuffle(
-            plan,
-            src_buffers,
-            length,
-            parallel=True,
-            injector=FaultInjector(self.FAULTS),
-        )
-        windowed = run_shuffle(
-            plan,
-            src_buffers,
-            length,
-            injector=FaultInjector(self.FAULTS),
-            window_bytes=13,
-        )
-        for variant in (threaded, windowed):
-            assert variant.retries == serial.retries
-            for a, b in zip(serial.buffers, variant.buffers):
-                np.testing.assert_array_equal(a, b)
-
-    def test_budget_exhaustion_hits_every_variant(self):
-        plan, src_buffers, length = self._case()
-        certain = FaultPlan(
-            seed=0, rules=(FaultRule(kind="drop", rate=1.0),)
-        )
-        policy = RetryPolicy(max_retries=2)
-        for kwargs in (
-            {},
-            {"parallel": True},
-            {"window_bytes": 17},
-        ):
-            with pytest.raises(RetryBudgetExceeded):
-                run_shuffle(
-                    plan,
-                    src_buffers,
-                    length,
-                    injector=FaultInjector(certain),
-                    retry_policy=policy,
-                    **kwargs,
-                )
-
-    def test_fault_free_windowed_path_matches_plain(self):
-        plan, src_buffers, length = self._case()
-        plain = run_shuffle(plan, src_buffers, length)
-        windowed = run_shuffle(plan, src_buffers, length, window_bytes=11)
-        for a, b in zip(plain.buffers, windowed.buffers):
-            np.testing.assert_array_equal(a, b)
-
-    def test_parallel_and_windowed_are_mutually_exclusive(self):
-        plan, src_buffers, length = self._case()
-        with pytest.raises(ValueError):
-            run_shuffle(
-                plan, src_buffers, length, parallel=True, window_bytes=8
-            )
 
 
 class TestResultAccounting:
@@ -281,3 +216,82 @@ class TestResultAccounting:
         res = fs.write("f", [(0, 0, np.ones(16, np.uint8))], to_disk=True)
         assert not res.degraded
         assert res.retries == 0
+
+    def test_shuffle_retries_counted_on_the_result(self):
+        plan, src_buffers, length = _shuffle_case()
+        faults = FaultPlan(
+            seed=7,
+            rules=(
+                FaultRule(kind="drop", rate=0.25, op="shuffle"),
+                FaultRule(kind="corrupt", rate=0.25, op="shuffle"),
+            ),
+        )
+        plain = run_shuffle(plan, src_buffers, length)
+        sh = run_shuffle(
+            plan, src_buffers, length, injector=FaultInjector(faults)
+        )
+        assert sh.retries > 0
+        for a, b in zip(plain.buffers, sh.buffers):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestChecksumFailureCounter:
+    """Under a corrupt-only plan with non-empty payloads every retry is
+    one corruption a checksum caught, so ``faults.checksum_failures``
+    moves by exactly the operation's retries — wherever the check runs."""
+
+    CORRUPT = FaultPlan(seed=2, rules=(FaultRule(kind="corrupt", rate=0.3),))
+    DATA = {n: np.arange(16, dtype=np.uint8) + 16 * n + 1 for n in range(4)}
+
+    @staticmethod
+    def _failures():
+        name = "faults.checksum_failures"
+        return obs_metrics.snapshot(name).get(name, 0)
+
+    def _fs(self, mode):
+        # Logical chunks of 2 over physical chunks of 8: sixteen messages.
+        fs = Clusterfile(
+            ClusterConfig(),
+            fault_injector=FaultInjector(self.CORRUPT),
+            workers_mode=mode,
+        )
+        fs.create("f", round_robin(4, 8))
+        for node in range(4):
+            fs.set_view("f", node, round_robin(4, 2), element=node)
+        return fs
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_write_rejected_by_the_server(self, mode):
+        fs = self._fs(mode)
+        try:
+            before = self._failures()
+            res = fs.write("f", [(n, 0, self.DATA[n]) for n in range(4)])
+            assert res.retries > 0
+            assert self._failures() - before == res.retries
+        finally:
+            fs.close()
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_read_reply_rejected_by_the_client(self, mode):
+        fs = self._fs(mode)
+        try:
+            fs.write("f", [(n, 0, self.DATA[n]) for n in range(4)])
+            before = self._failures()
+            bufs, res = fs.read_with_result(
+                "f", [(n, 0, 16) for n in range(4)]
+            )
+            assert res.retries > 0
+            assert self._failures() - before == res.retries
+            for n in range(4):
+                np.testing.assert_array_equal(bufs[n], self.DATA[n])
+        finally:
+            fs.close()
+
+    def test_shuffle_transfer_rejected_before_the_copy(self):
+        plan, src_buffers, length = _shuffle_case()
+        before = self._failures()
+        sh = run_shuffle(
+            plan, src_buffers, length, injector=FaultInjector(self.CORRUPT)
+        )
+        assert sh.retries > 0
+        assert self._failures() - before == sh.retries

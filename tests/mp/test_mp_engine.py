@@ -1,7 +1,7 @@
 """Byte-identity of the multiprocess engine against thread mode.
 
 The differential contract: for every data path — parallel write/read,
-two-phase collective, physical relayout, checkpoint resharding, the
+two-phase collective, physical relayout, checkpoint store, the
 concurrent service — process mode must hand back per-byte identical
 contents to thread mode on the same workload.  On top of identity,
 process mode must fold its telemetry home: worker spans appear under
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.apps.checkpoint import CheckpointStore, reshard
+from repro.apps.checkpoint import CheckpointStore
 from repro.clusterfile.collective import two_phase_read, two_phase_write
 from repro.clusterfile.fs import Clusterfile
 from repro.clusterfile.relayout import relayout
@@ -148,34 +148,6 @@ class TestDifferentialByteIdentity:
         # And both equal the source.
         data, n = _striped_workload(3)
         assert results["thread"][0] == [bytes(data[i]) for i in range(4)]
-
-    @pytest.mark.parametrize("faulty", [False, True])
-    def test_reshard_identical(self, faulty):
-        """The pool moves the shuffle's bytes with or without an
-        injector (fates are settled parent-side first)."""
-        rng = np.random.default_rng(11)
-        total = 4096
-        old = _block(4, total // 4)
-        new = _block(8, total // 8)
-        pieces = [
-            rng.integers(0, 256, total // 4, dtype=np.uint8)
-            for _ in range(4)
-        ]
-        serial = reshard(pieces, old, new, total)
-        from repro.mp.pool import ProcessPoolExecutorBackend
-
-        injector = FaultInjector(DROP_AND_CORRUPT) if faulty else None
-        retries = _counter("faults.retry.messages")
-        jobs = _counter("mp.worker.jobs")
-        with ProcessPoolExecutorBackend(
-            processes=3, config=ClusterConfig()
-        ) as backend:
-            parallel = reshard(
-                pieces, old, new, total, backend=backend, injector=injector
-            )
-        assert [bytes(b) for b in serial] == [bytes(b) for b in parallel]
-        assert _counter("mp.worker.jobs") > jobs
-        assert (_counter("faults.retry.messages") > retries) == faulty
 
     def test_service_identical(self):
         outs = {}

@@ -3,10 +3,10 @@
 The real redistribution path computes FALLS intersections, builds
 transfer schedules, and moves whole segments; the oracle moves one byte
 at a time by asking both partitions who owns it.  On randomized
-partition pairs (the acceptance bar is 200 of them) every executor
-variant — plain, windowed, parallel — must produce the oracle's bytes
-exactly.  The linearisation functions (``distribute``, ``collect``,
-``ClusterFile.linear_contents``, snapshot restore) — each element
+partition pairs (the acceptance bar is 200 of them) the plan executor
+must produce the oracle's bytes exactly.  The linearisation functions
+(``distribute``, ``collect``, ``ClusterFile.linear_contents``,
+snapshot restore) — each element
 gathering or scattering its own file-space segments — are held to the
 same per-byte oracle.  A last differential drives the full Clusterfile
 engine: writing every view element through the I/O pipeline must
@@ -21,10 +21,7 @@ from repro.clusterfile.file_model import ClusterFile
 from repro.clusterfile.fs import Clusterfile
 from repro.durability import DurabilityManager
 from repro.redistribution import build_plan, collect, distribute
-from repro.redistribution.executor import (
-    execute_plan,
-    execute_plan_windowed,
-)
+from repro.redistribution.executor import execute_plan
 
 from ..properties.strategies import any_partition
 from .naive import (
@@ -62,15 +59,6 @@ def test_plan_execution_matches_per_byte_oracle(src, dst, data):
         np.testing.assert_array_equal(
             a, b, err_msg=f"dst element {e} diverges from byte oracle"
         )
-
-    window = data.draw(st.integers(1, file_length + 3), label="window")
-    windowed = execute_plan_windowed(plan, src_buffers, file_length, window)
-    for a, b in zip(windowed, want):
-        np.testing.assert_array_equal(a, b)
-
-    threaded = execute_plan(plan, src_buffers, file_length, parallel=True)
-    for a, b in zip(threaded, want):
-        np.testing.assert_array_equal(a, b)
 
 
 @given(partition=any_partition(), data=st.data())

@@ -1,75 +1,9 @@
-"""Tests for the parallel and windowed (out-of-core) executors, and
-Fortran-order distributions."""
+"""Tests for Fortran-order distributions."""
 
 import numpy as np
 import pytest
 
-from repro import matrix_partition, round_robin
 from repro.distributions import Block, Cyclic, Replicated, multidim_partition
-from repro.redistribution import build_plan, collect, distribute
-from repro.redistribution.executor import execute_plan, execute_plan_windowed
-
-
-@pytest.fixture(scope="module")
-def case():
-    n = 64
-    data = np.random.default_rng(4).integers(0, 256, n * n, dtype=np.uint8)
-    src_p = matrix_partition("c", n, n, 4)
-    dst_p = matrix_partition("b", n, n, 4)
-    plan = build_plan(src_p, dst_p)
-    return data, src_p, dst_p, plan
-
-
-class TestParallelExecutor:
-    def test_matches_serial(self, case):
-        data, src_p, dst_p, plan = case
-        src = distribute(data, src_p)
-        serial = execute_plan(plan, src, data.size)
-        threaded = execute_plan(plan, src, data.size, parallel=True)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a, b)
-
-    def test_worker_cap(self, case):
-        data, src_p, dst_p, plan = case
-        src = distribute(data, src_p)
-        out = execute_plan(plan, src, data.size, parallel=True, max_workers=2)
-        np.testing.assert_array_equal(collect(out, dst_p, data.size), data)
-
-    def test_parallel_identity_plan(self):
-        p = round_robin(4, 16)
-        data = np.arange(128, dtype=np.uint8)
-        out = execute_plan(
-            build_plan(p, p), distribute(data, p), data.size, parallel=True
-        )
-        np.testing.assert_array_equal(collect(out, p, data.size), data)
-
-
-class TestWindowedExecutor:
-    @pytest.mark.parametrize("window", [1, 7, 64, 1000, 10**6])
-    def test_matches_unwindowed(self, case, window):
-        data, src_p, dst_p, plan = case
-        src = distribute(data, src_p)
-        want = execute_plan(plan, src, data.size)
-        got = execute_plan_windowed(plan, src, data.size, window)
-        for a, b in zip(want, got):
-            np.testing.assert_array_equal(a, b)
-
-    def test_partial_trailing_period(self):
-        src_p = round_robin(3, 5)
-        dst_p = round_robin(2, 4)
-        length = 97  # ragged against both patterns
-        data = np.random.default_rng(5).integers(0, 256, length, dtype=np.uint8)
-        src = distribute(data, src_p)
-        plan = build_plan(src_p, dst_p)
-        want = execute_plan(plan, src, length)
-        got = execute_plan_windowed(plan, src, length, 13)
-        for a, b in zip(want, got):
-            np.testing.assert_array_equal(a, b)
-
-    def test_window_validation(self, case):
-        data, src_p, _, plan = case
-        with pytest.raises(ValueError):
-            execute_plan_windowed(plan, distribute(data, src_p), data.size, 0)
 
 
 class TestFortranOrder:

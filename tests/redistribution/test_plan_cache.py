@@ -15,7 +15,6 @@ from repro.redistribution import (
     collect,
     configure_plan_cache,
     distribute,
-    execute_plan,
     get_mapper,
     get_plan,
     plan_cache_stats,
@@ -225,18 +224,6 @@ class TestPlanExecutor:
             data = rng.integers(0, 256, n, dtype=np.uint8)
             out = ex.execute(distribute(data, src), n)
             np.testing.assert_array_equal(collect(out, dst, n), data)
-
-    def test_parallel_matches_serial(self):
-        rng = np.random.default_rng(6)
-        src, dst = _pair(b="c")
-        n = 32 * 32
-        data = rng.integers(0, 256, n, dtype=np.uint8)
-        buffers = distribute(data, src)
-        plan = build_plan(src, dst)
-        serial = execute_plan(plan, buffers, n)
-        par = execute_plan(plan, buffers, n, parallel=True)
-        for a, b in zip(serial, par):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestRedistributeStructural:

@@ -11,7 +11,6 @@ from repro.redistribution import (
     collect,
     distribute,
     execute_plan,
-    execute_plan_windowed,
     redistribute,
     redistribute_bytewise,
     redistribute_bytewise_vectorized,
@@ -181,11 +180,9 @@ class TestExecution:
         "execute",
         [
             execute_plan,
-            lambda *a: execute_plan(*a, parallel=True),
-            lambda *a: execute_plan_windowed(*a, window_bytes=5),
             lambda *a: run_shuffle(*a).buffers,
         ],
-        ids=["serial", "parallel", "windowed", "run_shuffle"],
+        ids=["serial", "run_shuffle"],
     )
     def test_destination_bytes_without_a_source_read_zero(self, execute):
         # The source pattern starts later than the destination's: file

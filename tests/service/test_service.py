@@ -267,6 +267,64 @@ class TestAdmissionControl:
             assert svc.drain(timeout=30)
             assert all(t.done() for t in tickets)
 
+    @staticmethod
+    def _parked():
+        return obs_metrics.snapshot("service").get(
+            "service.parked_submits", 0
+        )
+
+    def _stalled_full(self, admission):
+        """A stalled service whose ``max_queue`` of 4 is full."""
+        svc = FileService(
+            _whole_file_deployment(), workers=1, max_batch=8, max_queue=4,
+            admission=admission,
+        )
+        stall = _StalledService(svc)
+        for n, buf in enumerate(_payloads(15)):
+            svc.submit_write("f0", n, 0, buf)
+        assert svc.queue_depth == 4
+        return svc, stall
+
+    def test_parked_submit_counted_once(self):
+        svc, stall = self._stalled_full("park")
+        try:
+            before = self._parked()
+            parked = threading.Thread(
+                target=svc.submit_write, args=("f1", 0, 0, _payloads(16)[0])
+            )
+            parked.start()
+            for _ in range(1000):
+                if self._parked() > before:
+                    break
+                threading.Event().wait(0.01)
+            # Wakeups while the queue is still full park it again, but
+            # the submit was counted when it first parked.
+            for _ in range(3):
+                with svc._qlock:
+                    svc._not_full.notify_all()
+                threading.Event().wait(0.01)
+            assert parked.is_alive()
+            assert self._parked() - before == 1
+            stall.release()
+            parked.join(timeout=30)
+            assert not parked.is_alive()
+            assert svc.drain(timeout=30)
+            assert self._parked() - before == 1
+        finally:
+            stall.release()
+            svc.close()
+
+    def test_rejected_submit_never_parks(self):
+        svc, stall = self._stalled_full("reject")
+        try:
+            before = self._parked()
+            with pytest.raises(ServiceOverloaded):
+                svc.submit_write("f1", 0, 0, _payloads(16)[0])
+            assert self._parked() == before
+        finally:
+            stall.release()
+            svc.close()
+
     def test_closed_service_rejects(self):
         fs = _deployment()
         svc = FileService(fs, workers=1)

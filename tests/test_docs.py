@@ -1,6 +1,7 @@
 """Documentation stays executable: every Python snippet in the tutorial
 and the README quick-start must actually run against the current API."""
 
+import ast
 import contextlib
 import io
 import os
@@ -68,6 +69,74 @@ class TestCrossReferences:
             assert os.path.exists(
                 os.path.join(ROOT, "benchmarks", bench)
             ), f"EXPERIMENTS.md references missing benchmark {bench}"
+
+    def test_api_rows_name_real_signatures(self):
+        """Every backticked ``name(...)`` in the first column of an
+        API.md table row is a function or class under ``src/repro``, and
+        every ``kw=`` it shows is one of its parameters (a class's are
+        its ``__init__``'s, or a dataclass's fields).  Definitions are
+        collected with ``ast``, nothing is imported."""
+        params = {}  # name -> parameter names; None accepts any keyword
+
+        def accepts(fn):
+            a = fn.args
+            if a.kwarg is not None:
+                return None
+            return {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+
+        def merge(name, names):
+            old = params.get(name, set())
+            if old is None or names is None:
+                params[name] = None
+            else:
+                params[name] = old | names
+
+        for dirpath, _, files in os.walk(os.path.join(ROOT, "src", "repro")):
+            for fname in files:
+                if not fname.endswith(".py"):
+                    continue
+                with open(os.path.join(dirpath, fname)) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.FunctionDef):
+                        merge(node.name, accepts(node))
+                    elif isinstance(node, ast.ClassDef):
+                        inits = [
+                            n for n in node.body
+                            if isinstance(n, ast.FunctionDef)
+                            and n.name == "__init__"
+                        ]
+                        fields = {
+                            n.target.id for n in node.body
+                            if isinstance(n, ast.AnnAssign)
+                            and isinstance(n.target, ast.Name)
+                        }
+                        merge(
+                            node.name, accepts(inits[0]) if inits else fields
+                        )
+
+        text = open(os.path.join(ROOT, "docs", "API.md")).read()
+        call = re.compile(r"^\.?(?:\w+\.)*(\w+)\((.*)\)$")
+        checked, stale = 0, []
+        for line in text.splitlines():
+            if not line.startswith("| "):
+                continue
+            first = line.split(" | ")[0]
+            for span in re.findall(r"`([^`]+)`", first):
+                m = call.match(span)
+                if m is None:
+                    continue
+                name, args = m.groups()
+                checked += 1
+                if name not in params:
+                    stale.append(f"{span}: no def or class {name}")
+                    continue
+                args = re.sub(r'"[^"]*"', '""', args)
+                for kw in re.findall(r"\b(\w+)=(?!=)", args):
+                    if params[name] is not None and kw not in params[name]:
+                        stale.append(f"{span}: {name} has no parameter {kw}")
+        assert checked > 50, "the API row pattern stopped matching"
+        assert not stale, "stale API.md rows:\n" + "\n".join(stale)
 
     def test_no_dangling_file_references(self):
         """Every ``benchmarks/….py``, ``tests/….py``, ``examples/….py``
