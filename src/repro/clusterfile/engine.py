@@ -823,8 +823,8 @@ class IOEngine:
         message's ``costs`` (and, for reads, the reply on its ``wire``).
 
         The only step that knows where servers live: in this process,
-        or in the worker pool (one packed exchange per round; worker
-        span trees graft under ``parent_span``).
+        or in the worker pool (one command per busy worker per round;
+        worker span trees graft under ``parent_span``).
         """
         if self.backend is not None:
             self._serve_in_pool(op, cfile, shipped, disk, attempt, parent_span)
@@ -864,7 +864,7 @@ class IOEngine:
         parent_span: Span,
     ) -> None:
         """Group the round's server jobs by owning worker and run them
-        in one packed exchange.
+        in one pool round.
 
         The parent resolves everything a worker cannot cheaply (or
         picklably) compute itself — the projection's segment arrays come
@@ -894,8 +894,8 @@ class IOEngine:
             )
             nbytes = int(lengths.sum()) if lengths.size else 0
             if op == "write" and nbytes != int(msg.wire.size):
-                # The worker slices its packed block by ``nbytes``: a
-                # mismatch would misalign every later payload.
+                # The pool packs the payload into a slab region of
+                # ``nbytes``, which the worker scatters from.
                 raise ValueError(
                     f"subfile {msg.subfile}: payload of "
                     f"{int(msg.wire.size)} bytes does not match the "
@@ -918,23 +918,17 @@ class IOEngine:
             routed[w].append(msg)
         with backend.lock:
             if op == "write":
-                outbox = [
-                    (w + 1, msg.wire)
-                    for w in range(backend.processes)
-                    for msg in routed[w]
-                ]
-                results = backend.exchange_write(
-                    jobs, outbox, disk, parent_span
+                costs = backend.exchange_write(
+                    jobs, [[msg.wire for msg in batch] for batch in routed],
+                    disk, parent_span,
                 )
             else:
-                results, inbox = backend.exchange_read(jobs, disk, parent_span)
-        for w, res in enumerate(results):
-            off = 0
-            for msg, job, costs in zip(routed[w], jobs[w], res["costs"]):
-                msg.costs = costs
+                costs, replies = backend.exchange_read(jobs, disk, parent_span)
+        for w, batch in enumerate(routed):
+            for i, msg in enumerate(batch):
+                msg.costs = costs[w][i]
                 if op == "read":
-                    msg.wire = inbox[w + 1][off : off + job["nbytes"]]
-                    off += job["nbytes"]
+                    msg.wire = replies[w][i]
 
     def _fanout_messages(self, msg: _Message) -> List[SimMessage]:
         """Price one logical message attempt as :class:`SimMessage` s.

@@ -1,4 +1,4 @@
-"""Multiprocess execution: shared-memory transport and worker pool.
+"""Multiprocess execution: shared-memory segments and worker pool.
 
 The paper's redistribution pipeline is embarrassingly parallel across
 I/O nodes, but CPython threads share one GIL, so the thread-based
@@ -7,16 +7,14 @@ runs its I/O servers as independent *processes* below the API for
 exactly this reason; this package does the same for the Clusterfile
 engine:
 
-* :mod:`repro.mp.shm` — framed SPSC ring buffers on
-  ``multiprocessing.shared_memory`` (control plane), with a cleanup
-  registry that guarantees segments are unlinked on exit;
-* :mod:`repro.mp.transport` — :class:`SharedMemoryTransport`, a packed
-  all-to-all exchange (counts matrix -> displacements -> one contiguous
-  send region per rank, one bulk copy per peer) — the data plane;
+* :mod:`repro.mp.shm` — named ``multiprocessing.shared_memory``
+  segments with a cleanup registry that guarantees the creator unlinks
+  them on exit, and :class:`TransportError`;
 * :mod:`repro.mp.pool` — :class:`ProcessPoolExecutorBackend`, a
   persistent pool of worker processes, each owning a contiguous range
   of subfiles, that executes the engine's server-side work on real
-  cores.
+  cores.  Each worker has one pipe for commands and replies and one
+  shared-memory slab for payloads.
 
 Exports resolve lazily: ``repro.mp.pool`` pulls in the clusterfile
 server models, which themselves use :mod:`repro.mp.shm` for storage —
@@ -26,9 +24,7 @@ eager imports here would cycle.
 from typing import TYPE_CHECKING
 
 __all__ = [
-    "ShmRing",
     "TransportError",
-    "SharedMemoryTransport",
     "ProcessPoolExecutorBackend",
     "WorkerCrashed",
     "shm_segments_alive",
@@ -36,14 +32,11 @@ __all__ = [
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pool import ProcessPoolExecutorBackend, WorkerCrashed
-    from .shm import ShmRing, TransportError, shm_segments_alive
-    from .transport import SharedMemoryTransport
+    from .shm import TransportError, shm_segments_alive
 
 _HOMES = {
-    "ShmRing": "shm",
     "TransportError": "shm",
     "shm_segments_alive": "shm",
-    "SharedMemoryTransport": "transport",
     "ProcessPoolExecutorBackend": "pool",
     "WorkerCrashed": "pool",
 }

@@ -20,28 +20,32 @@ involved, and the parent's plan executor already moves each byte with
 one read and one write, which shipping it to a worker could only add
 to.
 
-Plumbing per worker: one command ring (parent -> worker) and one result
-ring (worker -> parent), both :class:`~repro.mp.shm.ShmRing`, carrying
-small pickles only.  Bulk payloads move through the pool-wide
-:class:`~repro.mp.transport.SharedMemoryTransport` — parent is rank 0,
-worker ``w`` is rank ``w + 1`` — as packed all-to-all rounds: the
-parent packs every message payload for a worker contiguously (counts ->
-displacements), the worker does one bulk copy per round, and read
-replies travel the same way in reverse.  No per-segment message objects
-cross a process boundary.
+Plumbing per worker: one duplex pipe and one shared-memory **slab**,
+both owned by the parent.  A round sends one pickled command, only to
+the workers that have jobs in it; every job names its ``off`` and
+``nbytes`` in that worker's slab (counts -> displacements).  A write
+round's payloads are packed into the slab by the parent and scattered
+by the worker straight from slab views; a read round's replies are
+written at the job offsets by the worker and copied out by the parent.
+A slab grows (never shrinks) to the next power of two when a round
+needs more than it holds; its name travels in the command, so the
+worker re-attaches only when it changes.
 
 Observability crosses the boundary too: every batch runs under a
 worker-local span tree (``mp.worker`` root, ``server.write`` /
 ``server.read`` children carrying the usual ``cache_s`` / ``disk_s``
-attributes) serialized back with the results, and the worker's counter
+attributes) pickled back with the results, and the worker's counter
 *deltas* are folded into the parent registry — ``tools trace`` and the
 ``/stats`` endpoint see one coherent picture.
 
 Crash semantics: the parent owns every shared-memory segment (workers
 only attach), so cleanup never depends on a worker exiting gracefully.
-A worker death mid-exchange surfaces as :class:`WorkerCrashed` via the
-transport's liveness checks; :meth:`close` (idempotent, also run at
-interpreter exit) terminates survivors and unlinks all segments.
+The parent waits on a worker's pipe and its process sentinel together:
+a dead worker is :class:`WorkerCrashed` at once, a silent one a
+:class:`TransportError` at the timeout, and either shuts the pool down.
+A worker whose parent dies sees the parent's sentinel and exits.
+:meth:`close` (idempotent, also run at interpreter exit) terminates
+survivors and unlinks all segments.
 """
 
 from __future__ import annotations
@@ -51,16 +55,17 @@ import os
 import pickle
 import threading
 import traceback
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .shm import ShmRing, TransportError
-from .transport import DEFAULT_REGION_BYTES, SharedMemoryTransport
+from .shm import TransportError, attach_segment, create_segment, release_segment
 
 __all__ = ["ProcessPoolExecutorBackend", "WorkerCrashed"]
 
-DEFAULT_RING_BYTES = 4 << 20
+#: A slab's size before any round has grown it.
+_SLAB_BYTES = 1 << 20
 
 
 class WorkerCrashed(TransportError):
@@ -85,10 +90,10 @@ def _attach_store(cache: Dict[str, object], name: str, subfile: int,
     return store
 
 
-def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
-                 cmd_name: str, res_name: str,
-                 flight_path: Optional[str] = None) -> None:
-    """The worker process entry point: a command loop until shutdown."""
+def _worker_main(worker_id: int, cfg_bytes: bytes, conn,
+                 flight_path: Optional[str]) -> None:
+    """The worker process entry point: a command loop until shutdown,
+    a closed pipe, or the parent's death."""
     from contextlib import nullcontext
 
     from ..clusterfile.server import IOServer, serve_request
@@ -113,27 +118,9 @@ def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
     else:
         flightrec.disarm()
 
-    rank = worker_id + 1
-    parent = multiprocessing.parent_process()
-
-    def parent_alive() -> bool:
-        return parent is None or parent.is_alive()
-
-    cmd_ring = ShmRing.attach(cmd_name)
-    res_ring = ShmRing.attach(res_name)
-    transport = SharedMemoryTransport.from_handle(transport_handle)
+    watched = [conn, multiprocessing.parent_process().sentinel]
     cluster = Cluster(pickle.loads(cfg_bytes))
     stores: Dict[str, object] = {}
-
-    def payload_slices(jobs, block: np.ndarray) -> List[np.ndarray]:
-        """Split the packed per-worker block back into per-job payloads
-        (one bulk copy already happened inside the transport)."""
-        out, off = [], 0
-        for job in jobs:
-            n = int(job["nbytes"])
-            out.append(block[off : off + n])
-            off += n
-        return out
 
     def serve(op, job, payload, disk):
         """One job through the engine's own server loop
@@ -157,69 +144,33 @@ def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
             job["crc"], job["attempt"],
         )
 
-    while True:
-        try:
-            cmd = pickle.loads(
-                cmd_ring.recv(timeout=None, liveness=parent_alive)
-            )
-        except TransportError:
-            break  # parent died or tore the ring down: exit quietly
-        op = cmd["op"]
-        if op == "shutdown":
-            break
-        if op == "ping":
-            res_ring.send(pickle.dumps({"ok": True, "pid": os.getpid()}))
-            continue
-
-        jobs = cmd.get("jobs", ())
+    def run_batch(cmd: dict, slab) -> dict:
+        """Serve one command's jobs against the slab.  Slab views live
+        only in this frame, so the slab can be released after it."""
+        op, jobs = cmd["op"], cmd["jobs"]
+        buf = np.ndarray((slab.size,), dtype=np.uint8, buffer=slab.buf)
         # Span trees are only built (and shipped home) when the parent
         # actually has a trace open; otherwise the batch runs span-free
-        # and the result frame stays small.
+        # and the reply stays small.
         tracer = Tracer()
-        ctx = tracer.activate() if cmd.get("trace") else nullcontext()
+        ctx = tracer.activate() if cmd["trace"] else nullcontext()
         before = obs_metrics.snapshot()
         result: dict = {"ok": True}
         try:
-            with ctx:
-                with open_span(
-                    "mp.worker", worker=worker_id, pid=os.getpid(), op=op,
-                    jobs=len(jobs),
-                ):
+            with ctx, open_span(
+                "mp.worker", worker=worker_id, pid=os.getpid(), op=op,
+                jobs=len(jobs),
+            ):
+                costs = []
+                for job in jobs:
+                    region = buf[job["off"] : job["off"] + job["nbytes"]]
                     if op == "write":
-                        inbox = transport.alltoallv(rank, [],
-                                                    liveness=parent_alive)
-                        payloads = payload_slices(jobs, inbox[0])
-                        result["costs"] = [
-                            serve(op, job, payload, cmd["to_disk"])[0]
-                            for job, payload in zip(jobs, payloads)
-                        ]
-                    elif op == "read":
-                        # The exchange round comes *after* the per-job
-                        # work, so a failing job must not abort the
-                        # batch early: capture the error, keep the frame
-                        # alignment with a zero-length payload, and join
-                        # the round — peers are spinning in the barrier.
-                        outbox = []
-                        costs = []
-                        job_error = None
-                        for job in jobs:
-                            try:
-                                cost, payload = serve(
-                                    op, job, None, cmd["from_disk"]
-                                )
-                            except Exception:
-                                job_error = traceback.format_exc()
-                                payload = np.empty(0, dtype=np.uint8)
-                                cost = []
-                            outbox.append((0, payload))
-                            costs.append(cost)
-                        transport.alltoallv(rank, outbox,
-                                            liveness=parent_alive)
-                        if job_error is not None:
-                            raise TransportError(job_error)
-                        result["costs"] = costs
-                    else:  # pragma: no cover - protocol guard
-                        raise TransportError(f"unknown command {op!r}")
+                        cost, _ = serve(op, job, region, cmd["disk"])
+                    else:
+                        cost, reply = serve(op, job, None, cmd["disk"])
+                        region[:] = reply
+                    costs.append(cost)
+                result["costs"] = costs
             obs_metrics.inc("mp.worker.batches")
             obs_metrics.inc("mp.worker.jobs", len(jobs))
         except Exception:
@@ -232,15 +183,30 @@ def _worker_main(worker_id: int, cfg_bytes: bytes, transport_handle,
         }
         if tracer.roots:
             result["span"] = span_to_dict(tracer.roots[0])
-        try:
-            res_ring.send(pickle.dumps(result), liveness=parent_alive)
-        except TransportError:
-            break
-    cmd_ring.close()
-    res_ring.close()
-    transport.close()
-    for store in stores.values():
-        store.close()  # type: ignore[union-attr]
+        return result
+
+    slab = None
+    try:
+        while conn in wait(watched):  # else the parent died
+            cmd = conn.recv()
+            if cmd["op"] == "shutdown":
+                break
+            if cmd["op"] == "ping":
+                conn.send({"ok": True, "pid": os.getpid()})
+                continue
+            if slab is None or slab.name != cmd["slab"]:
+                if slab is not None:
+                    release_segment(slab)
+                slab = attach_segment(cmd["slab"])
+            conn.send(run_batch(cmd, slab))
+    except (EOFError, ConnectionError):
+        pass  # the parent closed its end of the pipe
+    finally:
+        conn.close()
+        if slab is not None:
+            release_segment(slab)
+        for store in stores.values():
+            store.close()  # type: ignore[union-attr]
 
 
 # --------------------------------------------------------------------------
@@ -257,69 +223,54 @@ class ProcessPoolExecutorBackend:
     SharedMemoryStorage`, and the engine serves every round of its
     write/read operations on the workers.  ``lock``
     serialises operations through the pool — the parallelism is *within*
-    an operation, across subfiles.
+    an operation, across subfiles.  Workers fork where the platform
+    can, and spawn elsewhere.
     """
 
-    def __init__(
-        self,
-        processes: int = 4,
-        config=None,
-        region_bytes: int = DEFAULT_REGION_BYTES,
-        ring_bytes: int = DEFAULT_RING_BYTES,
-        start_method: Optional[str] = None,
-        flightrec_base: Optional[str] = None,
-    ):
+    def __init__(self, processes: int = 4, config=None):
         if processes < 1:
             raise ValueError(f"need >= 1 worker process, got {processes}")
         if config is None:
             from ..simulation.cluster import ClusterConfig
 
             config = ClusterConfig()
+        from ..obs import flightrec
+
         self.processes = processes
         self.config = config
         self.lock = threading.Lock()
         self.closed = False
         self._broken: Optional[str] = None
-        self.transport = SharedMemoryTransport(processes + 1, region_bytes)
-        self._cmd_rings: List[ShmRing] = []
-        self._res_rings: List[ShmRing] = []
+        self._conns: list = []
+        self._slabs: list = []
         self._procs: List[multiprocessing.process.BaseProcess] = []
-        if start_method is None:
-            start_method = os.environ.get("REPRO_MP_START", "fork")
-        if start_method not in multiprocessing.get_all_start_methods():
-            start_method = "spawn"
-        ctx = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         cfg_bytes = pickle.dumps(config)
-        handle = self.transport.handle()
         # Workers record into sibling rings of the parent's: a pool
         # built in a process with an armed flight recorder at
         # ``ring.bin`` gives worker ``w`` its own ``ring.bin.w<w>``.
-        if flightrec_base is None:
-            from ..obs import flightrec as _flightrec
-
-            armed = _flightrec.active()
-            flightrec_base = armed.path if armed is not None else None
+        armed = flightrec.active()
         try:
             for w in range(processes):
-                cmd = ShmRing.create(ring_bytes, f"c{w}")
-                res = ShmRing.create(ring_bytes, f"r{w}")
-                self._cmd_rings.append(cmd)
-                self._res_rings.append(res)
-                wring = (
-                    f"{flightrec_base}.w{w}"
-                    if flightrec_base is not None
-                    else None
-                )
+                self._slabs.append(create_segment(_SLAB_BYTES, f"slab{w}"))
+                conn, child_conn = ctx.Pipe()
+                self._conns.append(conn)
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(w, cfg_bytes, handle, cmd.name, res.name, wring),
+                    args=(w, cfg_bytes, child_conn,
+                          None if armed is None else f"{armed.path}.w{w}"),
                     daemon=True,
                     name=f"repro-io-worker-{w}",
                 )
                 proc.start()
+                child_conn.close()
                 self._procs.append(proc)
             for w in range(processes):  # handshake: workers are up
                 self._send(w, {"op": "ping"})
+            for w in range(processes):
                 self._recv(w, timeout=30.0)
         except BaseException:
             self.close()
@@ -335,9 +286,6 @@ class ProcessPoolExecutorBackend:
             subfile * self.processes // num_subfiles, self.processes - 1
         )
 
-    def _alive(self) -> bool:
-        return all(p.is_alive() for p in self._procs)
-
     # -- control plane -------------------------------------------------------
 
     def _check_usable(self) -> None:
@@ -347,33 +295,45 @@ class ProcessPoolExecutorBackend:
             raise TransportError("process pool is closed")
 
     def _send(self, w: int, cmd: dict) -> None:
-        self._cmd_rings[w].send(pickle.dumps(cmd), liveness=self._alive)
+        try:
+            self._conns[w].send(cmd)
+        except ConnectionError:
+            self._mark_broken(w)
 
     def _recv(self, w: int, timeout: float = 60.0) -> dict:
-        try:
-            raw = self._res_rings[w].recv(timeout=timeout,
-                                          liveness=self._alive)
-        except TransportError:
-            self._mark_broken(w)
-            raise
-        return pickle.loads(raw)
+        conn = self._conns[w]
+        ready = wait([conn, self._procs[w].sentinel], timeout)
+        if conn in ready:  # a reply sent just before dying still counts
+            try:
+                return conn.recv()
+            except (EOFError, ConnectionError):
+                pass
+        elif not ready:
+            self._mark_broken(
+                w, f"worker {w} sent no reply within {timeout}s",
+                TransportError,
+            )
+        self._mark_broken(w)
 
-    def _mark_broken(self, w: int) -> None:
-        dead = [i for i, p in enumerate(self._procs) if not p.is_alive()]
+    def _mark_broken(self, w: int, reason: Optional[str] = None,
+                     error: type = WorkerCrashed) -> None:
+        """Record the failure (by default: worker ``w`` or whichever
+        workers are dead died), shut the pool down and raise ``error``."""
         from ..obs import flightrec
 
+        dead = [i for i, p in enumerate(self._procs) if not p.is_alive()]
         rec = flightrec.active()
         if rec is not None:
             for i in dead or [w]:
-                rec.record(
-                    flightrec.EV_WORKER_CRASH,
-                    a=i if i >= 0 else 0xFFFFFFFF,
-                )
+                rec.record(flightrec.EV_WORKER_CRASH, a=i)
+        if reason is None:
+            reason = f"worker(s) {dead or [w]} died"
         self._broken = (
-            f"worker(s) {dead or [w]} died; pool shut down and all "
-            f"shared-memory segments unlinked"
+            f"{reason}; pool shut down and all shared-memory segments "
+            f"unlinked"
         )
         self.close()
+        raise error(self._broken)
 
     @staticmethod
     def _tracing(root) -> bool:
@@ -383,76 +343,107 @@ class ProcessPoolExecutorBackend:
 
         return root is not None and span_retained()
 
-    def _collect(self, root=None) -> List[dict]:
-        """Gather one result per worker; fold spans and counter deltas
-        into the parent's trace/registry; surface worker errors."""
+    def _slab(self, w: int, jobs: Sequence[dict]) -> np.ndarray:
+        """Give each job its ``off`` in worker ``w``'s slab, grow the
+        slab to hold them all, and return it as a byte array."""
+        off = 0
+        for job in jobs:
+            job["off"] = off
+            off += job["nbytes"]
+        slab = self._slabs[w]
+        if slab.size < off:
+            release_segment(slab)
+            slab = self._slabs[w] = create_segment(
+                1 << (off - 1).bit_length(), f"slab{w}"
+            )
+        return np.ndarray((slab.size,), dtype=np.uint8, buffer=slab.buf)
+
+    def _round(
+        self,
+        op: str,
+        jobs: Sequence[Sequence[dict]],
+        disk: bool,
+        root,
+        payloads: Optional[Sequence[Sequence[np.ndarray]]] = None,
+    ) -> List[list]:
+        """One command to every worker that has jobs, then one reply
+        from each; returns per-worker job costs (empty for idle ones).
+        Worker spans graft under ``root`` and counter deltas fold into
+        the parent registry; a failed batch raises once every reply is
+        in, so the pipes stay in step."""
         from ..obs import metrics as obs_metrics
         from ..obs.export import span_from_dict
 
-        results = [self._recv(w) for w in range(self.processes)]
-        errors = [r["error"] for r in results if not r.get("ok")]
-        for r in results:
-            for name, delta in r.get("counters", {}).items():
+        self._check_usable()
+        trace = self._tracing(root)
+        busy = [w for w, batch in enumerate(jobs) if batch]
+        sent = 0
+        try:
+            for w in busy:
+                slab = self._slab(w, jobs[w])
+                if payloads is not None:
+                    for job, payload in zip(jobs[w], payloads[w]):
+                        slab[job["off"] : job["off"] + job["nbytes"]] = payload
+                self._send(w, {"op": op, "jobs": jobs[w], "disk": disk,
+                               "trace": trace, "slab": self._slabs[w].name})
+                sent += 1
+            results = [self._recv(w) for w in busy]
+        except BaseException:
+            if sent:  # replies may still be owed: the pipes are out of step
+                self.close()
+            raise
+        costs: List[list] = [[] for _ in jobs]
+        errors = []
+        for w, r in zip(busy, results):
+            for name, delta in r["counters"].items():
                 if delta > 0:
                     obs_metrics.inc(name, delta)
             if root is not None and "span" in r:
                 root.children.append(span_from_dict(r["span"]))
+            if r["ok"]:
+                costs[w] = r["costs"]
+            else:
+                errors.append(r["error"])
         if errors:
             raise TransportError(
                 "worker batch failed:\n" + "\n".join(errors)
             )
-        return results
+        return costs
 
     # -- exchanges (caller holds ``self.lock``) -------------------------------
 
     def exchange_write(
         self,
         jobs: Sequence[Sequence[dict]],
-        outbox: Sequence[Tuple[int, np.ndarray]],
+        payloads: Sequence[Sequence[np.ndarray]],
         to_disk: bool,
         root=None,
-    ) -> List[dict]:
-        """Dispatch per-worker write batches; payloads go out in one
-        packed all-to-all round; per-job costs come back on the rings."""
-        self._check_usable()
-        try:
-            trace = self._tracing(root)
-            for w in range(self.processes):
-                self._send(w, {"op": "write", "jobs": list(jobs[w]),
-                               "to_disk": to_disk, "trace": trace})
-            self.transport.alltoallv(0, outbox, liveness=self._alive)
-            return self._collect(root)
-        except WorkerCrashed:
-            raise
-        except TransportError:
-            if not self._alive():
-                self._mark_broken(-1)
-                self._check_usable()
-            raise
+    ) -> List[list]:
+        """Run one write round: ``payloads[w][i]`` is the payload of
+        ``jobs[w][i]``, packed into worker ``w``'s slab.  Returns the
+        per-worker job costs."""
+        return self._round("write", jobs, to_disk, root, payloads)
 
     def exchange_read(
         self,
         jobs: Sequence[Sequence[dict]],
         from_disk: bool,
         root=None,
-    ) -> Tuple[List[dict], List[np.ndarray]]:
-        """Dispatch read batches; reply payloads arrive packed, one
-        contiguous block per worker (``inbox[w + 1]``)."""
-        self._check_usable()
-        try:
-            trace = self._tracing(root)
-            for w in range(self.processes):
-                self._send(w, {"op": "read", "jobs": list(jobs[w]),
-                               "from_disk": from_disk, "trace": trace})
-            inbox = self.transport.alltoallv(0, [], liveness=self._alive)
-            return self._collect(root), inbox
-        except WorkerCrashed:
-            raise
-        except TransportError:
-            if not self._alive():
-                self._mark_broken(-1)
-                self._check_usable()
-            raise
+    ) -> Tuple[List[list], List[List[np.ndarray]]]:
+        """Run one read round.  Returns the per-worker job costs and
+        replies; ``replies[w][i]`` answers ``jobs[w][i]`` and is copied
+        out of the slab, so it outlives the next round."""
+        costs = self._round("read", jobs, from_disk, root)
+        replies: List[List[np.ndarray]] = []
+        for w, batch in enumerate(jobs):
+            nbytes = sum(job["nbytes"] for job in batch)
+            block = np.ndarray((nbytes,), dtype=np.uint8,
+                               buffer=self._slabs[w].buf).copy()
+            replies.append(
+                [block[job["off"] : job["off"] + job["nbytes"]]
+                 for job in batch]
+            )
+        return costs, replies
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -463,22 +454,20 @@ class ProcessPoolExecutorBackend:
         if self.closed:
             return
         self.closed = True
-        for w, proc in enumerate(self._procs):
-            if proc.is_alive():
-                try:
-                    self._cmd_rings[w].send(
-                        pickle.dumps({"op": "shutdown"}), timeout=0.5
-                    )
-                except TransportError:
-                    pass
+        for conn in self._conns:
+            try:
+                conn.send({"op": "shutdown"})
+            except ConnectionError:
+                pass
         for proc in self._procs:
             proc.join(timeout=timeout)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        for ring in self._cmd_rings + self._res_rings:
-            ring.close()
-        self.transport.close()
+        for conn in self._conns:
+            conn.close()
+        for slab in self._slabs:
+            release_segment(slab)
 
     def __enter__(self) -> "ProcessPoolExecutorBackend":
         return self

@@ -1,26 +1,9 @@
-"""Framed ring buffers on POSIX shared memory.
+"""Named POSIX shared-memory segments with an owner.
 
-The control plane of the multiprocess engine: one single-producer /
-single-consumer ring per direction per worker, carrying small pickled
-command and result frames.  Bulk payloads never travel through rings —
-they go through the packed exchange regions of
-:class:`~repro.mp.transport.SharedMemoryTransport` — so rings stay
-small and a frame never competes with data for space.
-
-Wire format (all offsets 8-byte aligned)::
-
-    [ head u64 | tail u64 | reserved 48B ]      control block (64 B)
-    [ MAGIC u32 | length u32 | crc32 u32 | reserved u32 | payload ... ]
-
-``head``/``tail`` are monotonically increasing byte counters (never
-wrapped), so ``tail - head`` is the number of bytes in flight and
-``tail % capacity`` is the producer's write position.  A frame never
-straddles the end of the ring: when the remaining space cannot hold a
-frame header the producer writes a WRAP marker and continues at offset
-zero.  Every frame carries a CRC32 of its payload; a consumer that
-reads a bad magic or a failing checksum raises :class:`TransportError`
-immediately instead of hanging — a truncated or garbage frame is a
-protocol bug or a dying peer, and either way the caller must find out.
+The multiprocess engine keeps everything it shares in segments made
+here: the subfile stores of
+:class:`~repro.clusterfile.storage.SharedMemoryStorage` and the
+per-worker slabs of :class:`~repro.mp.pool.ProcessPoolExecutorBackend`.
 
 Cleanup: every segment created through :func:`create_segment` is
 recorded in a process-local registry and unlinked by an ``atexit``
@@ -33,18 +16,12 @@ from __future__ import annotations
 
 import atexit
 import os
-import struct
 import threading
-import time
-import zlib
 from multiprocessing import shared_memory
-from typing import Callable, Dict, Optional
-
-import numpy as np
+from typing import Dict
 
 __all__ = [
     "TransportError",
-    "ShmRing",
     "create_segment",
     "attach_segment",
     "release_segment",
@@ -53,21 +30,10 @@ __all__ = [
 
 
 class TransportError(RuntimeError):
-    """A shared-memory transport protocol violation (bad frame, peer
-    death, region overflow) — never silently swallowed, never a hang."""
+    """A pool protocol failure (a worker that stops replying, a failed
+    worker batch, a closed pool) — never silently swallowed, never a
+    hang."""
 
-
-#: Busy-poll iterations before falling back to 50 µs sleeps.  Spinning
-#: only helps when waiters and workers can run simultaneously; on a
-#: single-core host it steals the quantum the peer needs to make
-#: progress, so it is disabled there.
-SPIN_COUNT = 200 if (os.cpu_count() or 1) > 2 else 0
-
-_MAGIC = 0x5249_4E47  # "RING"
-_WRAP = 0x57_52_41_50  # "WRAP"
-_CTRL = 64  # control block size
-_HDR = 16  # frame header size
-_HDR_FMT = "<III4x"  # magic, length, crc32, reserved
 
 #: Segments created (and therefore owned) by this process.
 _OWNED: Dict[str, shared_memory.SharedMemory] = {}
@@ -171,149 +137,3 @@ def _cleanup_at_exit() -> None:  # pragma: no cover - exit hook
         except Exception:
             pass
     _OWNED.clear()
-
-
-def _pad8(n: int) -> int:
-    return (n + 7) & ~7
-
-
-class ShmRing:
-    """A framed SPSC byte ring in one shared-memory segment.
-
-    One process calls :meth:`create` (and later owns the unlink), the
-    peer calls :meth:`attach` with the segment name.  ``send``/``recv``
-    poll with a short spin then a 50 µs sleep; both take a timeout and
-    an optional ``liveness`` callback so a caller can turn "my peer
-    died" into a clean :class:`TransportError` instead of waiting out
-    the clock.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, owner: bool):
-        self._shm = shm
-        self.owner = owner
-        self.capacity = shm.size - _CTRL
-        if self.capacity < 1024 or self.capacity % 8:
-            raise ValueError(f"ring capacity {self.capacity} unusable")
-        self._ctrl = np.ndarray((2,), dtype=np.uint64, buffer=shm.buf, offset=0)
-        self._data = shm.buf[_CTRL:]
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @classmethod
-    def create(cls, capacity: int = 1 << 20, hint: str = "ring") -> "ShmRing":
-        shm = create_segment(_CTRL + _pad8(capacity), hint)
-        ring = cls(shm, owner=True)
-        ring._ctrl[:] = 0
-        return ring
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmRing":
-        return cls(attach_segment(name), owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def close(self) -> None:
-        self._ctrl = None  # type: ignore[assignment]
-        self._data = None  # type: ignore[assignment]
-        release_segment(self._shm)
-
-    # -- polling -------------------------------------------------------------
-
-    def _wait(
-        self,
-        ready: Callable[[], bool],
-        timeout: Optional[float],
-        liveness: Optional[Callable[[], bool]],
-        what: str,
-    ) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        spins = 0
-        while not ready():
-            spins += 1
-            if spins > SPIN_COUNT:
-                time.sleep(50e-6)
-            if liveness is not None and spins % 1000 == 0 and not liveness():
-                raise TransportError(f"peer died while waiting to {what}")
-            if deadline is not None and time.monotonic() > deadline:
-                raise TransportError(f"timed out waiting to {what} "
-                                     f"({timeout}s) on ring {self.name}")
-
-    # -- send / recv ---------------------------------------------------------
-
-    def send(
-        self,
-        payload: bytes,
-        timeout: Optional[float] = 30.0,
-        liveness: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        need = _HDR + _pad8(len(payload))
-        if need + 8 > self.capacity:
-            raise TransportError(
-                f"frame of {len(payload)} bytes exceeds ring capacity "
-                f"{self.capacity}"
-            )
-        cap = self.capacity
-        tail = int(self._ctrl[1])
-        pos = tail % cap
-        skip = cap - pos if cap - pos < need else 0
-        total = need + skip
-        self._wait(
-            lambda: cap - (int(self._ctrl[1]) - int(self._ctrl[0])) >= total,
-            timeout,
-            liveness,
-            "send",
-        )
-        if skip:
-            if cap - pos >= 4:
-                struct.pack_into("<I", self._data, pos, _WRAP)
-            tail += skip
-            pos = 0
-        crc = zlib.crc32(payload)
-        struct.pack_into(_HDR_FMT, self._data, pos, _MAGIC, len(payload), crc)
-        self._data[pos + _HDR : pos + _HDR + len(payload)] = payload
-        # Publish after the frame is fully written (x86/ARM64 store order
-        # plus the interpreter's own barriers make this safe in practice).
-        self._ctrl[1] = tail + need
-
-    def recv(
-        self,
-        timeout: Optional[float] = 30.0,
-        liveness: Optional[Callable[[], bool]] = None,
-    ) -> bytes:
-        cap = self.capacity
-        while True:
-            self._wait(
-                lambda: int(self._ctrl[1]) - int(self._ctrl[0]) > 0,
-                timeout,
-                liveness,
-                "recv",
-            )
-            head = int(self._ctrl[0])
-            pos = head % cap
-            if cap - pos < _HDR:
-                self._ctrl[0] = head + (cap - pos)
-                continue
-            magic = struct.unpack_from("<I", self._data, pos)[0]
-            if magic == _WRAP:
-                self._ctrl[0] = head + (cap - pos)
-                continue
-            if magic != _MAGIC:
-                raise TransportError(
-                    f"garbage frame on ring {self.name}: magic 0x{magic:08x}"
-                )
-            _, length, crc = struct.unpack_from(_HDR_FMT, self._data, pos)[:3]
-            need = _HDR + _pad8(length)
-            if need > cap - pos or need > int(self._ctrl[1]) - head:
-                raise TransportError(
-                    f"truncated frame on ring {self.name}: "
-                    f"{length} bytes claimed, frame exceeds ring contents"
-                )
-            payload = bytes(self._data[pos + _HDR : pos + _HDR + length])
-            if zlib.crc32(payload) != crc:
-                raise TransportError(
-                    f"frame checksum mismatch on ring {self.name}"
-                )
-            self._ctrl[0] = head + need
-            return payload

@@ -175,6 +175,33 @@ class TestDifferentialByteIdentity:
                 fs.close()
         assert outs["thread"] == outs["process"]
 
+    @pytest.mark.parametrize(
+        "file_part, view_part, nbytes",
+        [
+            (round_robin(4, 64), round_robin(1, 64), 40 << 20),
+            (round_robin(4, 2), round_robin(2, 3), 4 << 20),
+        ],
+        ids=["40MiB-contiguous", "4MiB-cyclic2x3-over-cyclic4x2"],
+    )
+    def test_single_large_request_identical(self, file_part, view_part,
+                                            nbytes):
+        """One request whose payload, or whose job segment lists, are
+        larger than any fixed-size shared buffer the pool could hold."""
+        data = np.random.default_rng(11).integers(0, 256, nbytes,
+                                                  dtype=np.uint8)
+        outs = {}
+        for mode in ("thread", "process"):
+            fs = Clusterfile(ClusterConfig(), workers_mode=mode)
+            try:
+                fs.create("big", file_part)
+                fs.set_view("big", 0, view_part, element=0)
+                fs.write("big", [(0, 0, data)], to_disk=True)
+                (out,) = fs.read("big", [(0, 0, nbytes)], from_disk=True)
+                outs[mode] = bytes(out)
+            finally:
+                fs.close()
+        assert outs["process"] == outs["thread"] == bytes(data)
+
     def test_checkpoint_store_process_mode(self):
         rng = np.random.default_rng(13)
         arr = rng.integers(0, 256, 2048, dtype=np.uint8)
@@ -221,6 +248,20 @@ class TestTelemetryAcrossProcesses:
         snap = obs_metrics.snapshot()
         assert snap.get("mp.worker.batches", 0) > 0
         assert snap.get("mp.worker.jobs", 0) > 0
+
+    def test_idle_workers_get_no_command(self):
+        fs = Clusterfile(ClusterConfig(), workers_mode="process", workers=2)
+        try:
+            fs.create("t", round_robin(4, 64))
+            fs.set_view("t", 0, round_robin(4, 64), element=0)
+            batches = _counter("mp.worker.batches")
+            # 64 bytes at view offset 0 all land in subfile 0, which
+            # worker 0 of 2 owns.
+            fs.write("t", [(0, 0, np.zeros(64, dtype=np.uint8))],
+                     to_disk=True)
+            assert _counter("mp.worker.batches") - batches == 1
+        finally:
+            fs.close()
 
     def test_trace_cli_round_trips_process_mode(self, tmp_path):
         out = tmp_path / "trace.json"

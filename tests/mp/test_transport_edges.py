@@ -1,17 +1,18 @@
-"""Transport edge cases shared by all three transports.
+"""Transport edge cases: the simulated and direct transports, and the
+process pool's pipe and segment registry.
 
 Every transport must take the degenerate shapes in stride: zero-byte
-segments, a node sending only to itself, and single-node exchanges.
-The shared-memory transport additionally turns wire-level corruption
-(truncated/garbage frames) and missing peers into a clean
-:class:`TransportError` instead of a hang — those paths are exercised
-here with plain threads as ranks, which works because all transport
-state lives in shared memory.
+messages, a node sending only to itself, and single-node exchanges.
+The process pool must turn a worker that dies while the parent waits
+on it into a clean :class:`WorkerCrashed` instead of a hang, and the
+segment registry must unlink what this process created.
 """
 
+import os
+import signal
 import threading
+import time
 
-import numpy as np
 import pytest
 
 from repro.clusterfile.engine import (
@@ -19,126 +20,10 @@ from repro.clusterfile.engine import (
     SimMessage,
     SimulatedTransport,
 )
-from repro.mp.shm import TransportError
-from repro.mp.transport import SharedMemoryTransport
+from repro.mp.pool import ProcessPoolExecutorBackend, WorkerCrashed
+from repro.mp.shm import create_segment, release_segment, shm_segments_alive
 from repro.simulation import Cluster, ClusterConfig
 from repro.simulation.network import NetworkModel
-
-
-def _threaded_exchange(transport, outboxes, timeout=30.0):
-    """Run one alltoallv round with one thread per rank; returns the
-    per-rank inboxes (or raises the first rank's error).
-
-    Each non-creator rank attaches its own instance through the
-    picklable handle — the barrier epoch is instance-local state, one
-    instance per rank, exactly as worker processes do it.
-    """
-    n = transport.nprocs
-    inboxes = [None] * n
-    errors = []
-    handle = transport.handle()
-
-    def rank_main(r, inst):
-        try:
-            inboxes[r] = inst.alltoallv(r, outboxes[r], timeout=timeout)
-        except Exception as e:  # noqa: BLE001 - surfaced below
-            errors.append(e)
-        finally:
-            if inst is not transport:
-                inst.close()
-
-    threads = [
-        threading.Thread(
-            target=rank_main,
-            args=(r, SharedMemoryTransport.from_handle(handle)),
-        )
-        for r in range(1, n)
-    ]
-    for t in threads:
-        t.start()
-    rank_main(0, transport)
-    for t in threads:
-        t.join(timeout=timeout + 10)
-    if errors:
-        raise errors[0]
-    return inboxes
-
-
-class TestSharedMemoryTransportEdges:
-    def test_zero_byte_segments_cost_nothing(self):
-        with_closing = SharedMemoryTransport(2, region_bytes=1 << 16)
-        try:
-            empty = np.empty(0, dtype=np.uint8)
-            outboxes = [
-                [(1, empty), (1, np.arange(4, dtype=np.uint8)), (0, empty)],
-                [(0, empty)],
-            ]
-            inboxes = _threaded_exchange(with_closing, outboxes)
-            assert inboxes[0][1].size == 0  # rank1 sent nothing real
-            np.testing.assert_array_equal(
-                inboxes[1][0], np.arange(4, dtype=np.uint8)
-            )
-            assert inboxes[1][1].size == 0
-        finally:
-            with_closing.close()
-
-    def test_self_send_only(self):
-        t = SharedMemoryTransport(2, region_bytes=1 << 16)
-        try:
-            data = np.arange(32, dtype=np.uint8)
-            outboxes = [[(0, data)], []]
-            inboxes = _threaded_exchange(t, outboxes)
-            np.testing.assert_array_equal(inboxes[0][0], data)
-            assert inboxes[0][1].size == 0
-            assert all(b.size == 0 for b in inboxes[1])
-        finally:
-            t.close()
-
-    def test_single_node_exchange_is_a_memcpy(self):
-        t = SharedMemoryTransport(1, region_bytes=1 << 16)
-        try:
-            data = np.arange(64, dtype=np.uint8)
-            (inbox,) = [t.alltoallv(0, [(0, data)])]
-            np.testing.assert_array_equal(inbox[0], data)
-        finally:
-            t.close()
-
-    def test_segment_order_is_senders_enqueue_order(self):
-        t = SharedMemoryTransport(2, region_bytes=1 << 16)
-        try:
-            a = np.full(3, 1, dtype=np.uint8)
-            b = np.full(5, 2, dtype=np.uint8)
-            outboxes = [[(1, a), (1, b)], []]
-            inboxes = _threaded_exchange(t, outboxes)
-            np.testing.assert_array_equal(
-                inboxes[1][0], np.concatenate([a, b])
-            )
-        finally:
-            t.close()
-
-    def test_overflowing_region_raises_cleanly(self):
-        t = SharedMemoryTransport(1, region_bytes=1024)
-        try:
-            with pytest.raises(TransportError, match="send region"):
-                t.alltoallv(0, [(0, np.zeros(4096, dtype=np.uint8))])
-        finally:
-            t.close()
-
-    def test_missing_peer_times_out_not_hangs(self):
-        t = SharedMemoryTransport(2, region_bytes=1 << 16)
-        try:
-            with pytest.raises(TransportError, match="timed out"):
-                t.alltoallv(0, [], timeout=0.2)
-        finally:
-            t.close()
-
-    def test_dead_peer_liveness_raises(self):
-        t = SharedMemoryTransport(2, region_bytes=1 << 16)
-        try:
-            with pytest.raises(TransportError, match="peer died"):
-                t.alltoallv(0, [], timeout=30.0, liveness=lambda: False)
-        finally:
-            t.close()
 
 
 class TestSimulatedTransportEdges:
@@ -187,3 +72,32 @@ class TestDirectTransportEdges:
     def test_no_network_model_moves_free_but_counted(self):
         messages, off_node, time_s = DirectTransport(None).cost([(0, 1, 64)])
         assert messages == 1 and off_node == 64 and time_s == 0.0
+
+
+class TestPoolWaits:
+    def test_worker_killed_while_parent_waits_raises_worker_crashed(self):
+        before = set(shm_segments_alive())
+        backend = ProcessPoolExecutorBackend(processes=2)
+        victim = backend._procs[1]
+        killer = threading.Timer(0.2, os.kill, (victim.pid, signal.SIGKILL))
+        t0 = time.monotonic()
+        killer.start()
+        try:
+            # No command was sent, so only the worker's death ends the
+            # wait; the 60 s timeout must not be what does.
+            with pytest.raises(WorkerCrashed, match="died"):
+                backend._recv(1, timeout=60.0)
+        finally:
+            killer.join()
+        assert time.monotonic() - t0 < 5.0
+        assert backend.closed
+        assert set(shm_segments_alive()) == before
+
+
+class TestSegmentRegistry:
+    def test_close_unlinks_owned_segment(self):
+        seg = create_segment(2048, "gone")
+        name = seg.name
+        assert name in shm_segments_alive()
+        release_segment(seg)
+        assert name not in shm_segments_alive()
