@@ -16,8 +16,8 @@ Functions and Data Redistribution for Parallel Files* (IPPS 2002):
   schedules and executors (plus the per-byte baselines the paper argues
   against);
 * :mod:`repro.simulation` — the simulated 2001-era cluster (Myrinet
-  network, IDE disk, buffer cache, discrete-event engine) standing in
-  for the paper's testbed;
+  network, IDE disk, buffer cache cost models) standing in for the
+  paper's testbed;
 * :mod:`repro.clusterfile` — the Clusterfile parallel file system case
   study: subfiles, views, and the instrumented write/read paths;
 * :mod:`repro.bench` — the harness regenerating the paper's Tables 1

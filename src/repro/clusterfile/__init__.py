@@ -1,12 +1,12 @@
 """Clusterfile: the paper's case-study parallel file system (simulated)."""
 
-from .client import OperationResult, WriteRequest, parallel_read, parallel_write
 from .collective import (
     CollectiveResult,
     file_domain_partition,
     two_phase_read,
     two_phase_write,
 )
+from .engine import OperationResult, WriteRequest
 from .file_model import ClusterFile, SubfileStore
 from .fs import Clusterfile
 from .relayout import RelayoutResult, relayout
@@ -26,8 +26,6 @@ __all__ = [
     "View",
     "WriteRequest",
     "file_domain_partition",
-    "parallel_read",
-    "parallel_write",
     "relayout",
     "set_view",
     "two_phase_read",

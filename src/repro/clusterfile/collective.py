@@ -35,8 +35,7 @@ from ..core.falls import Falls
 from ..core.partition import Partition
 from ..redistribution.gather_scatter import as_flat_bytes
 from ..redistribution.plan_cache import get_plan
-from .client import OperationResult
-from .engine import run_shuffle
+from .engine import OperationResult, run_shuffle
 from .fs import Clusterfile
 
 __all__ = [

@@ -11,10 +11,10 @@ this module is ours.
 
 Two transports plug into the pipeline:
 
-* :class:`SimulatedTransport` — the discrete-event exchange on the
+* :class:`SimulatedTransport` — the FIFO stage schedule of the
   simulated cluster (sender-NIC serialisation, I/O-node CPU and disk
-  FIFOs, header/ack pricing), used by the client write/read paths and
-  by re-layout's disk-to-disk moves;
+  queues, header/ack pricing), used by the write/read paths and by
+  re-layout's disk-to-disk moves;
 * :class:`DirectTransport` — synchronous in-process movement with an
   alpha-beta cost model, used by the memory-memory paths (collective
   shuffle, checkpoint resharding).
@@ -44,6 +44,7 @@ ok, no checksum.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -244,16 +245,18 @@ class SimMessage:
     """One message on the simulated cluster, transport-agnostic form.
 
     ``lane`` serialises the sender side (a NIC, a source disk);
-    ``stages`` are destination resources acquired in order, each
-    optionally recording its completion (plus ``ack_s``) into the named
-    timeline bucket keyed by ``key``.
+    ``stages`` are ``(resource, service_s, label)`` triples served in
+    order, where ``resource`` names a FIFO destination device (an
+    :class:`~repro.simulation.cluster.IONode`'s ``cpu`` or
+    ``disk_queue``) and a non-``None`` ``label`` records the stage's
+    completion (plus ``ack_s``) into that timeline bucket under ``key``.
     """
 
     key: Hashable
     lane: Hashable
     lane_s: float
     post_lane_s: float = 0.0
-    stages: Tuple[Tuple[object, float, Optional[str]], ...] = ()
+    stages: Tuple[Tuple[str, float, Optional[str]], ...] = ()
     ack_s: float = 0.0
     #: A message lost (or rejected) in flight: the sender still burns
     #: its lane time, but no destination stage runs and no completion
@@ -262,12 +265,18 @@ class SimMessage:
 
 
 class SimulatedTransport:
-    """Event-queue transport: lanes, wire latency, destination FIFOs.
+    """FIFO stage schedule: sender lanes, wire latency, destination
+    resources that serve one stage at a time.
 
-    Runs one batch of :class:`SimMessage` through a fresh operation
-    timeline and returns per-label completion maps, e.g. ``{"bc":
-    {compute: t}, "disk": {compute: t}}`` — "limited by the slowest I/O
-    server" falls out of the max-merge per key.
+    Each call prices one batch of :class:`SimMessage` on its own clock
+    starting at 0 with every lane and resource free, so concurrent
+    operations never see each other's reservations.  Stages are served
+    in arrival order; arrivals at the same instant are served in
+    submission order (first stages in message order, later stages in
+    the order their predecessors were served).  Returns per-label
+    completion maps, e.g. ``{"bc": {compute: t}, "disk": {compute:
+    t}}`` — "limited by the slowest I/O server" falls out of the
+    max-merge per key.
     """
 
     def __init__(self, cluster: Cluster):
@@ -278,36 +287,40 @@ class SimulatedTransport:
         messages: Sequence[SimMessage],
         trace_span: Optional[Span] = None,
     ) -> Dict[str, Dict[Hashable, float]]:
-        queue = self.cluster.new_operation()
-        queue.trace_span = trace_span
         lane_free: Dict[Hashable, float] = {}
+        free: Dict[str, float] = {}
         done: Dict[str, Dict[Hashable, float]] = {}
-
-        def chain(msg: SimMessage, stage_idx: int) -> None:
-            resource, service_s, label = msg.stages[stage_idx]
-
-            def after(_start: float, stage_end: float) -> None:
-                if label is not None:
-                    bucket = done.setdefault(label, {})
-                    t = stage_end + msg.ack_s
-                    bucket[msg.key] = max(bucket.get(msg.key, 0.0), t)
-                if stage_idx + 1 < len(msg.stages):
-                    chain(msg, stage_idx + 1)
-
-            resource.acquire(queue, service_s, after)
-
+        # (arrival time, submission seq, message, stage index)
+        heap: List[Tuple[float, int, SimMessage, int]] = []
         n_dropped = 0
         for msg in messages:
-            start = lane_free.get(msg.lane, 0.0)
-            lane_end = start + msg.lane_s
+            lane_end = lane_free.get(msg.lane, 0.0) + msg.lane_s
             lane_free[msg.lane] = lane_end
             if msg.dropped:
                 n_dropped += 1
-                continue
-            if not msg.stages:
-                continue
-            queue.at(lane_end + msg.post_lane_s, lambda msg=msg: chain(msg, 0))
-        queue.run()
+            elif msg.stages:
+                heap.append((lane_end + msg.post_lane_s, len(heap), msg, 0))
+        heapq.heapify(heap)
+        seq = len(heap)
+        while heap:
+            now, _, msg, i = heapq.heappop(heap)
+            resource, service_s, label = msg.stages[i]
+            if service_s < 0:
+                raise ValueError(f"negative service time {service_s}")
+            start = max(now, free.get(resource, 0.0))
+            end = free[resource] = start + service_s
+            if trace_span is not None:
+                trace_span.record_sim(resource, start, end)
+            if label is not None:
+                bucket = done.setdefault(label, {})
+                t = end + msg.ack_s
+                bucket[msg.key] = max(bucket.get(msg.key, 0.0), t)
+            if i + 1 < len(msg.stages):
+                # ``now + (end - now)``, not ``end``: it can differ in
+                # the last bit, and the modelled columns are pinned to
+                # this expression.
+                heapq.heappush(heap, (now + (end - now), seq, msg, i + 1))
+                seq += 1
         if n_dropped and trace_span is not None:
             trace_span.annotate(dropped=n_dropped)
         if n_dropped:

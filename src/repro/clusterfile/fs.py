@@ -25,7 +25,7 @@ import numpy as np
 from ..core.partition import Partition
 from ..redistribution.gather_scatter import as_flat_bytes
 from ..simulation.cluster import Cluster, ClusterConfig
-from .client import OperationResult, WriteRequest, parallel_read, parallel_write
+from .engine import IOEngine, OperationResult, WriteRequest
 from .file_model import ClusterFile
 from .view import View, set_view
 
@@ -198,6 +198,30 @@ class Clusterfile:
 
     # -- data operations -------------------------------------------------
 
+    def _engine(self) -> IOEngine:
+        """An engine over the current settings.  Built per operation:
+        a :class:`~repro.service.FileService` reassigns ``backend``
+        after construction."""
+        return IOEngine(
+            self.cluster,
+            self.fault_injector,
+            self.retry_policy,
+            backend=self.backend,
+        )
+
+    def _requests(self, name: str, accesses, buffers) -> List[WriteRequest]:
+        """One request per ``(compute_node, view_offset, _)`` access,
+        covering its buffer."""
+        return [
+            WriteRequest(
+                view=self.view_of(name, node),
+                lo=off,
+                hi=off + buf.size - 1,
+                buf=buf,
+            )
+            for (node, off, _), buf in zip(accesses, buffers)
+        ]
+
     def write(
         self,
         name: str,
@@ -208,23 +232,8 @@ class Clusterfile:
         ``(compute_node, view_offset, data)`` triples."""
         f = self.open(name)
         buffers = [as_flat_bytes(data, "data") for _, _, data in accesses]
-        requests = [
-            WriteRequest(
-                view=self.view_of(name, node),
-                lo=off,
-                hi=off + buf.size - 1,
-                buf=buf,
-            )
-            for (node, off, _), buf in zip(accesses, buffers)
-        ]
-        return parallel_write(
-            self.cluster,
-            f,
-            requests,
-            to_disk=to_disk,
-            injector=self.fault_injector,
-            retry_policy=self.retry_policy,
-            backend=self.backend,
+        return self._engine().write(
+            f, self._requests(name, accesses, buffers), to_disk=to_disk
         )
 
     def read(
@@ -235,27 +244,7 @@ class Clusterfile:
     ) -> List[np.ndarray]:
         """Concurrent view reads: ``accesses`` is a list of
         ``(compute_node, view_offset, length)``; returns the buffers."""
-        f = self.open(name)
-        buffers = [np.zeros(length, dtype=np.uint8) for _, _, length in accesses]
-        requests = [
-            WriteRequest(
-                view=self.view_of(name, node),
-                lo=off,
-                hi=off + length - 1,
-                buf=buf,
-            )
-            for (node, off, length), buf in zip(accesses, buffers)
-        ]
-        parallel_read(
-            self.cluster,
-            f,
-            requests,
-            from_disk=from_disk,
-            injector=self.fault_injector,
-            retry_policy=self.retry_policy,
-            backend=self.backend,
-        )
-        return buffers
+        return self.read_with_result(name, accesses, from_disk)[0]
 
     def read_with_result(
         self,
@@ -267,23 +256,8 @@ class Clusterfile:
         :class:`OperationResult` timings."""
         f = self.open(name)
         buffers = [np.zeros(length, dtype=np.uint8) for _, _, length in accesses]
-        requests = [
-            WriteRequest(
-                view=self.view_of(name, node),
-                lo=off,
-                hi=off + length - 1,
-                buf=buf,
-            )
-            for (node, off, length), buf in zip(accesses, buffers)
-        ]
-        result = parallel_read(
-            self.cluster,
-            f,
-            requests,
-            from_disk=from_disk,
-            injector=self.fault_injector,
-            retry_policy=self.retry_policy,
-            backend=self.backend,
+        result = self._engine().read(
+            f, self._requests(name, accesses, buffers), from_disk=from_disk
         )
         return buffers, result
 

@@ -40,7 +40,8 @@ class RelayoutResult:
     cross_node_messages: int
     #: Simulated makespan of the whole re-layout, seconds.
     makespan_s: float
-    #: Simulated busy time per destination disk, seconds.
+    #: Simulated busy time of this re-layout's writes per I/O-node
+    #: disk, seconds (every node present, idle ones at 0.0).
     disk_busy_s: Dict[int, float]
     #: True when old and new layouts matched element-for-element (the
     #: re-layout degenerated to local copies).
@@ -121,7 +122,10 @@ def relayout(
         transfers=plan.message_count,
         cross_node_messages=cross,
         makespan_s=makespan_s,
-        disk_busy_s={n.index: n.disk_queue.busy_time for n in cluster.io},
+        disk_busy_s={
+            n.index: sum((sp.sim_s for sp in trace.find_all(n.disk_queue)), 0.0)
+            for n in cluster.io
+        },
         was_identity=plan.is_identity,
         trace=trace,
         retries=sum(

@@ -5,8 +5,8 @@ A :class:`Span` is one named phase of work.  It can carry
 * a **wall-clock** duration — real ``perf_counter`` time of our
   algorithms (the paper's *measured* numbers: ``t_i``, ``t_m``,
   ``t_g``), and/or
-* a **simulation-clock** interval — modelled time on the discrete-event
-  timeline (the paper's *modelled* numbers: network serialisation, I/O
+* a **simulation-clock** interval — modelled time on an operation's
+  FIFO stage schedule (the paper's *modelled* numbers: network serialisation, I/O
   node CPU queueing, disk positioning),
 
 plus free-form attributes and child spans.  One span tree therefore
@@ -20,7 +20,8 @@ Two ways to build trees:
 * **implicit** — :func:`open_span` nests under the thread's current
   span (or becomes a root of the thread's active :class:`Tracer`), so
   layers that never see each other's objects — the I/O engine, the
-  redistribution executor, the event queue — still land in one tree.
+  redistribution executor, the simulated transport — still land in one
+  tree.
 
 Spans are plain data; exporters live in :mod:`repro.obs.export`.
 """

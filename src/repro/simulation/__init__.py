@@ -1,28 +1,25 @@
-"""Simulated cluster substrate: events, network, disk, cache, metrics."""
+"""Simulated cluster substrate: network, disk and cache cost models,
+the node layout, and the Table 1/2 breakdown records.  The FIFO stage
+schedule that prices an operation on these models is
+:class:`repro.clusterfile.engine.SimulatedTransport`."""
 
 from .cache import MemoryModel
-from .cluster import Cluster, ClusterConfig, ComputeNode, IONode
+from .cluster import Cluster, ClusterConfig, IONode
 from .disk import DiskHead, DiskModel, write_time_for_segments
-from .events import EventQueue, Resource
-from .metrics import ScatterBreakdown, Stopwatch, WriteBreakdown, mean_breakdown
+from .metrics import ScatterBreakdown, WriteBreakdown
 from .network import Network, NetworkModel, NetworkStats
 
 __all__ = [
     "Cluster",
     "ClusterConfig",
-    "ComputeNode",
     "DiskHead",
     "DiskModel",
-    "EventQueue",
     "IONode",
     "MemoryModel",
     "Network",
     "NetworkModel",
     "NetworkStats",
-    "Resource",
     "ScatterBreakdown",
-    "Stopwatch",
     "WriteBreakdown",
-    "mean_breakdown",
     "write_time_for_segments",
 ]

@@ -17,10 +17,9 @@ from typing import List
 
 from .cache import MemoryModel
 from .disk import DiskHead, DiskModel
-from .events import EventQueue, Resource
 from .network import Network, NetworkModel
 
-__all__ = ["ClusterConfig", "ComputeNode", "IONode", "Cluster"]
+__all__ = ["ClusterConfig", "IONode", "Cluster"]
 
 
 @dataclass(frozen=True)
@@ -50,18 +49,15 @@ class ClusterConfig:
             raise ValueError(f"header_bytes must be >= 0, got {self.header_bytes}")
 
 
-class ComputeNode:
-    """An application host: issues view I/O."""
-
-    def __init__(self, index: int):
-        self.index = index
-        self.name = f"compute{index}"
-
-
 class IONode:
     """An I/O server host: one subfile store and one disk behind a
     FIFO CPU and a FIFO disk queue.  The buffer cache holds no state:
     it is the ``config.memory`` cost model.
+
+    ``cpu`` and ``disk_queue`` are the names of the two FIFO resources
+    (``"io0.cpu"``, ``"io0.disk"``): the key a
+    :class:`~repro.clusterfile.engine.SimMessage` stage queues on and
+    the name of the simulation-clock span it records.
 
     ``disk_model`` overrides the cluster-wide disk model for this node —
     heterogeneous clusters (one aging drive) are how the paper's
@@ -78,17 +74,17 @@ class IONode:
         self.index = index
         self.name = f"io{index}"
         self.disk = DiskHead(disk_model or config.disk)
-        self.cpu = Resource(f"{self.name}.cpu")
-        self.disk_queue = Resource(f"{self.name}.disk")
+        self.cpu = f"{self.name}.cpu"
+        self.disk_queue = f"{self.name}.disk"
 
 
 class Cluster:
-    """Simulation container: nodes plus a shared network and event queue.
+    """Simulation container: I/O nodes plus a shared network.
 
-    A fresh :class:`EventQueue` is created per operation via
-    :meth:`new_operation` so operation timings are independent, while
-    device state (disk head position, traffic stats)
-    persists across operations like on a real cluster.
+    Each operation's resource schedule starts free (see
+    :class:`~repro.clusterfile.engine.SimulatedTransport`), while
+    device state (disk head position, traffic stats) persists across
+    operations like on a real cluster.
     """
 
     def __init__(
@@ -103,25 +99,10 @@ class Cluster:
                 f"({self.config.io_nodes}), got {len(disk_models)}"
             )
         self.network = Network(self.config.network)
-        self.compute: List[ComputeNode] = [
-            ComputeNode(i) for i in range(self.config.compute_nodes)
-        ]
         self.io: List[IONode] = [
             IONode(i, self.config, disk_models[i] if disk_models else None)
             for i in range(self.config.io_nodes)
         ]
-
-    def new_operation(self) -> EventQueue:
-        """Start a fresh operation timeline.
-
-        The returned queue *is* the operation context: it owns the
-        resource schedule clocks (every timeline starts at 0 with all
-        resources free), so concurrent operations on separate queues
-        are fully re-entrant.  Physical device state — disk head
-        positions, traffic statistics — persists
-        across operations, like on a real cluster.
-        """
-        return EventQueue()
 
     def io_node_for(self, subfile: int) -> IONode:
         """Subfiles are assigned to I/O nodes round-robin, one subfile per

@@ -1,4 +1,4 @@
-"""Timing instrumentation and breakdown records.
+"""Breakdown records for the paper's two tables.
 
 The evaluation reports two tables of phase timings (in microseconds):
 
@@ -15,57 +15,16 @@ Two kinds of numbers flow into these records:
   (intersection, mapping, gather), taken with ``perf_counter``; their
   *shape* across sizes and layouts is a property of the algorithms;
 * **modelled** — device times from the era cost models
-  (:mod:`repro.simulation`), marked by the ``model_`` prefix in field
+  (:mod:`repro.simulation`), marked ``modelled`` in the field
   comments, used wherever the paper's number is dominated by 2001
   hardware we do not have.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List
+from dataclasses import dataclass
 
-from ..obs.span import Span
-
-__all__ = ["Stopwatch", "WriteBreakdown", "ScatterBreakdown", "mean_breakdown"]
-
-
-class Stopwatch:
-    """Accumulates named wall-clock phases.
-
-    Backed by a span tree: every ``measure``/``add`` records a child
-    under :attr:`root`, and :attr:`totals` sums those children by name.
-    The classic dict-of-seconds API is unchanged, but the phases now
-    interoperate with the :mod:`repro.obs` exporters — pass
-    ``stopwatch.root`` to :func:`repro.obs.export.trace_to_chrome` and
-    the phases show up on the timeline.  Nested ``measure`` calls each
-    time their own child (the outer phase includes the inner one's
-    wall time, same as the historical behaviour).
-    """
-
-    def __init__(self, name: str = "stopwatch") -> None:
-        self.root = Span(name)
-
-    @contextmanager
-    def measure(self, phase: str) -> Iterator[None]:
-        with self.root.measure(phase):
-            yield
-
-    def add(self, phase: str, seconds: float) -> None:
-        self.root.record(phase, seconds)
-
-    @property
-    def totals(self) -> Dict[str, float]:
-        """Accumulated seconds per phase name (derived from the spans)."""
-        out: Dict[str, float] = {}
-        for sp in self.root.children:
-            out[sp.name] = out.get(sp.name, 0.0) + sp.wall_s
-        return out
-
-    def us(self, phase: str) -> float:
-        """Accumulated time of a phase in microseconds."""
-        return self.totals.get(phase, 0.0) * 1e6
+__all__ = ["WriteBreakdown", "ScatterBreakdown"]
 
 
 @dataclass
@@ -78,14 +37,6 @@ class WriteBreakdown:
     t_w_bc: float = 0.0  # modelled: full write, I/O nodes stop at cache
     t_w_disk: float = 0.0  # modelled: full write, flushed to disk
 
-    def __add__(self, other: "WriteBreakdown") -> "WriteBreakdown":
-        return WriteBreakdown(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
 
 @dataclass
 class ScatterBreakdown:
@@ -93,23 +44,3 @@ class ScatterBreakdown:
 
     t_sc_bc: float = 0.0  # modelled: scatter into the buffer cache
     t_sc_disk: float = 0.0  # modelled: scatter + flush to disk
-
-    def __add__(self, other: "ScatterBreakdown") -> "ScatterBreakdown":
-        return ScatterBreakdown(
-            t_sc_bc=self.t_sc_bc + other.t_sc_bc,
-            t_sc_disk=self.t_sc_disk + other.t_sc_disk,
-        )
-
-
-def mean_breakdown(items: List) -> "WriteBreakdown | ScatterBreakdown":
-    """Field-wise mean of a list of breakdown records."""
-    if not items:
-        raise ValueError("cannot average zero records")
-    cls = type(items[0])
-    out = cls()
-    for item in items:
-        out = out + item
-    n = len(items)
-    for f in fields(cls):
-        setattr(out, f.name, getattr(out, f.name) / n)
-    return out

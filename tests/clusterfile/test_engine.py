@@ -259,6 +259,145 @@ class TestSimulatedTransport:
         )
         assert done == {}
 
+    @staticmethod
+    def _sim_spans(root):
+        return [(c.name, c.sim_start_s, c.sim_end_s) for c in root.children]
+
+    def test_ties_served_in_submission_order(self):
+        """Three arrivals at t=1 on one CPU: served as submitted, not
+        by key or by service time."""
+        cluster = Cluster(ClusterConfig())
+        cpu = cluster.io[0].cpu
+        root = Span("transport")
+        done = SimulatedTransport(cluster).run(
+            [
+                SimMessage(key=k, lane=k, lane_s=1.0,
+                           stages=((cpu, s, "bc"),))
+                for k, s in (("z", 2.0), ("x", 1.0), ("y", 0.5))
+            ],
+            trace_span=root,
+        )
+        assert done["bc"] == {"z": 3.0, "x": 4.0, "y": 4.5}
+        assert self._sim_spans(root) == [
+            ("io0.cpu", 1.0, 3.0),
+            ("io0.cpu", 3.0, 4.0),
+            ("io0.cpu", 4.0, 4.5),
+        ]
+
+    def test_idle_resource_starts_at_arrival(self):
+        cluster = Cluster(ClusterConfig())
+        cpu = cluster.io[0].cpu
+        done = SimulatedTransport(cluster).run([
+            SimMessage(key="a", lane="l0", lane_s=0.0,
+                       stages=((cpu, 1.0, "bc"),)),
+            SimMessage(key="b", lane="l1", lane_s=10.0,
+                       stages=((cpu, 1.0, "bc"),)),
+        ])
+        assert done["bc"] == {"a": 1.0, "b": 11.0}
+
+    def test_second_stage_overlaps_then_queues(self):
+        """b's CPU stage runs while a's disk stage does; b's disk stage
+        then waits for a's to finish."""
+        cluster = Cluster(ClusterConfig())
+        node = cluster.io[0]
+        stages = ((node.cpu, 1.0, "bc"), (node.disk_queue, 4.0, "disk"))
+        root = Span("transport")
+        done = SimulatedTransport(cluster).run(
+            [
+                SimMessage(key="a", lane="l0", lane_s=0.0, stages=stages),
+                SimMessage(key="b", lane="l1", lane_s=0.5, stages=stages),
+            ],
+            trace_span=root,
+        )
+        assert done == {"bc": {"a": 1.0, "b": 2.0},
+                        "disk": {"a": 5.0, "b": 9.0}}
+        assert self._sim_spans(root) == [
+            ("io0.cpu", 0.0, 1.0),
+            ("io0.cpu", 1.0, 2.0),
+            ("io0.disk", 1.0, 5.0),
+            ("io0.disk", 5.0, 9.0),
+        ]
+
+    def test_negative_service_time_rejected(self):
+        cluster = Cluster(ClusterConfig())
+        cpu = cluster.io[0].cpu
+        with pytest.raises(ValueError, match="negative service time"):
+            SimulatedTransport(cluster).run([
+                SimMessage(key="k", lane="l", lane_s=0.0,
+                           stages=((cpu, -0.1, "bc"),)),
+            ])
+
+    def test_sim_spans_in_service_order(self):
+        """Spans follow the modelled clock, not submission order, and
+        carry exact begin and end times."""
+        cluster = Cluster(ClusterConfig())
+        io0, io1 = cluster.io[0], cluster.io[1]
+        root = Span("transport")
+        SimulatedTransport(cluster).run(
+            [
+                SimMessage(key="a", lane="l0", lane_s=2.0,
+                           stages=((io0.cpu, 0.5, "bc"),)),
+                SimMessage(key="b", lane="l1", lane_s=1.0,
+                           stages=((io1.disk_queue, 0.25, None),)),
+                SimMessage(key="c", lane="l1", lane_s=0.75,
+                           post_lane_s=0.5, stages=((io0.cpu, 0.5, "bc"),)),
+            ],
+            trace_span=root,
+        )
+        assert self._sim_spans(root) == [
+            ("io1.disk", 1.0, 1.25),
+            ("io0.cpu", 2.0, 2.5),
+            ("io0.cpu", 2.5, 3.0),
+        ]
+
+    def test_concurrent_runs_match_serial(self):
+        """Each run prices on its own clock: two threads sharing one
+        transport get exactly the serial results."""
+        import sys
+        import threading
+
+        cluster = Cluster(ClusterConfig())
+        transport = SimulatedTransport(cluster)
+        batch = [
+            SimMessage(
+                key=m % 4,
+                lane=("nic", m % 4),
+                lane_s=0.001 * (m + 1),
+                post_lane_s=0.0005,
+                stages=((cluster.io[m % 2].cpu, 0.003, "bc"),
+                        (cluster.io[m % 2].disk_queue, 0.01 * m, "disk")),
+                ack_s=0.0001,
+            )
+            for m in range(8)
+        ]
+
+        def priced():
+            root = Span("transport")
+            return transport.run(batch, trace_span=root), self._sim_spans(root)
+
+        serial = priced()
+        mismatches = []
+        start = threading.Barrier(2, timeout=30)
+
+        def worker():
+            start.wait()
+            for _ in range(200):
+                if priced() != serial:
+                    mismatches.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
+
 
 class TestDirectTransport:
     def test_counts_and_cost(self):

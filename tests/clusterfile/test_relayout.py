@@ -88,6 +88,31 @@ class TestRelayout:
         assert after.messages < before_msgs
         assert before_g > 0
 
+    def test_disk_busy_counts_only_this_relayout(self):
+        """A prior to-disk write's disk stages are not the re-layout's."""
+        fs, data = make_file("c")
+        per = N * N // 4
+        fs.write(
+            "m",
+            [(c, 0, data[c * per : (c + 1) * per]) for c in range(4)],
+            to_disk=True,
+        )
+        res = relayout(fs, "m", matrix_partition("b", N, N, 4))
+        assert set(res.disk_busy_s) == {0, 1, 2, 3}
+        for n in range(4):
+            assert res.disk_busy_s[n] == sum(
+                sp.sim_s for sp in res.trace.find_all(f"io{n}.disk")
+            )
+
+    def test_disk_busy_lists_idle_nodes_at_zero(self):
+        fs = Clusterfile(ClusterConfig())
+        fs.create("m", round_robin(2, 8))
+        fs.set_view("m", 0, round_robin(1, 64), element=0)
+        fs.write("m", [(0, 0, np.ones(64, np.uint8))], to_disk=True)
+        res = relayout(fs, "m", round_robin(2, 16))
+        assert res.disk_busy_s[0] > 0.0 and res.disk_busy_s[1] > 0.0
+        assert res.disk_busy_s[2] == res.disk_busy_s[3] == 0.0
+
     def test_pattern_size_change(self):
         n = 32
         data = np.random.default_rng(3).integers(0, 256, n * n, dtype=np.uint8)

@@ -95,20 +95,19 @@ class TestSmallConversions:
 
 class TestParallelCallsDirect:
     def test_parallel_write_and_read_functions(self):
-        """Exercise parallel_write/parallel_read without the facade."""
+        """Exercise the engine's write/read without the facade."""
         from repro.clusterfile import ClusterFile, WriteRequest
-        from repro.clusterfile.client import parallel_read, parallel_write
+        from repro.clusterfile.engine import IOEngine
         from repro.clusterfile.view import set_view
         from repro.distributions import round_robin
         from repro.simulation import Cluster, ClusterConfig
 
-        cluster = Cluster(ClusterConfig(compute_nodes=2, io_nodes=2))
+        engine = IOEngine(Cluster(ClusterConfig(compute_nodes=2, io_nodes=2)))
         phys = round_robin(2, 4)
         cfile = ClusterFile("f", phys)
         views = [set_view(c, phys, c, phys) for c in range(2)]
         data = [np.arange(8, dtype=np.uint8) + 10 * c for c in range(2)]
-        result = parallel_write(
-            cluster,
+        result = engine.write(
             cfile,
             [WriteRequest(views[c], 0, 7, data[c]) for c in range(2)],
             to_disk=True,
@@ -116,8 +115,7 @@ class TestParallelCallsDirect:
         assert result.payload_bytes == 16
         assert set(result.per_compute) == {0, 1}
         out = [np.zeros(8, dtype=np.uint8) for _ in range(2)]
-        parallel_read(
-            cluster,
+        engine.read(
             cfile,
             [WriteRequest(views[c], 0, 7, out[c]) for c in range(2)],
             from_disk=True,

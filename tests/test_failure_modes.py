@@ -27,7 +27,6 @@ from repro import (
 from repro.clusterfile import Clusterfile, WriteRequest
 from repro.clusterfile.storage import FileBackedStore, FileStorage
 from repro.simulation import ClusterConfig
-from repro.simulation.events import EventQueue
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -234,33 +233,6 @@ class TestFileBackedDurability:
         assert any(root.iterdir())
         fs.unlink("f")
         assert not any(root.iterdir())
-
-
-class TestEventQueueResumption:
-    """run(until=...) pauses the clock without losing pending events —
-    the property the engine's per-round retry timeline relies on."""
-
-    def test_run_until_pauses_and_resumes(self):
-        q = EventQueue()
-        fired = []
-        for t in (1.0, 2.0, 3.0):
-            q.at(t, lambda t=t: fired.append(t))
-        assert q.run(until=1.5) == 1.5
-        assert fired == [1.0]
-        assert q.pending == 2
-        assert q.run() == 3.0
-        assert fired == [1.0, 2.0, 3.0]
-
-    def test_retransmit_scheduled_after_pause_lands_relative_to_now(self):
-        q = EventQueue()
-        fired = []
-        q.at(1.0, lambda: fired.append("attempt"))
-        q.at(3.0, lambda: fired.append("timeout"))
-        assert q.run(until=2.0) == 2.0  # paused with the timeout pending
-        # A retry scheduled mid-timeline is relative to the paused clock.
-        q.schedule(0.5, lambda: fired.append("retry"))
-        assert q.run() == pytest.approx(3.0)
-        assert fired == ["attempt", "retry", "timeout"]
 
 
 class TestPeriodicEdges:
