@@ -295,6 +295,45 @@ class TestSimulatedTransport:
         ])
         assert done["bc"] == {"a": 1.0, "b": 11.0}
 
+    def test_chained_stage_starts_at_predecessor_end(self):
+        """A message's disk stage is scheduled on its CPU stage's
+        completion, with no gap."""
+        cluster = Cluster(ClusterConfig())
+        node = cluster.io[0]
+        root = Span("transport")
+        done = SimulatedTransport(cluster).run(
+            [SimMessage(key="k", lane="l", lane_s=1.0,
+                        stages=((node.cpu, 0.5, "bc"),
+                                (node.disk_queue, 0.25, "disk")))],
+            trace_span=root,
+        )
+        assert done == {"bc": {"k": 1.5}, "disk": {"k": 1.75}}
+        assert self._sim_spans(root) == [
+            ("io0.cpu", 1.0, 1.5),
+            ("io0.disk", 1.5, 1.75),
+        ]
+
+    def test_busy_resource_serves_fifo(self):
+        """b arrives while a holds the disk: it starts when a ends and
+        the disk is busy back to back."""
+        cluster = Cluster(ClusterConfig())
+        disk = cluster.io[0].disk_queue
+        root = Span("transport")
+        done = SimulatedTransport(cluster).run(
+            [
+                SimMessage(key="a", lane="l0", lane_s=0.0,
+                           stages=((disk, 2.0, "disk"),)),
+                SimMessage(key="b", lane="l1", lane_s=1.0,
+                           stages=((disk, 3.0, "disk"),)),
+            ],
+            trace_span=root,
+        )
+        assert done["disk"] == {"a": 2.0, "b": 5.0}
+        assert self._sim_spans(root) == [
+            ("io0.disk", 0.0, 2.0),
+            ("io0.disk", 2.0, 5.0),
+        ]
+
     def test_second_stage_overlaps_then_queues(self):
         """b's CPU stage runs while a's disk stage does; b's disk stage
         then waits for a's to finish."""
