@@ -111,7 +111,8 @@ def set_view(
     Mirrors the paper's view-set step; the elapsed wall time is recorded
     as the view's ``t_i``.  The intersections and projections come from
     the process-wide plan cache: the first view set against a pattern
-    pair runs INTERSECT + PROJ for real, later ones reuse the schedule
+    pair builds it (INTERSECT + PROJ of every view and subfile in one
+    sweep), later ones reuse the schedule
     (their recorded ``t_i`` is correspondingly the residual lookup cost
     — call :func:`repro.redistribution.plan_cache.clear_plan_cache`
     first to measure a cold set).

@@ -17,13 +17,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .falls import Falls, FallsSet
 from .periodic import PeriodicFallsSet
-from .segments import SegmentArrays, leaf_segment_arrays_set
+from .segments import SegmentArrays, leaf_segment_arrays_set, run_heads
 
 __all__ = ["Partition", "PartitionError"]
 
@@ -102,10 +103,8 @@ class Partition:
                     f"element {idx} has interleaved FALLS footprints; "
                     "partition elements must be ordered for MAP to work"
                 )
-        starts, lengths = self._all_segments()
-        order = np.argsort(starts, kind="stable")
-        starts = starts[order]
-        stops = starts + lengths[order] - 1
+        starts, lengths, _ = self._segments()
+        stops = starts + lengths - 1
         if starts.size == 0:
             raise PartitionError("partition selects no bytes")
         if starts[0] != 0:
@@ -128,11 +127,16 @@ class Partition:
                 f"to {self.size}"
             )
 
-    def _all_segments(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _segments(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every element's leaf segments as ``(starts, lengths, owners)``,
+        sorted by start."""
         parts = [leaf_segment_arrays_set(e.falls) for e in self.elements]
-        starts = np.concatenate([p[0] for p in parts])
-        lengths = np.concatenate([p[1] for p in parts])
-        return starts, lengths
+        starts, lengths = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
+        owners = np.repeat(
+            np.arange(len(parts), dtype=np.int32), [p[0].size for p in parts]
+        )
+        order = np.argsort(starts, kind="stable")
+        return starts[order], lengths[order], owners[order]
 
     # -- accessors -----------------------------------------------------------
 
@@ -159,6 +163,15 @@ class Partition:
 
             total += count_below(self.elements[idx], rem)
         return total
+
+    @cached_property
+    def runs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The pattern's maximal same-owner runs as ``(starts, owners)``:
+        a run ends where the next begins (the last at ``size``), so one
+        ``searchsorted`` on ``starts`` finds the owner of any offset."""
+        starts, _, owners = self._segments()
+        heads = run_heads(owners)
+        return starts[heads], owners[heads]
 
     def element_segments(self, idx: int, lo: int, hi: int) -> SegmentArrays:
         """File-space byte segments element ``idx`` owns within
@@ -209,10 +222,10 @@ class Partition:
             )
         from .mapping import map_offset
 
-        for idx in range(self.num_elements):
-            if self.element_segments(idx, x, x)[0].size:
-                return idx, map_offset(self, idx, x)
-        raise PartitionError(f"offset {x} not covered by any element")  # pragma: no cover
+        starts, owners = self.runs
+        rem = (x - self.displacement) % self.size
+        idx = int(owners[np.searchsorted(starts, rem, "right") - 1])
+        return idx, map_offset(self, idx, x)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         inner = "; ".join(str(e) for e in self.elements)

@@ -21,6 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from .falls import FallsSet
+from .normalize import falls_set_from_segments
 from .segments import (
     SegmentArrays,
     clip_segments,
@@ -64,6 +65,20 @@ class PeriodicFallsSet:
                 f"period structure extends to {self.falls.extent_stop}, "
                 f"beyond period {self.period}"
             )
+
+    @classmethod
+    def from_segments(
+        cls, segs: SegmentArrays, displacement: int, period: int
+    ) -> "PeriodicFallsSet":
+        """One period's sorted, disjoint ``segs``, compressed once; their
+        merged form (``segs`` itself if already merged: do not write to it
+        later) is kept, so :meth:`segments_in` never re-expands the tree."""
+        out = cls(falls_set_from_segments(segs), displacement, period)
+        starts, lengths = segs
+        if np.any(starts[1:] == starts[:-1] + lengths[:-1]):
+            segs = merge_segment_arrays(segs)
+        out.__dict__["_period_segments"] = segs
+        return out
 
     @property
     def is_empty(self) -> bool:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .falls import FallsSet
 from .mapping import ElementMapper
-from .normalize import falls_set_from_segments
 from .partition import Partition
 from .periodic import PeriodicFallsSet
 
@@ -80,5 +79,4 @@ def project(
             "projected segments escape the projected period; the "
             "intersection is not a subset of the element"
         )
-    falls = falls_set_from_segments((rel, lengths))
-    return PeriodicFallsSet(falls, out_disp, out_period)
+    return PeriodicFallsSet.from_segments((rel, lengths), out_disp, out_period)

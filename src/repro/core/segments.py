@@ -23,6 +23,7 @@ __all__ = [
     "leaf_segment_arrays",
     "leaf_segment_arrays_set",
     "merge_segment_arrays",
+    "run_heads",
     "segments_to_linesegments",
     "intersect_segment_arrays",
     "tile_segment_arrays",
@@ -93,6 +94,15 @@ def clip_segments(
     s = np.maximum(starts[first:last], lo)
     e = np.minimum(ends[first:last], hi + 1)
     return s, e - s
+
+
+def run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries that differ from their predecessor (the first
+    always does): the heads of the runs of equal values."""
+    heads = np.empty(values.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
 
 
 def segments_to_linesegments(segs: SegmentArrays) -> List[LineSegment]:

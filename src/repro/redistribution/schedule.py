@@ -3,7 +3,8 @@
 Given two partitions of the same file — source and destination — the
 redistribution algorithm intersects every source element with every
 destination element and projects each non-empty intersection on both
-sides.  The result is a :class:`RedistributionPlan`: one
+sides; :func:`build_plan` gets all of them from one labelled sweep over
+a period.  The result is a :class:`RedistributionPlan`: one
 :class:`Transfer` per communicating element pair, carrying
 
 * the intersection (file space) — what the pair has in common,
@@ -22,16 +23,15 @@ and any number of accesses — this is exactly the cost the paper's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Tuple
 
-from ..core.mapping import ElementMapper
-from ..core.normalize import falls_set_from_segments
+import numpy as np
+
 from ..core.partition import Partition
 from ..core.periodic import PeriodicFallsSet
-from ..core.projection import project
-from ..core.segments import intersect_segment_arrays
+from ..core.segments import run_heads
 from ..obs import metrics as _metrics
 
 __all__ = ["Transfer", "RedistributionPlan", "build_plan"]
@@ -117,23 +117,17 @@ class RedistributionPlan:
 
     @property
     def is_identity(self) -> bool:
-        """True when the two partitions match element for element — the
-        optimal layout case where every view maps exactly on a subfile
-        (paper §6.2)."""
-        if self.src.num_elements != self.dst.num_elements:
-            return False
-        if len(self.transfers) != self.src.num_elements:
-            return False
-        for t in self.transfers:
-            if t.src_element != t.dst_element:
-                return False
-            if t.src_projection.fragment_count_per_period != 1:
-                return False
-            if t.bytes_per_period * self.src.num_elements != (
-                t.intersection.period
-            ):
-                return False
-        return True
+        """True when both partitions send every byte to the same element
+        index at the same element offset — the optimal layout case where
+        every view maps exactly on a subfile (paper §6.2).  A transfer's
+        projections list its pieces in file order with shared lengths, so
+        they are equal exactly when every piece lands at the same offset
+        on both sides."""
+        return all(
+            t.src_element == t.dst_element
+            and t.src_projection == t.dst_projection
+            for t in self.transfers
+        )
 
     def fragment_statistics(self) -> Dict[str, float]:
         """Aggregate fragmentation measures — the quantities that drive
@@ -158,79 +152,98 @@ class RedistributionPlan:
         }
 
 
+def _window_runs(
+    p: Partition, lo: int, period: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``p``'s same-owner runs over ``[lo, lo + period)``: window-relative
+    starts, owners, and per run the shift from a window position to its
+    offset among the owner's bytes counted from the window start."""
+    starts, owners = p.runs
+    phase = (lo - p.displacement) % p.size
+    copies = period // p.size + (phase > 0)
+    if copies > 1:
+        starts = (p.size * np.arange(copies)[:, None] + starts).reshape(-1)
+        owners = np.tile(owners, copies)
+        if owners[0] == owners[-1]:  # runs continue across pattern copies
+            heads = run_heads(owners)
+            starts, owners = starts[heads], owners[heads]
+    if phase:
+        first = int(np.searchsorted(starts, phase, "right")) - 1
+        last = int(np.searchsorted(starts, phase + period))
+        starts, owners = starts[first:last] - phase, owners[first:last]
+        starts[0] = 0
+    # Grouped exclusive cumsum: each run's offset among its owner's bytes.
+    lengths = np.diff(starts, append=period)
+    order = np.argsort(owners, kind="stable")
+    before = np.cumsum(lengths[order]) - lengths[order]
+    heads = np.flatnonzero(run_heads(owners[order]))
+    before -= np.repeat(before[heads], np.diff(heads, append=order.size))
+    shift = np.empty_like(before)
+    shift[order] = before
+    return starts, owners, shift - starts
+
+
 def build_plan(src: Partition, dst: Partition) -> RedistributionPlan:
     """Compute the redistribution schedule between two partitions.
 
-    Everything is periodic with the lcm of the two pattern sizes,
-    starting at the larger displacement (the paper's PREPROCESS), so one
-    such window says everything.  Both partitions' elements are
-    enumerated over it once as merged segment lists, and every
-    (source element, destination element) pair is intersected as flat
-    arrays (:func:`repro.core.segments.intersect_segment_arrays`): the
-    result is the pair's byte-exact intersection over one period, and
-    its emptiness is the one test for "this pair does not communicate".
-    A non-empty one is re-nested by period detection
-    (:func:`repro.core.normalize.falls_set_from_segments`) — one
-    periodic nested-FALLS structure per lcm period, as §7 describes —
-    and projected onto both sides.  Mappers are built once per element
-    and shared across the pairs, as a view-set implementation would
-    cache them.
-
-    The paper's structural INTERSECT-AUX
-    (:func:`repro.core.intersect_nested.intersect_elements`) selects the
-    same bytes; it is the reference the test suite compares plans
-    against.
+    Everything is periodic with the lcm of the two pattern sizes from
+    the larger displacement (the paper's PREPROCESS), and both
+    partitions tile that window.  The union of both sides' same-owner
+    run starts (:attr:`Partition.runs`) cuts it into pieces, each
+    labelled (source element, destination element) by ``searchsorted``;
+    one stable argsort groups them by pair.  A group is the pair's
+    intersection (no group: no transfer) and, shifted by each side's
+    run offsets, both its projections: three segment lists sharing one
+    ``lengths`` array, each re-nested once by period detection
+    (:func:`repro.core.normalize.falls_set_from_segments`).  No pair is
+    intersected and no offset is MAPped; INTERSECT-AUX
+    (:func:`repro.core.intersect_nested.intersect_elements`) + PROJ
+    (:func:`repro.core.projection.project`) is the reference.
     """
-    transfers: List[Transfer] = []
-    candidates = src.num_elements * dst.num_elements
-    pruned = 0
-
+    q = dst.num_elements
+    candidates = src.num_elements * q
     window_lo = max(src.displacement, dst.displacement)
     period = math.lcm(src.size, dst.size)
-    window_hi = window_lo + period - 1
-    src_window, dst_window = (
-        [
-            p.element_segments(e, window_lo, window_hi)
-            for e in range(p.num_elements)
-        ]
-        for p in (src, dst)
-    )
+    src_starts, src_owners, src_shift = _window_runs(src, window_lo, period)
+    dst_starts, dst_owners, dst_shift = _window_runs(dst, window_lo, period)
+    # Piece k is [cuts[k], cuts[k + 1]); the last cut is the window end.
+    cuts = np.concatenate((src_starts, dst_starts, [period]))
+    cuts.sort(kind="stable")  # sorted runs: a linear merge
+    cuts = cuts[run_heads(cuts)]
+    src_run = np.searchsorted(src_starts, cuts[:-1], "right") - 1
+    dst_run = np.searchsorted(dst_starts, cuts[:-1], "right") - 1
+    pair = src_owners[src_run].astype(np.int64) * q + dst_owners[dst_run]
+    order = np.argsort(pair, kind="stable")
+    counts = np.bincount(pair, minlength=candidates)
+    del pair  # a k = 1 layout cuts one piece per byte: free what we can
 
-    src_mappers: Dict[int, ElementMapper] = {}
-    dst_mappers: Dict[int, ElementMapper] = {}
-    for i in range(src.num_elements):
-        for j in range(dst.num_elements):
-            starts, lengths = intersect_segment_arrays(
-                src_window[i], dst_window[j]
+    transfers: List[Transfer] = []
+    stop = 0
+    for key in np.flatnonzero(counts).tolist():
+        idx = order[stop : stop + counts[key]]
+        stop += counts[key]
+        at = cuts[idx]
+        size = cuts[idx + 1] - at
+
+        def projection(p, e, run, shift):
+            return PeriodicFallsSet.from_segments(
+                (at + shift[run[idx]], size),
+                p.element_length(e, window_lo),
+                period // p.size * p.element_size(e),
             )
-            if starts.size == 0:
-                pruned += 1
-                continue
-            inter = PeriodicFallsSet(
-                falls_set_from_segments((starts - window_lo, lengths)),
-                window_lo,
-                period,
+
+        i, j = divmod(key, q)
+        transfers.append(
+            Transfer(
+                i,
+                j,
+                PeriodicFallsSet.from_segments((at, size), window_lo, period),
+                projection(src, i, src_run, src_shift),
+                projection(dst, j, dst_run, dst_shift),
             )
-            if i not in src_mappers:
-                src_mappers[i] = ElementMapper(src, i)
-            if j not in dst_mappers:
-                dst_mappers[j] = ElementMapper(dst, j)
-            transfers.append(
-                Transfer(
-                    src_element=i,
-                    dst_element=j,
-                    intersection=inter,
-                    src_projection=project(inter, src, i, src_mappers[i]),
-                    dst_projection=project(inter, dst, j, dst_mappers[j]),
-                )
-            )
+        )
+    pruned = candidates - len(transfers)
     _metrics.inc("build_plan.calls")
     _metrics.inc("build_plan.candidate_pairs", candidates)
     _metrics.inc("build_plan.pruned_pairs", pruned)
-    return RedistributionPlan(
-        src=src,
-        dst=dst,
-        transfers=transfers,
-        candidate_pairs=candidates,
-        pruned_pairs=pruned,
-    )
+    return RedistributionPlan(src, dst, transfers, candidates, pruned)

@@ -4,7 +4,8 @@
   oracle (no tiling may change the answer);
 * ``build_plan``'s segment-space intersections and projections select
   exactly the bytes of the paper's INTERSECT-AUX and PROJ, and a pair
-  is dropped exactly when it has no common byte;
+  is dropped exactly when it has no common byte, and a plan from a
+  partition to itself is the identity;
 * plan-cache hits are structurally identical to fresh plans, and
   structure keys are stable across independent construction and the
   JSON round-trip.
@@ -130,6 +131,13 @@ class TestPruningCompleteness:
         plan = build_plan(src, dst)
         assert 0 <= plan.pruned_pairs <= plan.candidate_pairs
         assert len(plan.transfers) == plan.candidate_pairs - plan.pruned_pairs
+
+
+class TestIdentity:
+    @given(any_partition())
+    @settings(max_examples=100, deadline=None)
+    def test_plan_to_itself_is_identity(self, p):
+        assert build_plan(p, p).is_identity
 
 
 class TestPlanCacheEquivalence:

@@ -84,6 +84,25 @@ class TestPlans:
             assert t.src_fragments_per_period == 1
             assert t.dst_fragments_per_period == 1
 
+    def test_unequal_element_sizes_identity(self):
+        # Elements of 100 and 300 bytes of a 400-byte pattern: each byte
+        # still lands on the same element at the same offset.
+        p = Partition([Falls(0, 99, 400, 1), Falls(100, 399, 400, 1)])
+        plan = build_plan(p, p)
+        assert [t.bytes_per_period for t in plan.transfers] == [100, 300]
+        assert plan.is_identity
+
+    def test_displacement_shift_not_identity(self):
+        # Same elements, but the destination pattern starts one instance
+        # later: every byte lands one element size lower.
+        elements = [Falls(0, 3, 8, 1), Falls(4, 7, 8, 1)]
+        plan = build_plan(Partition(elements), Partition(elements, displacement=8))
+        assert [(t.src_element, t.dst_element) for t in plan.transfers] == [
+            (0, 0),
+            (1, 1),
+        ]
+        assert not plan.is_identity
+
     def test_mismatched_partitions_not_identity(self):
         plan = build_plan(
             matrix_partition("c", 16, 16, 4), matrix_partition("r", 16, 16, 4)
