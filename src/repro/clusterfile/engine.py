@@ -9,28 +9,20 @@ non-contiguous source bytes, move them over a *transport*, and
 the value of funnelling every request through one I/O-engine layer;
 this module is ours.
 
-Two transports plug into the pipeline:
-
-* :class:`SimulatedTransport` — the FIFO stage schedule of the
-  simulated cluster (sender-NIC serialisation, I/O-node CPU and disk
-  queues, header/ack pricing), used by the write/read paths and by
-  re-layout's disk-to-disk moves;
-* :class:`DirectTransport` — synchronous in-process movement with an
-  alpha-beta cost model, used by the memory-memory paths (collective
-  shuffle, checkpoint resharding).
-
-Every operation builds a span tree (:mod:`repro.obs`): measured
-wall-clock phases (``t_m`` mapping, ``t_g`` gather/scatter) interleaved
-with modelled simulation-clock events (NIC, CPU, disk), and the Table
-1/2 breakdown records are **derived from that tree** by
-:func:`breakdowns_from_trace` — the table numbers and the trace are
-provably the same measurements.
+A write or read does not price itself: each round appends a snapshot of
+its message attempts to :attr:`OperationResult.log`, and the Table 1/2
+records are priced from that log and the span tree by
+:func:`repro.simulation.price.price` when someone first reads them.
+Re-layout returns its modelled makespan, so it runs the FIFO stage
+schedule eagerly; the memory-memory paths (collective shuffle,
+checkpoint resharding) price their exchange with the alpha-beta
+:class:`DirectTransport`.
 
 Because every data path crosses this one seam, cross-cutting failure
 handling lives here too (:mod:`repro.faults`).  Every operation is one
 round-based loop: resolve each message's live replicas, draw its fate,
-serve it, price it, run the transport, and retransmit what was lost
-under a :class:`~repro.faults.RetryPolicy` (timeout + capped, jittered
+serve it, log it, and retransmit what was lost under a
+:class:`~repro.faults.RetryPolicy` (timeout + capped, jittered
 exponential backoff, per-message budget).  Corrupted payloads are caught
 by CRC32 checksums verified before any scatter (stamped lazily — the
 injector is the simulation's only corruption source, so intact messages
@@ -44,10 +36,10 @@ ok, no checksum.
 from __future__ import annotations
 
 import contextlib
-import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,8 +60,8 @@ from ..redistribution.gather_scatter import gather_segments, scatter_segments
 from ..redistribution.schedule import RedistributionPlan
 from ..simulation.cluster import Cluster
 from ..simulation.disk import write_time_for_segments
-from ..simulation.metrics import ScatterBreakdown, WriteBreakdown
 from ..simulation.network import NetworkModel
+from ..simulation.price import Attempt, Log, SimMessage, SimulatedTransport, price
 from .file_model import ClusterFile
 from .server import IOServer, serve_request
 from .view import View
@@ -77,13 +69,10 @@ from .view import View
 __all__ = [
     "WriteRequest",
     "OperationResult",
-    "SimMessage",
-    "SimulatedTransport",
     "DirectTransport",
     "IOEngine",
     "ShuffleResult",
     "run_shuffle",
-    "breakdowns_from_trace",
 ]
 
 
@@ -118,25 +107,35 @@ class WriteRequest:
 
 @dataclass
 class OperationResult:
-    """Timings of one parallel operation.
+    """Outcome of one parallel operation.
 
-    ``per_compute`` / ``per_io`` carry the paper's Table 1/2 records;
-    both are derived from :attr:`trace` by
-    :func:`breakdowns_from_trace`, never accumulated separately.
+    ``per_compute`` / ``per_io`` carry the paper's Table 1/2 records,
+    priced from :attr:`log` and :attr:`trace` by
+    :func:`~repro.simulation.price.price` on first read and cached.
     """
 
-    per_compute: Dict[int, WriteBreakdown] = field(default_factory=dict)
-    per_io: Dict[int, ScatterBreakdown] = field(default_factory=dict)
     messages: int = 0
     payload_bytes: int = 0
-    #: The operation's span tree (wall + simulation clocks).
+    #: The operation's span tree (wall clock; modelled time is priced
+    #: from :attr:`log`).
     trace: Optional[Span] = None
-    #: Message attempts beyond the first (sum over ``retry`` spans).
+    #: Message attempts beyond the first (rounds after the first).
     retries: int = 0
     #: Reads served by a non-primary replica (``failover`` span count).
     failed_over: int = 0
     #: True when a write reached fewer than ``replication`` replicas.
     degraded: bool = False
+    #: The message log (:data:`~repro.simulation.price.Log`).
+    log: Log = ()
+    #: The cluster whose device models price :attr:`log`.
+    cluster: Optional[Cluster] = field(default=None, repr=False)
+
+    @cached_property
+    def _priced(self):
+        return price(self, self.cluster)
+
+    per_compute = property(lambda self: self._priced[0])
+    per_io = property(lambda self: self._priced[1])
 
 
 @dataclass
@@ -152,8 +151,6 @@ class _Message:
     r_s: int
     payload: np.ndarray
     #: Fragments gathered on the view side (1 = contiguous fast path).
-    #: The §8.1 loop gathers per subfile *between* sends, so this cost
-    #: sits on the client's critical path inside t_w.
     view_runs: int = 1
     #: CRC32 of ``payload``, stamped lazily the first time the message
     #: meets injected corruption; verified by the receiver before any
@@ -169,6 +166,21 @@ class _Message:
     wire: Optional[np.ndarray] = None
     #: ``(cache_s, disk_s)`` per target that served this attempt.
     costs: Sequence[Tuple[float, float]] = ()
+
+    def logged(self, cluster: Cluster) -> Attempt:
+        """Snapshot this attempt for the message log, counting a header
+        and a payload message per target on the cluster's network."""
+        size = int(self.payload.size)
+        nodes = tuple(node for _r, node, _f in self.targets)
+        src = f"compute{self.compute}"
+        for node in nodes:
+            dst = cluster.io[node].name
+            cluster.network.stats.record(src, dst, cluster.config.header_bytes)
+            cluster.network.stats.record(src, dst, size)
+        lost = self.fate != "ok"
+        costs = () if lost else tuple(self.costs)
+        return (self.compute, self.view_runs, size, self.delay_s, lost,
+                nodes, costs)
 
 
 def _op_trace_id() -> str:
@@ -192,7 +204,7 @@ def _begin_op(injector: Optional[FaultInjector], op: str, /, **attrs):
 
 
 #: Histogram handles per op, cached because the registry lookup (name
-#: f-string + dict probe, five per operation) is measurable on the
+#: f-string + dict probe, four per operation) is measurable on the
 #: telemetry-overhead benchmark.  Keyed by op; invalidated whenever the
 #: registry generation changes (a reset replaced the instruments).
 _HIST_CACHE: Dict[str, Tuple] = {}
@@ -200,7 +212,7 @@ _HIST_CACHE_GEN = -1
 
 
 def _stage_hists(op: str) -> Tuple:
-    """``(map_s, gather_s, scatter_s, transport_s, op_s)`` histogram
+    """``(map_s, gather_s, scatter_s, op_s)`` histogram
     handles for one operation kind, cached across calls."""
     global _HIST_CACHE_GEN
     gen = obs_metrics.get_registry().generation
@@ -211,7 +223,7 @@ def _stage_hists(op: str) -> Tuple:
     if hists is None:
         hists = tuple(
             obs_metrics.histogram(f"engine.{op}.{stage}")
-            for stage in ("map_s", "gather_s", "scatter_s", "transport_s", "op_s")
+            for stage in ("map_s", "gather_s", "scatter_s", "op_s")
         )
         _HIST_CACHE[op] = hists
     return hists
@@ -228,104 +240,11 @@ def _observe_op(root: Span, op: str, nbytes: int) -> None:
     if root.wall_start_s is None:
         return
     end = root.wall_end_s if root.wall_end_s is not None else time.perf_counter()
-    _stage_hists(op)[4].observe(
+    _stage_hists(op)[3].observe(
         end - root.wall_start_s,
         trace_id=root.attrs.get("trace_id"),
         bytes=nbytes,
     )
-
-
-# --------------------------------------------------------------------------
-# Transports
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimMessage:
-    """One message on the simulated cluster, transport-agnostic form.
-
-    ``lane`` serialises the sender side (a NIC, a source disk);
-    ``stages`` are ``(resource, service_s, label)`` triples served in
-    order, where ``resource`` names a FIFO destination device (an
-    :class:`~repro.simulation.cluster.IONode`'s ``cpu`` or
-    ``disk_queue``) and a non-``None`` ``label`` records the stage's
-    completion (plus ``ack_s``) into that timeline bucket under ``key``.
-    """
-
-    key: Hashable
-    lane: Hashable
-    lane_s: float
-    post_lane_s: float = 0.0
-    stages: Tuple[Tuple[str, float, Optional[str]], ...] = ()
-    ack_s: float = 0.0
-    #: A message lost (or rejected) in flight: the sender still burns
-    #: its lane time, but no destination stage runs and no completion
-    #: is recorded — the retry layer notices via its timeout.
-    dropped: bool = False
-
-
-class SimulatedTransport:
-    """FIFO stage schedule: sender lanes, wire latency, destination
-    resources that serve one stage at a time.
-
-    Each call prices one batch of :class:`SimMessage` on its own clock
-    starting at 0 with every lane and resource free, so concurrent
-    operations never see each other's reservations.  Stages are served
-    in arrival order; arrivals at the same instant are served in
-    submission order (first stages in message order, later stages in
-    the order their predecessors were served).  Returns per-label
-    completion maps, e.g. ``{"bc": {compute: t}, "disk": {compute:
-    t}}`` — "limited by the slowest I/O server" falls out of the
-    max-merge per key.
-    """
-
-    def __init__(self, cluster: Cluster):
-        self.cluster = cluster
-
-    def run(
-        self,
-        messages: Sequence[SimMessage],
-        trace_span: Optional[Span] = None,
-    ) -> Dict[str, Dict[Hashable, float]]:
-        lane_free: Dict[Hashable, float] = {}
-        free: Dict[str, float] = {}
-        done: Dict[str, Dict[Hashable, float]] = {}
-        # (arrival time, submission seq, message, stage index)
-        heap: List[Tuple[float, int, SimMessage, int]] = []
-        n_dropped = 0
-        for msg in messages:
-            lane_end = lane_free.get(msg.lane, 0.0) + msg.lane_s
-            lane_free[msg.lane] = lane_end
-            if msg.dropped:
-                n_dropped += 1
-            elif msg.stages:
-                heap.append((lane_end + msg.post_lane_s, len(heap), msg, 0))
-        heapq.heapify(heap)
-        seq = len(heap)
-        while heap:
-            now, _, msg, i = heapq.heappop(heap)
-            resource, service_s, label = msg.stages[i]
-            if service_s < 0:
-                raise ValueError(f"negative service time {service_s}")
-            start = max(now, free.get(resource, 0.0))
-            end = free[resource] = start + service_s
-            if trace_span is not None:
-                trace_span.record_sim(resource, start, end)
-            if label is not None:
-                bucket = done.setdefault(label, {})
-                t = end + msg.ack_s
-                bucket[msg.key] = max(bucket.get(msg.key, 0.0), t)
-            if i + 1 < len(msg.stages):
-                # ``now + (end - now)``, not ``end``: it can differ in
-                # the last bit, and the modelled columns are pinned to
-                # this expression.
-                heapq.heappush(heap, (now + (end - now), seq, msg, i + 1))
-                seq += 1
-        if n_dropped and trace_span is not None:
-            trace_span.annotate(dropped=n_dropped)
-        if n_dropped:
-            obs_metrics.inc("faults.transport.dropped", n_dropped)
-        return done
 
 
 class DirectTransport:
@@ -363,77 +282,6 @@ class DirectTransport:
 
 
 # --------------------------------------------------------------------------
-# Breakdown derivation
-# --------------------------------------------------------------------------
-
-
-def breakdowns_from_trace(
-    root: Span,
-) -> Tuple[Dict[int, WriteBreakdown], Dict[int, ScatterBreakdown]]:
-    """Derive the paper's Table 1/2 records from an operation span tree.
-
-    * ``t_i`` — the ``t_i_us`` attribute of each ``client.prepare``
-      span (measured at view set);
-    * ``t_m`` / ``t_g`` — sums of the ``map`` and ``gather``/``scatter``
-      span wall durations;
-    * ``t_w^bc`` / ``t_w^disk`` — the transport spans' per-compute
-      completion timelines, max-merged across retry rounds with each
-      round's ``round_start_s`` offset applied (a message acked in a
-      retransmission round completes that much later on the modelled
-      clock);
-    * ``t_sc`` — the modelled cache/disk seconds on the ``server.*``
-      spans (every replica write and every retransmission attempt
-      counts — the work was really done).
-
-    The whole tree is walked, so spans nested under ``retry`` groups
-    (or grafted from pool workers) contribute exactly like round 0's
-    flat layout.
-    """
-    per_compute: Dict[int, WriteBreakdown] = {}
-    per_io: Dict[int, ScatterBreakdown] = {}
-    done_bc: Dict = {}
-    done_disk: Dict = {}
-    for sp in root.walk():
-        if sp.name == "client.prepare":
-            # One entry per compute node: a node that issues several
-            # requests in one operation accumulates their t_m / t_g
-            # (t_i is the view's, paid once at view set).
-            node = sp.attrs["compute"]
-            bd = per_compute.get(node)
-            if bd is None:
-                bd = per_compute[node] = WriteBreakdown(
-                    t_i=sp.attrs.get("t_i_us", 0.0)
-                )
-            for c in sp.children:
-                if c.name == "map":
-                    bd.t_m += c.wall_us
-                elif c.name == "gather":
-                    bd.t_g += c.wall_us
-        elif sp.name == "scatter":
-            per_compute[sp.attrs["compute"]].t_g += sp.wall_us
-        elif sp.name in ("server.write", "server.read"):
-            if "cache_s" not in sp.attrs:
-                continue  # request rejected (checksum) before costing
-            sb = per_io.setdefault(sp.attrs["io_node"], ScatterBreakdown())
-            cache_s = sp.attrs["cache_s"]
-            disk_s = sp.attrs["disk_s"]
-            sb.t_sc_bc += cache_s * 1e6
-            sb.t_sc_disk += (cache_s + disk_s) * 1e6
-        elif sp.name == "transport":
-            offset = float(sp.attrs.get("round_start_s", 0.0))
-            for bucket, total in (
-                ("done_bc", done_bc),
-                ("done_disk", done_disk),
-            ):
-                for key, t in sp.attrs.get(bucket, {}).items():
-                    total[key] = max(total.get(key, 0.0), offset + t)
-    for node, bd in per_compute.items():
-        bd.t_w_bc = done_bc.get(node, 0.0) * 1e6
-        bd.t_w_disk = done_disk.get(node, 0.0) * 1e6
-    return per_compute, per_io
-
-
-# --------------------------------------------------------------------------
 # The engine
 # --------------------------------------------------------------------------
 
@@ -462,7 +310,6 @@ class IOEngine:
         backend=None,
     ):
         self.cluster = cluster
-        self.transport = SimulatedTransport(cluster)
         self.injector = injector
         self.retry_policy = retry_policy or RetryPolicy()
         #: Optional :class:`~repro.mp.pool.ProcessPoolExecutorBackend`.
@@ -641,6 +488,7 @@ class IOEngine:
             # rounds of one operation — so resolve each subfile once.
             live_by_subfile: Dict[int, Sequence[Tuple[int, int, float]]] = {}
             servers: Dict[Tuple[int, int], IOServer] = {}
+            log: List[Tuple[float, Tuple[Attempt, ...]]] = []
             round_start = 0.0
             round_idx = 0
             while True:
@@ -693,26 +541,21 @@ class IOEngine:
                         group_span,
                     )
                     failed: List[_Message] = []
-                    sim_msgs: List[SimMessage] = []
+                    attempts: List[Attempt] = []
                     for msg in pending:
                         if not write:
                             self._receive_reply(root, msg, op_id, round_idx)
                         if msg.fate != "ok":
                             failed.append(msg)
-                        sim_msgs.extend(self._fanout_messages(msg))
+                        attempts.append(msg.logged(self.cluster))
                         size = int(msg.payload.size)
                         copies = len(msg.targets)
                         n_messages += (2 if size else 1) * copies
                         payload_bytes += size * copies
-                    with open_span(
-                        "transport", messages=len(sim_msgs), round=round_idx
-                    ) as tspan:
-                        done = self.transport.run(sim_msgs, trace_span=tspan)
-                    tspan.annotate(
-                        done_bc=done.get("bc", {}),
-                        done_disk=done.get("disk", {}),
-                        round_start_s=round_start,
-                    )
+                    log.append((round_start, tuple(attempts)))
+                    lost = sum(len(msg.targets) for msg in failed)
+                    if lost:
+                        obs_metrics.inc("faults.transport.dropped", lost)
                 if not failed:
                     break
                 # Only an injector fails a message, so one exists here.
@@ -725,7 +568,7 @@ class IOEngine:
                 root.annotate(degraded=degraded)
                 if degraded:
                     obs_metrics.inc("faults.degraded.writes")
-        return self._finish(root, op, n_messages, payload_bytes)
+        return self._finish(root, op, n_messages, payload_bytes, tuple(log))
 
     # -- per-message direction hooks ------------------------------------------
 
@@ -943,100 +786,35 @@ class IOEngine:
                 if op == "read":
                     msg.wire = replies[w][i]
 
-    def _fanout_messages(self, msg: _Message) -> List[SimMessage]:
-        """Price one logical message attempt as :class:`SimMessage` s.
-
-        The sender's NIC serialises one copy per destination replica
-        (the gather prep cost is paid once, on the first copy).  A
-        dropped or corrupted attempt still holds the lane — the bytes
-        travelled — but runs no destination stage and records no
-        completion, so the retry layer's timeout is what ends it.
-        """
-        net = self.cluster.network
-        header = self.cluster.config.header_bytes
-        size = int(msg.payload.size)
-        # The §8.1 loop runs per subfile: the gather for this message
-        # happens after the previous message went out, so its
-        # (modelled) copy cost sits on the client's critical path.
-        prep_s = (
-            self.cluster.config.memory.copy_time(size, msg.view_runs)
-            if msg.view_runs > 1
-            else 0.0
-        )
-        compute_name = f"compute{msg.compute}"
-        ack_s = net.model.latency_s + header / net.model.bandwidth_Bps
-        lost = msg.fate != "ok"
-        out: List[SimMessage] = []
-        for j, (_r, node_idx, _factor) in enumerate(msg.targets):
-            io_node = self.cluster.io[node_idx]
-            # Sender NIC serialises this node's outgoing messages.
-            send_s = net.send_time(compute_name, io_node.name, header) + (
-                net.send_time(compute_name, io_node.name, size)
-            )
-            stages = ()
-            if not lost:
-                cache_s, disk_s = msg.costs[j]
-                stages = (
-                    (io_node.cpu, cache_s, "bc"),
-                    (io_node.disk_queue, disk_s, "disk"),
-                )
-            out.append(
-                SimMessage(
-                    key=msg.compute,
-                    lane=("nic", msg.compute),
-                    lane_s=(prep_s if j == 0 else 0.0) + send_s,
-                    post_lane_s=msg.delay_s,
-                    stages=stages,
-                    ack_s=ack_s,
-                    dropped=lost,
-                )
-            )
-        return out
-
     def _finish(
-        self, root: Span, op: str, n_messages: int, payload_bytes: int
+        self, root: Span, op: str, n_messages: int, payload_bytes: int, log: Log
     ) -> OperationResult:
-        per_compute, per_io = breakdowns_from_trace(root)
-        # Fault-handling outcomes and per-stage latencies are derived
-        # from the span tree in one walk, like the breakdowns — the
-        # trace is the single source of truth.
-        retries = 0
+        # Failovers and per-stage latencies are derived from the span
+        # tree in one walk; retries are the log's rounds after the first.
+        stage_s = {"map": 0.0, "gather": 0.0, "scatter": 0.0}
         failed_over = 0
-        map_s = gather_s = scatter_s = transport_s = 0.0
         for sp in root.walk():
-            name = sp.name
-            if name == "map":
-                map_s += sp.wall_end_s - sp.wall_start_s
-            elif name == "gather":
-                gather_s += sp.wall_end_s - sp.wall_start_s
-            elif name == "scatter":
-                scatter_s += sp.wall_end_s - sp.wall_start_s
-            elif name == "transport":
-                transport_s += sp.wall_end_s - sp.wall_start_s
-            elif name == "retry":
-                retries += int(sp.attrs.get("messages", 0))
-            elif name == "failover":
+            if sp.name in stage_s:
+                stage_s[sp.name] += sp.wall_end_s - sp.wall_start_s
+            elif sp.name == "failover":
                 failed_over += 1
-        degraded = bool(root.attrs.get("degraded", False))
         obs_metrics.inc(f"engine.{op}.ops")
         obs_metrics.inc(f"engine.{op}.messages", n_messages)
         obs_metrics.inc(f"engine.{op}.payload_bytes", payload_bytes)
         if obs_metrics.stage_histograms_enabled():
-            h_map, h_gather, h_scatter, h_transport, _ = _stage_hists(op)
-            h_map.observe(map_s)
-            h_gather.observe(gather_s)
-            h_scatter.observe(scatter_s)
-            h_transport.observe(transport_s)
+            # The first three handles are the map/gather/scatter ones.
+            for hist, wall_s in zip(_stage_hists(op), stage_s.values()):
+                hist.observe(wall_s)
             _observe_op(root, op, payload_bytes)
         return OperationResult(
-            per_compute=per_compute,
-            per_io=per_io,
             messages=n_messages,
             payload_bytes=payload_bytes,
             trace=root,
-            retries=retries,
+            retries=sum(len(attempts) for _, attempts in log[1:]),
             failed_over=failed_over,
-            degraded=degraded,
+            degraded=bool(root.attrs.get("degraded", False)),
+            log=log,
+            cluster=self.cluster,
         )
 
     # -- physical re-layout --------------------------------------------------
@@ -1169,7 +947,7 @@ class IOEngine:
                     )
 
             with open_span("transport", messages=cross) as tspan:
-                done = self.transport.run(sim_msgs, trace_span=tspan)
+                done = SimulatedTransport(self.cluster).run(sim_msgs, tspan)
             makespan_s = max(done.get("disk", {}).values(), default=0.0)
             root.annotate(
                 bytes_moved=bytes_moved,

@@ -11,7 +11,7 @@ all of that into one ordered record:
 ``queue_wait`` (admission → lock registration) → ``lock_acquire``
 (registration → execution start) → ``batch`` (what the op rode in) →
 the engine operation with its per-stage wall sums (map, gather,
-scatter, transport).
+scatter).
 
 The function is read-only over plain span data, so it can be called
 from any thread the moment ``Ticket.result()`` returns.
@@ -29,7 +29,7 @@ __all__ = ["request_timeline", "render_timeline"]
 #: Engine operation root span names (one per engine entry point).
 _ENGINE_ROOTS = ("parallel_write", "parallel_read", "relayout", "shuffle")
 #: Per-stage spans summed into the engine entry of a timeline.
-_ENGINE_STAGES = ("map", "gather", "scatter", "transport")
+_ENGINE_STAGES = ("map", "gather", "scatter")
 
 
 def _per_op_record(root: Span, name: str, trace_id: str) -> Optional[Span]:

@@ -1,7 +1,7 @@
 """Simulated cluster substrate: network, disk and cache cost models,
 the node layout, and the Table 1/2 breakdown records.  The FIFO stage
-schedule that prices an operation on these models is
-:class:`repro.clusterfile.engine.SimulatedTransport`."""
+schedule that prices an operation's message log on these models is
+:mod:`repro.simulation.price`."""
 
 from .cache import MemoryModel
 from .cluster import Cluster, ClusterConfig, IONode

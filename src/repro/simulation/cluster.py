@@ -56,7 +56,7 @@ class IONode:
 
     ``cpu`` and ``disk_queue`` are the names of the two FIFO resources
     (``"io0.cpu"``, ``"io0.disk"``): the key a
-    :class:`~repro.clusterfile.engine.SimMessage` stage queues on and
+    :class:`~repro.simulation.price.SimMessage` stage queues on and
     the name of the simulation-clock span it records.
 
     ``disk_model`` overrides the cluster-wide disk model for this node —
@@ -82,7 +82,7 @@ class Cluster:
     """Simulation container: I/O nodes plus a shared network.
 
     Each operation's resource schedule starts free (see
-    :class:`~repro.clusterfile.engine.SimulatedTransport`), while
+    :class:`~repro.simulation.price.SimulatedTransport`), while
     device state (disk head position, traffic stats) persists across
     operations like on a real cluster.
     """

@@ -17,6 +17,7 @@ instead of a few large ones").
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -45,18 +46,23 @@ class NetworkModel:
 
 @dataclass
 class NetworkStats:
-    """Cumulative traffic counters, including a per-(src, dst) byte map."""
+    """Cumulative traffic counters, including a per-(src, dst) byte map;
+    :meth:`record` takes a lock, since service workers share a cluster."""
 
     messages: int = 0
     bytes: int = 0
     by_pair: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def record(self, src: str, dst: str, nbytes: int) -> None:
         """Account one message."""
-        self.messages += 1
-        self.bytes += nbytes
         key = (src, dst)
-        self.by_pair[key] = self.by_pair.get(key, 0) + nbytes
+        with self._lock:
+            self.messages += 1
+            self.bytes += nbytes
+            self.by_pair[key] = self.by_pair.get(key, 0) + nbytes
 
 
 class Network:

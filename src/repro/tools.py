@@ -77,8 +77,9 @@ def _cmd_trace(args) -> int:
     from .clusterfile.fs import Clusterfile
     from .obs import metrics
     from .obs.export import chrome_to_json, render_trace, trace_to_json
-    from .obs.span import Tracer
+    from .obs.span import Tracer, open_span
     from .simulation.cluster import ClusterConfig
+    from .simulation.price import price
 
     logical = matrix_partition(args.logical, args.n, args.n, args.nprocs)
     physical = matrix_partition(args.physical, args.n, args.n, args.nprocs)
@@ -100,12 +101,14 @@ def _cmd_trace(args) -> int:
                 logical.element_length(e, length), e, dtype=np.uint8
             )
             accesses.append((e, 0, piece))
-        fs.write("traced", accesses, to_disk=True)
-        fs.read(
-            "traced",
-            [(0, 0, logical.element_length(0, length))],
-            from_disk=True,
+        wres = fs.write("traced", accesses, to_disk=True)
+        _, rres = fs.read_with_result(
+            "traced", [(0, 0, logical.element_length(0, length))], from_disk=True
         )
+        # Ops do not price themselves: draw their modelled schedules here.
+        with open_span("modelled_time") as modelled:
+            for res in (wres, rres):
+                price(res, fs.cluster, trace_span=modelled.child(res.trace.name))
     if args.mode == "process":
         fs.close()  # spans are already collected; release the pool
 

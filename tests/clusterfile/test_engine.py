@@ -1,5 +1,5 @@
 """Tests for the unified I/O engine: trace round-trips, breakdown
-derivation, transports, and the engine-level metrics counters."""
+pricing, transports, and the engine-level metrics counters."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.clusterfile.engine import (
     DirectTransport,
     SimMessage,
     SimulatedTransport,
-    breakdowns_from_trace,
     run_shuffle,
 )
 from repro.distributions import matrix_partition, row_blocks
@@ -21,6 +20,7 @@ from repro.obs.span import Span
 from repro.redistribution import distribute, get_plan
 from repro.simulation import Cluster, ClusterConfig
 from repro.simulation.network import NetworkModel
+from repro.simulation.price import fanout, price
 
 N = 32
 
@@ -60,11 +60,15 @@ class TestTraceRoundTrip:
             "map",
             "gather",
             "server.write",
-            "transport",
         ):
             assert phase in names, f"missing {phase}"
-        # The modelled device activity is in the same tree.
-        transport = res.trace.find("transport")
+        # The op does not price itself: no modelled time in its tree
+        # until someone prices it under a span of their own.
+        assert "transport" not in names
+        assert all(sp.sim_start_s is None for sp in res.trace.walk())
+        lanes = Span("modelled_time")
+        price(res, fs.cluster, trace_span=lanes)
+        transport = lanes.find("transport")
         sim_lanes = {c.name for c in transport.children}
         assert any(n.endswith(".cpu") for n in sim_lanes)
         assert any(n.endswith(".disk") for n in sim_lanes)
@@ -84,7 +88,7 @@ class TestTraceRoundTrip:
         assert set(res.trace.phase_names()) <= exported
         chrome = trace_to_chrome(res.trace)
         chrome_names = {e["name"] for e in chrome if e.get("ph") == "X"}
-        for phase in ("parallel_write", "map", "gather", "transport"):
+        for phase in ("parallel_write", "map", "gather"):
             assert phase in chrome_names
 
     def test_read_trace_phases(self, matrix_data):
@@ -96,17 +100,18 @@ class TestTraceRoundTrip:
         )
         names = res.trace.phase_names()
         for phase in ("parallel_read", "client.prepare", "server.read",
-                      "scatter", "transport"):
+                      "scatter"):
             assert phase in names, f"missing {phase}"
 
 
 class TestBreakdownDerivation:
-    """The Table 1/2 records are a pure function of the span tree."""
+    """The Table 1/2 records are a pure function of the span tree and
+    the message log."""
 
     def test_result_matches_rederivation(self, matrix_data):
         fs = make_fs()
         res = write_matrix(fs, "m", "c", matrix_data, to_disk=True)
-        per_compute, per_io = breakdowns_from_trace(res.trace)
+        per_compute, per_io = price(res, fs.cluster)
         assert set(per_compute) == set(res.per_compute) == {0, 1, 2, 3}
         for node in per_compute:
             a, b = per_compute[node], res.per_compute[node]
@@ -133,14 +138,14 @@ class TestBreakdownDerivation:
             assert bd.t_g == pytest.approx(
                 sum(c.wall_us for c in sp.children if c.name == "gather")
             )
-        transport = res.trace.find("transport")
+        (round_start_s, attempts), = res.log
+        assert round_start_s == 0.0
+        done = SimulatedTransport(fs.cluster).run(
+            [m for a in attempts for m in fanout(a, fs.cluster)]
+        )
         for node, bd in res.per_compute.items():
-            assert bd.t_w_bc == pytest.approx(
-                transport.attrs["done_bc"][node] * 1e6
-            )
-            assert bd.t_w_disk == pytest.approx(
-                transport.attrs["done_disk"][node] * 1e6
-            )
+            assert bd.t_w_bc == pytest.approx(done["bc"][node] * 1e6)
+            assert bd.t_w_disk == pytest.approx(done["disk"][node] * 1e6)
 
     def test_repeated_compute_node_accumulates(self, matrix_data):
         """A node with two requests in one write has one entry: t_i
@@ -502,9 +507,8 @@ class TestServersPerOperation:
         fs.create("f", matrix_partition("r", N, N, 4))
         res = fs.write("f", [])
         assert res.messages == 0
-        assert [sp.name for sp in res.trace.walk()] == [
-            "parallel_write", "transport",
-        ]
+        assert [sp.name for sp in res.trace.walk()] == ["parallel_write"]
+        assert res.log == ((0.0, ()),)
 
 
 class TestEngineMetrics:

@@ -82,7 +82,7 @@ class TestStageHistogramToggle:
     """``set_stage_histograms``: the engine's one telemetry switch (the
     end-to-end benchmark's ``obs.off_gain_share`` pass flips it)."""
 
-    STAGES = ("map_s", "gather_s", "scatter_s", "transport_s", "op_s")
+    STAGES = ("map_s", "gather_s", "scatter_s", "op_s")
 
     @pytest.fixture()
     def toggle(self):

@@ -73,7 +73,6 @@ class TestCrossThreadTimeline:
                 "engine.write.map",
                 "engine.write.gather",
                 "engine.write.scatter",
-                "engine.write.transport",
             }
             assert all(st["wall_s"] >= 0.0 for st in tl["stages"])
             # The engine root was bound to the *head* ticket's trace id

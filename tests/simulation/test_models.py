@@ -1,5 +1,8 @@
 """Unit tests for the network, disk and memory cost models."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.simulation.cache import MemoryModel
@@ -40,6 +43,33 @@ class TestNetworkModel:
         assert net.stats.by_pair[("a", "b")] == 150
         net.reset_stats()
         assert net.stats.messages == 0
+
+    def test_stats_record_is_thread_safe(self):
+        """Service workers share one cluster's network: concurrent
+        ``record`` calls must not lose updates."""
+        net = Network()
+        threads, calls = 4, 50_000
+        start = threading.Barrier(threads)
+
+        def hammer():
+            start.wait()
+            for _ in range(calls):
+                net.stats.record("compute0", "io0", 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave as often as possible
+        try:
+            pool = [threading.Thread(target=hammer) for _ in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * calls
+        assert net.stats.messages == total
+        assert net.stats.bytes == total
+        assert net.stats.by_pair[("compute0", "io0")] == total
 
 
 class TestDiskModel:
