@@ -167,21 +167,6 @@ class _Message:
     #: ``(cache_s, disk_s)`` per target that served this attempt.
     costs: Sequence[Tuple[float, float]] = ()
 
-    def logged(self, cluster: Cluster) -> Attempt:
-        """Snapshot this attempt for the message log, counting a header
-        and a payload message per target on the cluster's network."""
-        size = int(self.payload.size)
-        nodes = tuple(node for _r, node, _f in self.targets)
-        src = f"compute{self.compute}"
-        for node in nodes:
-            dst = cluster.io[node].name
-            cluster.network.stats.record(src, dst, cluster.config.header_bytes)
-            cluster.network.stats.record(src, dst, size)
-        lost = self.fate != "ok"
-        costs = () if lost else tuple(self.costs)
-        return (self.compute, self.view_runs, size, self.delay_s, lost,
-                nodes, costs)
-
 
 def _op_trace_id() -> str:
     """The trace id for an operation root span: the caller's bound id
@@ -489,6 +474,8 @@ class IOEngine:
             live_by_subfile: Dict[int, Sequence[Tuple[int, int, float]]] = {}
             servers: Dict[Tuple[int, int], IOServer] = {}
             log: List[Tuple[float, Tuple[Attempt, ...]]] = []
+            stats = self.cluster.network.stats
+            header = self.cluster.config.header_bytes
             round_start = 0.0
             round_idx = 0
             while True:
@@ -545,17 +532,29 @@ class IOEngine:
                     for msg in pending:
                         if not write:
                             self._receive_reply(root, msg, op_id, round_idx)
-                        if msg.fate != "ok":
+                        lost = msg.fate != "ok"
+                        if lost:
                             failed.append(msg)
-                        attempts.append(msg.logged(self.cluster))
                         size = int(msg.payload.size)
-                        copies = len(msg.targets)
-                        n_messages += (2 if size else 1) * copies
-                        payload_bytes += size * copies
+                        nodes = tuple(node for _r, node, _f in msg.targets)
+                        # A header and a payload message per target.
+                        src = f"compute{msg.compute}"
+                        for node in nodes:
+                            dst = self.cluster.io[node].name
+                            stats.record(src, dst, header)
+                            stats.record(src, dst, size)
+                        n_messages += (2 if size else 1) * len(nodes)
+                        payload_bytes += size * len(nodes)
+                        # Snapshot the attempt: ``msg`` is rewritten
+                        # next round.
+                        attempts.append((
+                            msg.compute, msg.view_runs, size, msg.delay_s,
+                            lost, nodes, () if lost else tuple(msg.costs),
+                        ))
                     log.append((round_start, tuple(attempts)))
-                    lost = sum(len(msg.targets) for msg in failed)
-                    if lost:
-                        obs_metrics.inc("faults.transport.dropped", lost)
+                    dropped = sum(len(msg.targets) for msg in failed)
+                    if dropped:
+                        obs_metrics.inc("faults.transport.dropped", dropped)
                 if not failed:
                     break
                 # Only an injector fails a message, so one exists here.
@@ -802,9 +801,10 @@ class IOEngine:
         obs_metrics.inc(f"engine.{op}.messages", n_messages)
         obs_metrics.inc(f"engine.{op}.payload_bytes", payload_bytes)
         if obs_metrics.stage_histograms_enabled():
-            # The first three handles are the map/gather/scatter ones.
-            for hist, wall_s in zip(_stage_hists(op), stage_s.values()):
-                hist.observe(wall_s)
+            h_map, h_gather, h_scatter, _ = _stage_hists(op)
+            h_map.observe(stage_s["map"])
+            h_gather.observe(stage_s["gather"])
+            h_scatter.observe(stage_s["scatter"])
             _observe_op(root, op, payload_bytes)
         return OperationResult(
             messages=n_messages,

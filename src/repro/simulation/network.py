@@ -53,7 +53,7 @@ class NetworkStats:
     bytes: int = 0
     by_pair: Dict[Tuple[str, str], int] = field(default_factory=dict)
     _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+        default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
     def record(self, src: str, dst: str, nbytes: int) -> None:

@@ -31,6 +31,7 @@ class SimMessage:
     order on FIFO destination devices (an ``IONode``'s ``cpu`` or
     ``disk_queue``); a non-``None`` ``label`` records the stage's
     completion (plus ``ack_s``) into that timeline bucket under ``key``.
+    A message without stages (lost in flight) only holds its lane.
     """
 
     key: Hashable
@@ -39,10 +40,6 @@ class SimMessage:
     post_lane_s: float = 0.0
     stages: Tuple[Tuple[str, float, Optional[str]], ...] = ()
     ack_s: float = 0.0
-    #: A message lost (or rejected) in flight: the sender still burns
-    #: its lane time, but no destination stage runs and no completion
-    #: is recorded — the retry layer notices via its timeout.
-    dropped: bool = False
 
 
 class SimulatedTransport:
@@ -73,7 +70,7 @@ class SimulatedTransport:
         for msg in messages:
             lane_end = lane_free.get(msg.lane, 0.0) + msg.lane_s
             lane_free[msg.lane] = lane_end
-            if msg.stages and not msg.dropped:
+            if msg.stages:
                 heap.append((lane_end + msg.post_lane_s, len(heap), msg, 0))
         heapq.heapify(heap)
         seq = len(heap)
@@ -138,7 +135,7 @@ def fanout(attempt: Attempt, cluster: Cluster) -> List[SimMessage]:
         out.append(SimMessage(
             key=compute, lane=("nic", compute),
             lane_s=(prep_s if j == 0 else 0.0) + send_s,
-            post_lane_s=delay_s, stages=stages, ack_s=ack_s, dropped=lost,
+            post_lane_s=delay_s, stages=stages, ack_s=ack_s,
         ))
     return out
 
