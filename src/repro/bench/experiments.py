@@ -10,6 +10,9 @@ Reporting conventions (documented in EXPERIMENTS.md):
 
 * ``t_i``, ``t_m``, ``t_g`` are means over compute nodes of *measured*
   wall time of our implementations;
+* ``t_i_ref`` is the paper's own algorithm for ``t_i``, measured beside
+  it as a reference: per compute node, cold INTERSECT-AUX + PROJ of its
+  view against every subfile, averaged over compute nodes;
 * ``t_w^bc`` / ``t_w^disk`` are the *makespan* over compute nodes of the
   simulated exchange — the paper observes t_w "is limited by the slowest
   I/O server";
@@ -19,11 +22,15 @@ Reporting conventions (documented in EXPERIMENTS.md):
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from statistics import mean
 from typing import List, Sequence
 
 from ..clusterfile.fs import Clusterfile
+from ..core.intersect_nested import intersect_elements
+from ..core.partition import Partition
+from ..core.projection import project
 from ..redistribution.plan_cache import clear_plan_cache
 from ..simulation.cluster import ClusterConfig
 from .workloads import PAPER_PHYSICAL_LAYOUTS, PAPER_SIZES, MatrixWorkload
@@ -43,6 +50,7 @@ class Table1Row:
     t_g: float
     t_w_bc: float
     t_w_disk: float
+    t_i_ref: float = 0.0
 
 
 @dataclass
@@ -62,6 +70,22 @@ class WorkloadResult:
     table2: Table2Row
     messages: int
     payload_bytes: int
+
+
+def intersect_project_us(logical: Partition, physical: Partition) -> float:
+    """Mean over views of the cold INTERSECT-AUX + PROJ of one view
+    against every subfile (µs): the paper's ``t_i`` algorithm, which
+    plan construction no longer runs."""
+    times = []
+    for v in range(logical.num_elements):
+        t0 = time.perf_counter()
+        for s in range(physical.num_elements):
+            inter = intersect_elements(logical, v, physical, s)
+            if not inter.is_empty:
+                project(inter, logical, v)
+                project(inter, physical, s)
+        times.append(time.perf_counter() - t0)
+    return mean(times) * 1e6
 
 
 def run_workload(
@@ -84,8 +108,8 @@ def run_workload(
         # repetition after the first and t_i would collapse to a lookup.
         clear_plan_cache()
         fs = Clusterfile(config)
-        fs.create("m", workload.physical())
-        logical = workload.logical()
+        physical, logical = workload.physical(), workload.logical()
+        fs.create("m", physical)
         for c in range(workload.nprocs):
             fs.set_view("m", c, logical)
         result = fs.write("m", workload.view_accesses(data), to_disk=True)
@@ -106,6 +130,7 @@ def run_workload(
                 t_g=mean(b.t_g for b in bds),
                 t_w_bc=max(b.t_w_bc for b in bds),
                 t_w_disk=max(b.t_w_disk for b in bds),
+                t_i_ref=intersect_project_us(logical, physical),
             )
         )
         ios = list(result.per_io.values())
@@ -127,7 +152,10 @@ def run_workload(
         workload.n,
         workload.physical_layout,
         workload.logical_layout,
-        *(avg(t1_acc, f) for f in ("t_i", "t_m", "t_g", "t_w_bc", "t_w_disk")),
+        *(
+            avg(t1_acc, f)
+            for f in ("t_i", "t_m", "t_g", "t_w_bc", "t_w_disk", "t_i_ref")
+        ),
     )
     t2 = Table2Row(
         workload.n,

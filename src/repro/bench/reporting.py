@@ -60,10 +60,11 @@ _T2_COLS = ("t_sc_bc", "t_sc_disk")
 
 
 def format_table1(rows: Iterable[Table1Row], compare: bool = True) -> str:
-    """Render Table 1 rows, optionally alongside the paper's values."""
+    """Render Table 1 rows, optionally alongside the paper's values; the
+    ``t_i_ref`` column (INTERSECT-AUX + PROJ) has no paper counterpart."""
     out = ["Table 1. Write time breakdown at compute node (us)"]
     header = f"{'Size':>5} {'Ph':>3} {'Lo':>3} |"
-    for c in _T1_COLS:
+    for c in ("t_i", "t_i_ref") + _T1_COLS[1:]:
         header += f" {c:>9}"
     if compare:
         header += "  |  paper: " + " ".join(f"{c:>8}" for c in _T1_COLS)
@@ -72,7 +73,7 @@ def format_table1(rows: Iterable[Table1Row], compare: bool = True) -> str:
     for r in rows:
         line = (
             f"{r.size:>5} {r.physical:>3} {r.logical:>3} |"
-            f" {r.t_i:9.0f} {r.t_m:9.1f} {r.t_g:9.1f}"
+            f" {r.t_i:9.0f} {r.t_i_ref:9.0f} {r.t_m:9.1f} {r.t_g:9.1f}"
             f" {r.t_w_bc:9.0f} {r.t_w_disk:9.0f}"
         )
         if compare and (r.size, r.physical) in PAPER_TABLE1:

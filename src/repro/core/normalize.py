@@ -31,6 +31,8 @@ __all__ = [
     "compress_segments",
     "falls_set_from_segments",
     "coalesced_falls_set",
+    "node_floor",
+    "product_falls",
     "pad_to_height",
     "equalize_set_heights",
     "trivial_inner",
@@ -92,7 +94,9 @@ def _smallest_period(starts: np.ndarray, lengths: np.ndarray) -> int | None:
     like_first = lengths == lengths[0]
     like_first[:-1] &= steps == steps[0]
     breaks = np.flatnonzero(~like_first)
-    lower = int(breaks[0]) + 1 if breaks.size else 1
+    if not breaks.size:
+        return 1  # one length, one step
+    lower = int(breaks[0]) + 1
     candidates = np.arange(lower, n // 2 + 1)
     candidates = candidates[n % candidates == 0]
     for p in candidates[like_first[candidates]].tolist():
@@ -133,10 +137,64 @@ def falls_set_from_segments(segs: SegmentArrays) -> FallsSet:
     return FallsSet((Falls(first, stop, shift, n // p, inner.falls),))
 
 
+def node_floor(segs: SegmentArrays) -> int:
+    """A lower bound on the FALLS nodes :func:`falls_set_from_segments`
+    builds from ``segs``, without building them: a node per level of
+    period, then a node per run of equally long segments (a flat FALLS
+    has one block length)."""
+    starts, lengths = segs
+    p = _smallest_period(starts, lengths) if starts.size > 1 else None
+    if p is None:
+        return int(np.count_nonzero(lengths[1:] != lengths[:-1])) + 1
+    return 1 if p == 1 else 1 + node_floor((starts[:p], lengths[:p]))
+
+
 def coalesced_falls_set(segs: SegmentArrays) -> FallsSet:
     """Like :func:`falls_set_from_segments`, but first merges adjacent
     segments so the result uses maximal contiguous runs."""
     return falls_set_from_segments(merge_segment_arrays(segs))
+
+
+def _repeat(
+    block: Tuple[Falls, ...], l: int, r: int, stride: int, n: int
+) -> Tuple[Falls, ...]:
+    """``block`` (relative to ``l``, inside ``[l, r]``) repeated ``n`` times
+    ``stride`` apart.  A block of one FALLS folds into it when that FALLS
+    has one block or its progression runs on across the repeats, as
+    period detection would have found."""
+    if n == 1:
+        return tuple(f.shifted(l) for f in block) if l else block
+    if len(block) == 1:
+        g = block[0]
+        if g.n == 1:
+            return (Falls(l + g.l, l + g.r, stride, n, g.inner),)
+        if g.s * g.n == stride:
+            return (Falls(l + g.l, l + g.r, g.s, g.n * n, g.inner),)
+    return (Falls(l, r, stride, n, block),)
+
+
+def product_falls(
+    rows: Sequence[Falls], width: int, cols: Sequence[Falls]
+) -> Tuple[Falls, ...]:
+    """The bytes ``row * width + col`` for every ``row`` that ``rows``
+    selects (in units of rows) and every ``col`` that ``cols`` selects
+    (inside ``[0, width)``): ``rows``' tree scaled to bytes, each leaf
+    block of rows repeating ``cols`` once per row."""
+    cols = tuple(cols)
+    full = len(cols) == 1 and cols[0].is_leaf and cols[0].is_contiguous and (
+        cols[0].l == 0 and cols[0].span == width
+    )
+    out: List[Falls] = []
+    for f in rows:
+        l, r, s = f.l * width, (f.r + 1) * width - 1, f.s * width
+        if f.inner:
+            out.append(Falls(l, r, s, f.n, product_falls(f.inner, width, cols)))
+        elif full:
+            out.append(Falls(l, r, s, f.n))
+        else:
+            row = _repeat(cols, 0, width - 1, width, f.block_length)
+            out.extend(_repeat(row, l, r, s, f.n))
+    return tuple(out)
 
 
 def trivial_inner(block_length: int, height: int) -> Falls:

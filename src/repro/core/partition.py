@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
@@ -33,15 +34,20 @@ class PartitionError(ValueError):
     """Raised when a partitioning pattern is structurally invalid."""
 
 
-def _falls_canonical(f: Falls) -> list:
-    """The compact array form ``[l, r, s, n, [inner...]]`` — identical to
-    :func:`repro.core.serialize.falls_to_obj` (kept local to avoid an
-    import cycle), so the structural key is stable across the JSON
-    round-trip."""
-    base: list = [f.l, f.r, f.s, f.n]
-    if f.inner:
-        base.append([_falls_canonical(g) for g in f.inner])
-    return base
+def _rows_by_columns(f: Falls) -> Tuple[int, Tuple[Falls, ...]]:
+    """An outer FALLS read as whole rows x a column set: the row width it
+    pins (0 for a leaf) and its columns (empty: all).  A lone inner FALLS
+    tiling the block with rows (the wrapper
+    :func:`repro.distributions.multidim.scale_falls` emits) pins its
+    stride; any other inner layout pins the block length."""
+    if not f.inner:
+        return 0, ()
+    g = f.inner[0]
+    if len(f.inner) == 1 and g.l == 0 and g.s == g.block_length and (
+        g.n * g.s == f.block_length
+    ):
+        return g.s, g.inner
+    return f.block_length, f.inner
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,9 @@ class Partition:
             raise PartitionError(f"displacement must be >= 0, got {displacement}")
         if not self.elements:
             raise PartitionError("a partition needs at least one element")
-        size = sum(e.size() for e in self.elements)
+        sizes = tuple(e.size() for e in self.elements)
+        object.__setattr__(self, "_element_sizes", sizes)
+        size = sum(sizes)
         object.__setattr__(self, "size", size)
         if size <= 0:
             raise PartitionError("partition elements select no bytes")
@@ -145,7 +153,7 @@ class Partition:
         return len(self.elements)
 
     def element_size(self, idx: int) -> int:
-        return self.elements[idx].size()
+        return self._element_sizes[idx]
 
     def element_length(self, idx: int, file_length: int) -> int:
         """Bytes of a file of ``file_length`` owned by element ``idx``.
@@ -173,6 +181,56 @@ class Partition:
         heads = run_heads(owners)
         return starts[heads], owners[heads]
 
+    @cached_property
+    def row_width(self) -> int:
+        """The widest row width :meth:`factors` may succeed at: the gcd of
+        the pattern size and, per outer FALLS, the width it pins or its
+        leaf bounds and stride.  O(FALLS nodes), read from the trees."""
+        return math.gcd(self.size, *(
+            _rows_by_columns(f)[0] or math.gcd(f.l, f.r + 1, f.s)
+            for e in self.elements for f in e.falls
+        ))
+
+    def factors(self, width: int) -> tuple | None:
+        """This partition as rows x columns at ``width`` bytes per row:
+        ``(rows, cols, cells)``, where ``rows`` partitions the pattern's
+        rows, ``cols`` partitions ``[0, width)`` and element ``e`` owns
+        exactly the bytes ``row * width + col`` of row set ``cells[e][0]``
+        and column set ``cells[e][1]``; ``None`` unless the trees prove
+        it.  Memoised per width beside :attr:`runs`."""
+        memo = self.__dict__.setdefault("_factors", {})
+        if width not in memo:
+            memo[width] = self._factor(width)
+        return memo[width]
+
+    def _factor(self, width: int) -> tuple | None:
+        row_sets: dict = {}
+        col_sets: dict = {}
+        cells = []
+        for e in self.elements:
+            read = [_rows_by_columns(f) for f in e.falls]
+            if len({cols for _, cols in read}) != 1 or any(
+                w not in (0, width) or f.l % width or (f.r + 1) % width or f.s % width
+                for f, (w, _) in zip(e.falls, read)
+            ):
+                return None
+            rows = tuple(
+                Falls(f.l // width, (f.r + 1) // width - 1, f.s // width, f.n)
+                for f in e.falls
+            )
+            cols = read[0][1] or (Falls(0, width - 1, width, 1),)
+            cells.append((row_sets.setdefault(rows, len(row_sets)),
+                          col_sets.setdefault(cols, len(col_sets))))
+        # Every (row set, column set) combination is one element of a
+        # valid partition, so the row sets tile the rows and the column
+        # sets the columns.
+        if self.size % width or not (
+            len(set(cells)) == len(cells) == len(row_sets) * len(col_sets)
+        ):
+            return None
+        return (Partition(row_sets, validate=False),
+                Partition(col_sets, validate=False), cells)
+
     def element_segments(self, idx: int, lo: int, hi: int) -> SegmentArrays:
         """File-space byte segments element ``idx`` owns within
         ``[lo, hi]`` (inclusive), sorted and merged: MAP⁻¹ of a whole
@@ -196,11 +254,13 @@ class Partition:
         """
         cached = self.__dict__.get("_structure_key")
         if cached is None:
+            from .serialize import falls_to_obj  # local import avoids a cycle
+
             payload = json.dumps(
                 [
                     self.displacement,
                     [
-                        [_falls_canonical(f) for f in e.falls]
+                        [falls_to_obj(f) for f in e.falls]
                         for e in self.elements
                     ],
                 ],

@@ -13,6 +13,7 @@ per-byte indices.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,7 @@ from .segments import (
     clip_segments,
     leaf_segment_arrays_set,
     merge_segment_arrays,
+    product_segment_arrays,
     tile_segment_arrays,
 )
 
@@ -37,6 +39,9 @@ __all__ = ["PeriodicFallsSet"]
 #: access pattern of one view repeated over many operations), so a small
 #: LRU suffices.
 _WINDOW_MEMO_CAPACITY = 8
+#: Guards every window memo: the plan cache hands one projection to every
+#: thread, so one thread's eviction can race another's lookup.
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,24 @@ class PeriodicFallsSet:
         out.__dict__["_period_segments"] = segs
         return out
 
+    @classmethod
+    def from_product(
+        cls,
+        falls: FallsSet,
+        rows: SegmentArrays,
+        width: int,
+        cols: SegmentArrays,
+        displacement: int,
+        period: int,
+    ) -> "PeriodicFallsSet":
+        """``falls`` selecting the bytes ``row * width + col`` of one period
+        for every row in ``rows`` and every column in ``cols`` (merged
+        segment lists): the period's segments are broadcast from the two
+        lists when a query first needs them."""
+        out = cls(falls, displacement, period)
+        out.__dict__["_factors"] = (rows, width, cols)
+        return out
+
     @property
     def is_empty(self) -> bool:
         return self.falls.is_empty
@@ -92,6 +115,9 @@ class PeriodicFallsSet:
     @cached_property
     def _period_segments(self) -> SegmentArrays:
         """Merged, sorted segments of one period (period-relative)."""
+        factors = self.__dict__.get("_factors")
+        if factors is not None:
+            return product_segment_arrays(*factors)
         return merge_segment_arrays(leaf_segment_arrays_set(self.falls.falls))
 
     @cached_property
@@ -130,10 +156,11 @@ class PeriodicFallsSet:
                 np.empty(0, dtype=np.int64),
             )
         memo = self._window_memo
-        cached = memo.get((lo, hi))
-        if cached is not None:
-            memo.move_to_end((lo, hi))
-            return cached
+        with _MEMO_LOCK:
+            cached = memo.get((lo, hi))
+            if cached is not None:
+                memo.move_to_end((lo, hi))
+                return cached
         k_first = (lo - self.displacement) // self.period
         k_last = (hi - self.displacement) // self.period
         base = self._period_segments
@@ -150,9 +177,10 @@ class PeriodicFallsSet:
             result = merge_segment_arrays(result)
         result[0].setflags(write=False)
         result[1].setflags(write=False)
-        memo[(lo, hi)] = result
-        if len(memo) > _WINDOW_MEMO_CAPACITY:
-            memo.popitem(last=False)
+        with _MEMO_LOCK:
+            memo[(lo, hi)] = result
+            if len(memo) > _WINDOW_MEMO_CAPACITY:
+                memo.popitem(last=False)
         return result
 
     def _count_below(self, x: int) -> int:

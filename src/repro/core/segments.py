@@ -23,9 +23,12 @@ __all__ = [
     "leaf_segment_arrays",
     "leaf_segment_arrays_set",
     "merge_segment_arrays",
+    "product_segment_arrays",
+    "unit_segments",
     "run_heads",
     "segments_to_linesegments",
     "intersect_segment_arrays",
+    "join_abutting",
     "tile_segment_arrays",
 ]
 
@@ -132,6 +135,48 @@ def merge_segment_arrays(segs: SegmentArrays) -> SegmentArrays:
     run_starts = starts[breaks]
     run_stops = np.maximum.reduceat(stops, np.flatnonzero(breaks))
     return run_starts, run_stops - run_starts + 1
+
+
+def unit_segments(segs: SegmentArrays) -> SegmentArrays:
+    """Every position a segment list covers, as its own unit segment."""
+    starts, lengths = segs
+    first = np.cumsum(lengths) - lengths
+    each = np.arange(int(lengths.sum()), dtype=np.int64)
+    each += np.repeat(starts - first, lengths)
+    return each, np.ones_like(each)
+
+
+def join_abutting(segs: SegmentArrays) -> SegmentArrays:
+    """Merge a sorted, disjoint segment list (only abutting segments join,
+    so it is cheaper than :func:`merge_segment_arrays`)."""
+    starts, lengths = segs
+    if starts.size < 2:
+        return segs
+    heads = np.empty(starts.size, dtype=bool)
+    heads[0] = True
+    np.not_equal(starts[1:], starts[:-1] + lengths[:-1], out=heads[1:])
+    if heads.all():
+        return segs
+    at = np.flatnonzero(heads)
+    return starts[at], np.add.reduceat(lengths, at)
+
+
+def product_segment_arrays(
+    rows: SegmentArrays, width: int, cols: SegmentArrays
+) -> SegmentArrays:
+    """Merged segments of the bytes ``row * width + col`` for every row in
+    the merged list ``rows`` and every column in the merged list ``cols``
+    (inside ``[0, width)``): one broadcast of the two lists."""
+    row_starts, row_lengths = rows
+    col_starts, col_lengths = cols
+    if col_lengths.size == 1 and col_lengths[0] == width:
+        return row_starts * width, row_lengths * width
+    each = unit_segments((row_starts, row_lengths))[0] * width
+    starts = (each[:, None] + col_starts).reshape(-1)
+    lengths = np.broadcast_to(col_lengths, (each.size, col_lengths.size)).reshape(-1)
+    if col_starts[0] == 0 and col_starts[-1] + col_lengths[-1] == width:
+        return join_abutting((starts, lengths))  # runs over row ends
+    return starts, lengths
 
 
 def intersect_segment_arrays(a: SegmentArrays, b: SegmentArrays) -> SegmentArrays:

@@ -3,9 +3,12 @@
 Given two partitions of the same file — source and destination — the
 redistribution algorithm intersects every source element with every
 destination element and projects each non-empty intersection on both
-sides; :func:`build_plan` gets all of them from one labelled sweep over
-a period.  The result is a :class:`RedistributionPlan`: one
-:class:`Transfer` per communicating element pair, carrying
+sides; :func:`build_plan` gets all of them from labelled sweeps over a
+period: one per dimension when both partitions are products of rows
+and columns (every multidimensional array layout is), one over the
+flattened period otherwise.  The result is a
+:class:`RedistributionPlan`: one :class:`Transfer` per communicating
+element pair, carrying
 
 * the intersection (file space) — what the pair has in common,
 * the source projection — *where to gather* those bytes from the source
@@ -22,6 +25,7 @@ and any number of accesses — this is exactly the cost the paper's
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,9 +33,16 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..core.falls import Falls, FallsSet
+from ..core.normalize import falls_set_from_segments, node_floor, product_falls
 from ..core.partition import Partition
 from ..core.periodic import PeriodicFallsSet
-from ..core.segments import run_heads
+from ..core.segments import (
+    join_abutting,
+    product_segment_arrays,
+    run_heads,
+    unit_segments,
+)
 from ..obs import metrics as _metrics
 
 __all__ = ["Transfer", "RedistributionPlan", "build_plan"]
@@ -158,6 +169,8 @@ def _window_runs(
     """``p``'s same-owner runs over ``[lo, lo + period)``: window-relative
     starts, owners, and per run the shift from a window position to its
     offset among the owner's bytes counted from the window start."""
+    if p.num_elements == 1:  # one run: the whole window
+        return (np.zeros(1, dtype=np.int64),) * 3
     starts, owners = p.runs
     phase = (lo - p.displacement) % p.size
     copies = period // p.size + (phase > 0)
@@ -172,6 +185,10 @@ def _window_runs(
         last = int(np.searchsorted(starts, phase + period))
         starts, owners = starts[first:last] - phase, owners[first:last]
         starts[0] = 0
+    if copies == 1 and not phase and owners.size == p.num_elements and all(
+        map(p.element_size, range(p.num_elements))
+    ):
+        return starts, owners, -starts  # each element is one run
     # Grouped exclusive cumsum: each run's offset among its owner's bytes.
     lengths = np.diff(starts, append=period)
     order = np.argsort(owners, kind="stable")
@@ -183,29 +200,17 @@ def _window_runs(
     return starts, owners, shift - starts
 
 
-def build_plan(src: Partition, dst: Partition) -> RedistributionPlan:
-    """Compute the redistribution schedule between two partitions.
-
-    Everything is periodic with the lcm of the two pattern sizes from
-    the larger displacement (the paper's PREPROCESS), and both
-    partitions tile that window.  The union of both sides' same-owner
-    run starts (:attr:`Partition.runs`) cuts it into pieces, each
-    labelled (source element, destination element) by ``searchsorted``;
-    one stable argsort groups them by pair.  A group is the pair's
-    intersection (no group: no transfer) and, shifted by each side's
-    run offsets, both its projections: three segment lists sharing one
-    ``lengths`` array, each re-nested once by period detection
-    (:func:`repro.core.normalize.falls_set_from_segments`).  No pair is
-    intersected and no offset is MAPped; INTERSECT-AUX
-    (:func:`repro.core.intersect_nested.intersect_elements`) + PROJ
-    (:func:`repro.core.projection.project`) is the reference.
-    """
+def _sweep(src: Partition, dst: Partition, src_lo: int, dst_lo: int, period: int):
+    """Cut a window of ``period`` from ``src_lo`` in ``src`` and ``dst_lo``
+    in ``dst`` at both sides' same-owner run starts, label each piece
+    (source element, destination element) by ``searchsorted`` and group
+    the pieces by pair with one stable argsort.  Yields, per non-empty
+    pair in key order, ``(i, j, at, size, src_at, dst_at)``: the pieces'
+    window-relative starts and lengths, and their offsets among ``i``'s
+    and ``j``'s bytes counted from the window start."""
     q = dst.num_elements
-    candidates = src.num_elements * q
-    window_lo = max(src.displacement, dst.displacement)
-    period = math.lcm(src.size, dst.size)
-    src_starts, src_owners, src_shift = _window_runs(src, window_lo, period)
-    dst_starts, dst_owners, dst_shift = _window_runs(dst, window_lo, period)
+    src_starts, src_owners, src_shift = _window_runs(src, src_lo, period)
+    dst_starts, dst_owners, dst_shift = _window_runs(dst, dst_lo, period)
     # Piece k is [cuts[k], cuts[k + 1]); the last cut is the window end.
     cuts = np.concatenate((src_starts, dst_starts, [period]))
     cuts.sort(kind="stable")  # sorted runs: a linear merge
@@ -214,34 +219,183 @@ def build_plan(src: Partition, dst: Partition) -> RedistributionPlan:
     dst_run = np.searchsorted(dst_starts, cuts[:-1], "right") - 1
     pair = src_owners[src_run].astype(np.int64) * q + dst_owners[dst_run]
     order = np.argsort(pair, kind="stable")
-    counts = np.bincount(pair, minlength=candidates)
+    counts = np.bincount(pair, minlength=src.num_elements * q)
     del pair  # a k = 1 layout cuts one piece per byte: free what we can
-
-    transfers: List[Transfer] = []
     stop = 0
     for key in np.flatnonzero(counts).tolist():
         idx = order[stop : stop + counts[key]]
         stop += counts[key]
         at = cuts[idx]
-        size = cuts[idx + 1] - at
+        yield (*divmod(key, q), at, cuts[idx + 1] - at,
+               at + src_shift[src_run[idx]], at + dst_shift[dst_run[idx]])
 
-        def projection(p, e, run, shift):
-            return PeriodicFallsSet.from_segments(
-                (at + shift[run[idx]], size),
-                p.element_length(e, window_lo),
-                period // p.size * p.element_size(e),
-            )
 
-        i, j = divmod(key, q)
-        transfers.append(
-            Transfer(
-                i,
-                j,
-                PeriodicFallsSet.from_segments((at, size), window_lo, period),
-                projection(src, i, src_run, src_shift),
-                projection(dst, j, dst_run, dst_shift),
-            )
+def _linear(p: Partition, e: int, lo: int, period: int) -> Tuple[int, int]:
+    """Displacement and period of element ``e``'s share of the window
+    ``[lo, lo + period)`` in the element's own linear space."""
+    return p.element_length(e, lo), period // p.size * p.element_size(e)
+
+
+def _swept_transfers(src, dst, lo, period) -> List[Transfer]:
+    """Transfers from one sweep of the flattened window ``[lo, lo +
+    period)``, each pair's byte lists re-nested by period detection."""
+    return [
+        Transfer(
+            i,
+            j,
+            PeriodicFallsSet.from_segments((at, size), lo, period),
+            PeriodicFallsSet.from_segments(
+                (src_at, size), *_linear(src, i, lo, period)
+            ),
+            PeriodicFallsSet.from_segments(
+                (dst_at, size), *_linear(dst, j, lo, period)
+            ),
         )
+        for i, j, at, size, src_at, dst_at in _sweep(src, dst, lo, lo, period)
+    ]
+
+
+def _nodes(falls) -> int:
+    """FALLS nodes in a tree."""
+    return sum(1 + _nodes(f.inner) for f in falls)
+
+
+def _chain(falls) -> bool:
+    """True when every level of the tree is one FALLS."""
+    return len(falls) < 2 and all(_chain(f.inner) for f in falls)
+
+
+def _product_transfers(src, dst, lo, period, width) -> List[Transfer]:
+    """Transfers of two products at ``width`` bytes per row
+    (:meth:`Partition.factors`), swept once per dimension.
+
+    A set is rows x columns (:func:`repro.core.normalize.product_falls`)
+    of its row and column pairs' lists, each compressed once: the rows
+    one by one unless the pair owns whole rows, as the flattened sweep
+    cuts them, so period detection on the flattened list would find the
+    row tree's levels again.  Where runs may also carry on from one row
+    into the next (below a row level of several FALLS, or where the
+    columns wrap round), the flattened list is built and its tree kept
+    if smaller: no tree is larger than the sweep's."""
+    (src_rows, src_cols, src_cells), (dst_rows, dst_cols, dst_cells) = (
+        src.factors(width),
+        dst.factors(width),
+    )
+    row_lo = [(lo - p.displacement) // width for p in (src, dst)]
+    pieces = [
+        {(a, b): x for a, b, *x in sweep}
+        for sweep in (
+            _sweep(src_rows, dst_rows, *row_lo, period // width),
+            _sweep(src_cols, dst_cols, 0, 0, width),
+        )
+    ]
+
+    def segs(dim, pair, k):
+        """List ``k`` (window positions, source or destination offsets)
+        of a row (``dim`` 0) or column pair."""
+        at, size, *offsets = pieces[dim][pair]
+        return (at, *offsets)[k], size
+
+    @functools.cache
+    def tree(dim, pair, k, unit=False):
+        """List ``k``'s tree; rows one by one if ``unit``."""
+        starts, size = segs(dim, pair, k)
+        if unit and size.size == 1:  # one block of rows
+            return (Falls(int(starts[0]), int(starts[0]), 1, int(size[0])),)
+        return falls_set_from_segments(
+            unit_segments((starts, size)) if unit else (starts, size)
+        ).falls
+
+    @functools.cache
+    def merged(dim, pair, k):
+        # Pieces apart in the window may abut in an element.
+        return join_abutting(segs(dim, pair, k)) if k else segs(dim, pair, k)
+
+    def swept(rp, cp, k, w):
+        """The flattened sweep's list ``k``: one piece per merged segment
+        of the intersection, at its offset on side ``k``."""
+        starts, size = product_segment_arrays(segs(0, rp, 0), width, segs(1, cp, 0))
+        if k:
+            offset = 0
+            for (at, _, *off), x, scale in zip(
+                (pieces[0][rp], pieces[1][cp]), np.divmod(starts, width), (w, 1)
+            ):
+                run = np.searchsorted(at, x, "right") - 1
+                offset = offset + (off[k - 1][run] + x - at[run]) * scale
+            starts = offset
+        return starts, size
+
+    def assemble(rp, cp, k, w, disp, per, unit, wraps):
+        rows, cols = tree(0, rp, k, unit), tree(1, cp, k)
+        falls = product_falls(rows, w, cols)
+        chain = _chain(rows)
+        if not chain:  # whole blocks of rows may nest better
+            falls = min(falls, product_falls(tree(0, rp, k), w, cols), key=_nodes)
+        one_segment = len(cols) == 1 and cols[0].n == 1 and not cols[0].inner
+        if wraps or not (chain or one_segment):
+            flat = swept(rp, cp, k, w)
+            if node_floor(flat) < _nodes(falls):
+                falls = min(falls, falls_set_from_segments(flat).falls, key=_nodes)
+        return PeriodicFallsSet.from_product(
+            FallsSet(falls), merged(0, rp, k), w, merged(1, cp, k), disp, per
+        )
+
+    src_of = {cell: e for e, cell in enumerate(src_cells)}
+    dst_of = {cell: e for e, cell in enumerate(dst_cells)}
+    transfers = []
+    for i, j, rp, cp in sorted(
+        (src_of[a, c], dst_of[b, d], (a, b), (c, d))
+        for a, b in pieces[0]
+        for c, d in pieces[1]
+    ):
+        at, size = pieces[1][cp][:2]
+        unit = not (size.size == 1 and size[0] == width)
+        wraps = unit and at[0] == 0 and at[-1] + size[-1] == width and (
+            pieces[0][rp][1].max() > 1
+        )
+        sides = (
+            (width, lo, period),
+            (src_cols.element_size(src_cells[i][1]), *_linear(src, i, lo, period)),
+            (dst_cols.element_size(dst_cells[j][1]), *_linear(dst, j, lo, period)),
+        )
+        transfers.append(Transfer(i, j, *(
+            assemble(rp, cp, k, *side, unit, wraps) for k, side in enumerate(sides)
+        )))
+    return transfers
+
+
+def build_plan(src: Partition, dst: Partition) -> RedistributionPlan:
+    """Compute the redistribution schedule between two partitions.
+
+    Everything is periodic with the lcm of the two pattern sizes from
+    the larger displacement (the paper's PREPROCESS).  Each non-empty
+    (source element, destination element) pair of that window is one
+    :class:`Transfer`: the bytes the pair shares and where they sit in
+    each element's linear space.  No pair is intersected and no offset
+    is MAPped; INTERSECT-AUX
+    (:func:`repro.core.intersect_nested.intersect_elements`) + PROJ
+    (:func:`repro.core.projection.project`) is the reference.
+
+    When both partitions are products of rows and columns at one row
+    width, read from their FALLS trees (:meth:`Partition.factors`), the
+    window is swept once over the row factors and once over the column
+    factors, and every transfer is assembled as rows x columns
+    (:func:`_product_transfers`): no list of the window's size is built,
+    and a set expands its segments only when a query first needs them.
+    Any other pair sweeps the flattened window, cutting it at both
+    sides' same-owner runs (:attr:`Partition.runs`) and re-nesting each
+    pair's byte lists by period detection (:func:`_swept_transfers`),
+    the reference the product path matches segment for segment.
+    """
+    candidates = src.num_elements * dst.num_elements
+    lo = max(src.displacement, dst.displacement)
+    period = math.lcm(src.size, dst.size)
+
+    width = math.gcd(src.row_width, dst.row_width, src.displacement - dst.displacement)
+    if width > 1 and src.factors(width) and dst.factors(width):
+        transfers = _product_transfers(src, dst, lo, period, width)
+    else:
+        transfers = _swept_transfers(src, dst, lo, period)
     pruned = candidates - len(transfers)
     _metrics.inc("build_plan.calls")
     _metrics.inc("build_plan.candidate_pairs", candidates)

@@ -50,6 +50,12 @@ class TestRunWorkload:
         assert res.table1.t_i > 0
         assert res.table2.t_sc_disk > res.table2.t_sc_bc
 
+    def test_reference_t_i_is_measured(self):
+        # INTERSECT-AUX + PROJ on the same pairs, beside the production t_i.
+        res = run_workload(MatrixWorkload(64, "c"), repeats=1)
+        assert res.table1.t_i_ref > 0
+        assert "t_i_ref" in format_table1([res.table1])
+
     def test_repeats_validation(self):
         with pytest.raises(ValueError):
             run_workload(MatrixWorkload(64, "c"), repeats=0)

@@ -1,5 +1,8 @@
 """Unit tests for intersection projections and periodic FALLS families."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -156,3 +159,44 @@ class TestProjection:
         for s, ln in zip(ps.tolist(), pl.tolist()):
             got.update(range(s, s + ln))
         assert got == want
+
+
+def test_window_memo_is_safe_under_threads():
+    """The plan cache hands one projection to every thread: concurrent
+    ``segments_in`` calls over more windows than the memo holds evict
+    each other's entries and must still answer every call."""
+    from repro.distributions import matrix_partition
+    from repro.redistribution import build_plan
+
+    rows, cols = (matrix_partition(x, 64, 64, 4) for x in "rc")
+    pfs = build_plan(rows, cols).transfers[0].src_projection
+    windows = [(64 * k, 64 * k + 1000) for k in range(16)]
+    fresh = PeriodicFallsSet(pfs.falls, pfs.displacement, pfs.period)
+    want = [fresh.segments_in(lo, hi) for lo, hi in windows]
+    errors, done = [], []
+
+    def hammer():
+        try:
+            for n in range(3000):
+                if errors:
+                    break
+                got = pfs.segments_in(*windows[n % 16])
+                if not np.array_equal(got[0], want[n % 16][0]):
+                    raise AssertionError(f"wrong segments for {windows[n % 16]}")
+        except Exception as exc:  # reported below, with the thread's window
+            errors.append(repr(exc))
+        done.append(True)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == 8
+    assert errors == []

@@ -7,11 +7,15 @@ last blocks, multi-FALLS sets, displacements).
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import strategies as st
 
 from repro.core.algebra import partition_from_elements
 from repro.core.falls import Falls, FallsSet
 from repro.core.partition import Partition
+from repro.distributions import Block, BlockCyclic, Replicated, multidim_partition
+from repro.distributions.hpf import owned_count
 
 
 @st.composite
@@ -117,6 +121,41 @@ def nested_partitions(draw, max_displacement=8):
     element = draw(falls_sets())
     disp = draw(st.integers(0, max_displacement))
     return partition_from_elements([element], displacement=disp, fill_last=True)
+
+
+@st.composite
+def array_shapes(draw):
+    """A 2-D or 3-D array shape with uneven extents, and an itemsize."""
+    ndim = draw(st.sampled_from([2, 3]))
+    top = 9 if ndim == 2 else 5
+    return tuple(draw(st.integers(2, top)) for _ in range(ndim)), draw(
+        st.integers(1, 4)
+    )
+
+
+@st.composite
+def product_partitions(draw, array=array_shapes()):
+    """A ``multidim_partition`` of ``array`` (a drawn ``(shape,
+    itemsize)`` or a strategy for one): Block, BlockCyclic(k) or
+    Replicated per dimension over up to three processors, so blocks come
+    out ragged, from a displacement that is mostly whole rows."""
+    shape, itemsize = array if isinstance(array, tuple) else draw(array)
+    dists, grid = [], []
+    for extent in shape:
+        dist = draw(
+            st.sampled_from(
+                [Block(), Replicated()] + [BlockCyclic(k) for k in (1, 2, 3)]
+            )
+        )
+        procs = 1 if isinstance(dist, Replicated) else draw(st.integers(1, 3))
+        # Shrink the grid until no processor is left without data.
+        while procs > 1 and not owned_count(dist, extent, procs, procs - 1):
+            procs -= 1
+        dists.append(dist)
+        grid.append(procs)
+    row = itemsize * math.prod(shape[1:])
+    disp = draw(st.integers(0, 3)) * row + draw(st.sampled_from([0, 0, 0, 1]))
+    return multidim_partition(shape, itemsize, dists, grid, displacement=disp)
 
 
 def any_partition():

@@ -1,17 +1,17 @@
 """Time, memory and size ceilings for redistribution plan construction.
 
-``build_plan`` labels every byte of one lcm window with its (source
-element, destination element) pair in one sweep over both partitions'
-same-owner runs, and re-nests each pair's segment lists by period
-detection, so a plan's size follows the pattern, not the number of
-rows.  Structural INTERSECT-AUX on the single-block wrappers of a
-multidimensional layout recurses once per row instead: the ``k = 1``
-pairs below took more than 70 s there and run in about 0.2 s here, and a
-flat compressor stored one FALLS per matrix column (576) where two
-nested ones describe the same bytes.  A ``k = 1`` pair cuts its window
-into one piece per byte, so the sweep must not keep per-piece arrays it
-can derive per pair: its traced peak stays under the pairwise
-construction's 90.6 MiB.
+``build_plan`` reads from the FALLS trees when both partitions are
+products of rows and columns, sweeps the row factors and the column
+factors once each, and assembles every transfer as rows x columns, so a
+plan's cost follows the number of rows and columns, not the n² bytes of
+the matrix.  The flattened sweep it replaces for such layouts cuts a
+``k = 1`` window into one piece per byte and re-nests every pair's
+segment lists by period detection: 0.22 s and a 66 MiB tracemalloc peak
+at n = 1024, about 5 s and 1 GiB by extrapolation at the n = 4096 below.
+Structural INTERSECT-AUX on the single-block wrappers of a
+multidimensional layout recurses once per row instead (more than 70 s
+at n = 1024), and a flat compressor stored one FALLS per matrix column
+(576) where two nested ones describe the same bytes.
 """
 
 import time
@@ -19,15 +19,32 @@ import tracemalloc
 
 import pytest
 
+from repro.core.partition import Partition
 from repro.distributions import BlockCyclic, matrix_partition, multidim_partition
+from repro.distributions.multidim import multidim_element
 from repro.redistribution import build_plan
 
-PEAK_CEILING_MIB = 96
+N = 4096
+PEAK_CEILING_MIB = 8
 
 
 def _block_cyclic(n, k, grid):
     cyclic = BlockCyclic(k)
     return multidim_partition((n, n), 1, (cyclic, cyclic), grid)
+
+
+def _unit_block_cyclic():
+    """``bc(4096, k = 1, 2 x 2)``, unvalidated: validation expands the
+    pattern's 16 Mi one-byte segments, which is the cost under test.
+    ``multidim_partition`` validates the same layout at smaller n."""
+    grid, cyclic = (2, 2), BlockCyclic(1)
+    return Partition(
+        [
+            multidim_element((N, N), 1, (cyclic, cyclic), grid, divmod(rank, 2))
+            for rank in range(4)
+        ],
+        validate=False,
+    )
 
 
 def _nodes(falls_set):
@@ -37,21 +54,26 @@ def _nodes(falls_set):
     return sum(count(f) for f in falls_set.falls)
 
 
+def _assert_closed_form_total(plan):
+    # Whole periods only: no period's segments are expanded to count.
+    assert plan.total_bytes(N * N) == N * N
+    for t in plan.transfers:
+        assert "_period_segments" not in t.intersection.__dict__
+
+
 @pytest.mark.parametrize("physical", ["r", "c", "b"])
-def test_unit_block_cyclic_plan_builds_within_a_second(physical):
-    src = _block_cyclic(1024, 1, (2, 2))
-    dst = matrix_partition(physical, 1024, 1024, 4)
+def test_unit_block_cyclic_plan_builds_in_a_tenth_of_a_second(physical):
+    src, dst = _unit_block_cyclic(), matrix_partition(physical, N, N, 4)
     t0 = time.perf_counter()
     plan = build_plan(src, dst)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0
-    assert plan.total_bytes(1024 * 1024) == 1024 * 1024
+    assert elapsed < 0.1
+    _assert_closed_form_total(plan)
 
 
 @pytest.mark.parametrize("physical", ["r", "c", "b"])
 def test_unit_block_cyclic_plan_peak_memory(physical):
-    src = _block_cyclic(1024, 1, (2, 2))
-    dst = matrix_partition(physical, 1024, 1024, 4)
+    src, dst = _unit_block_cyclic(), matrix_partition(physical, N, N, 4)
     tracemalloc.start()
     try:
         plan = build_plan(src, dst)
@@ -59,7 +81,7 @@ def test_unit_block_cyclic_plan_peak_memory(physical):
     finally:
         tracemalloc.stop()
     assert peak < PEAK_CEILING_MIB << 20
-    assert plan.total_bytes(1024 * 1024) == 1024 * 1024
+    _assert_closed_form_total(plan)
 
 
 def test_column_cyclic_projections_are_pattern_sized():

@@ -1,13 +1,17 @@
-"""The one-sweep plan construction against the pairwise one it replaced.
+"""Plan construction against the references it replaced.
 
-``build_plan`` labels every byte of one lcm window with its (source
-element, destination element) pair in a single sweep over both
-partitions.  :func:`reference_plan` is the construction it replaced:
-intersect all P x Q pairs of merged element segment lists, compress each
-non-empty result, and PROJ it onto both sides through the element's MAP.
-The two must agree field for field — the same transfers in the same
-order, with the same FALLS trees, displacements and periods — and the
-sweep must never reach the pairwise machinery.
+``build_plan`` sweeps a pair of product layouts once per dimension and
+assembles every transfer as rows x columns; any other pair takes the
+flattened sweep, which labels every byte of one lcm window with its
+(source element, destination element) pair.  The flattened sweep
+(:func:`swept_plan`) must equal the pairwise construction it replaced
+(:func:`reference_plan`: intersect all P x Q pairs of merged element
+segment lists, compress each non-empty result, and PROJ it onto both
+sides through the element's MAP) field for field — the same transfers in
+the same order, with the same FALLS trees, displacements and periods.
+Factorised plans must equal the flattened sweep segment for segment,
+with trees no larger than its.  Neither may reach the pairwise
+machinery.
 """
 
 import math
@@ -16,6 +20,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mapping import ElementMapper
 from repro.core.normalize import falls_set_from_segments
@@ -27,9 +32,13 @@ from repro.core.segments import (
     merge_segment_arrays,
 )
 from repro.distributions import BlockCyclic, matrix_partition, multidim_partition
-from repro.redistribution import RedistributionPlan, Transfer, build_plan
+from repro.redistribution import RedistributionPlan, Transfer, build_plan, schedule
 
-from ..properties.strategies import nested_partitions
+from ..properties.strategies import (
+    array_shapes,
+    nested_partitions,
+    product_partitions,
+)
 
 #: The ``cold_views`` layout list: ``bc(n, k, grid)`` against row,
 #: column and block partitions of the same ``n x n`` byte matrix.
@@ -65,6 +74,50 @@ def reference_plan(src, dst) -> RedistributionPlan:
     )
 
 
+def swept_plan(src, dst) -> RedistributionPlan:
+    """``build_plan`` through the flattened sweep alone."""
+    transfers = schedule._swept_transfers(
+        src, dst, max(src.displacement, dst.displacement), math.lcm(src.size, dst.size)
+    )
+    candidates = src.num_elements * dst.num_elements
+    return RedistributionPlan(
+        src, dst, transfers, candidates, candidates - len(transfers)
+    )
+
+
+def nodes(falls_set) -> int:
+    def count(f):
+        return 1 + sum(count(g) for g in f.inner)
+
+    return sum(count(f) for f in falls_set.falls)
+
+
+def assert_same_bytes(plan, ref):
+    """Same transfers in the same order; per set, the same displacement,
+    period and merged period segments (from its lazy expansion and from
+    its tree alike), and a tree no larger than the reference's."""
+    assert [(t.src_element, t.dst_element) for t in plan.transfers] == [
+        (t.src_element, t.dst_element) for t in ref.transfers
+    ]
+    assert (plan.candidate_pairs, plan.pruned_pairs) == (
+        ref.candidate_pairs,
+        ref.pruned_pairs,
+    )
+    assert plan.is_identity == ref.is_identity
+    for t, r in zip(plan.transfers, ref.transfers):
+        for got, want in (
+            (t.intersection, r.intersection),
+            (t.src_projection, r.src_projection),
+            (t.dst_projection, r.dst_projection),
+        ):
+            assert (got.displacement, got.period) == (want.displacement, want.period)
+            expanded = merge_segment_arrays(leaf_segment_arrays_set(got.falls.falls))
+            for segs in (got._period_segments, expanded):
+                np.testing.assert_array_equal(segs[0], want._period_segments[0])
+                np.testing.assert_array_equal(segs[1], want._period_segments[1])
+            assert nodes(got.falls) <= nodes(want.falls)
+
+
 def assert_same_plan(plan, ref):
     assert plan.transfers == ref.transfers
     assert (plan.candidate_pairs, plan.pruned_pairs) == (
@@ -83,15 +136,20 @@ def _block_cyclic(n, k, grid):
     return multidim_partition((n, n), 1, (BlockCyclic(k), BlockCyclic(k)), grid)
 
 
-@pytest.mark.parametrize("k", KS)
-@pytest.mark.parametrize("grid", GRIDS)
-def test_cold_views_plans_equal_pairwise_reference(grid, k):
+def _cold_views_pairs(grid, k):
     for n in NS:
         logical = _block_cyclic(n, k, grid)
         for physical in "rcb":
             subfiles = matrix_partition(physical, n, n, 4)
-            for src, dst in ((logical, subfiles), (subfiles, logical)):
-                assert_same_plan(build_plan(src, dst), reference_plan(src, dst))
+            yield logical, subfiles
+            yield subfiles, logical
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("grid", GRIDS)
+def test_cold_views_plans_equal_pairwise_reference(grid, k):
+    for src, dst in _cold_views_pairs(grid, k):
+        assert_same_plan(swept_plan(src, dst), reference_plan(src, dst))
 
 
 @given(nested_partitions(), nested_partitions())
@@ -99,7 +157,62 @@ def test_cold_views_plans_equal_pairwise_reference(grid, k):
 def test_nested_plans_equal_pairwise_reference(src, dst):
     # Unequal displacements start the window inside a pattern instance
     # of one side, so its runs are tiled from a phase.
-    assert_same_plan(build_plan(src, dst), reference_plan(src, dst))
+    assert_same_plan(swept_plan(src, dst), reference_plan(src, dst))
+    assert_same_bytes(build_plan(src, dst), swept_plan(src, dst))
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Calls of the flattened sweep, counted."""
+    calls = []
+    sweep = schedule._swept_transfers
+
+    def counting(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(schedule, "_swept_transfers", counting)
+    return calls
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_cold_views_plans_are_factorised(grid, sweeps):
+    """All 576 ``cold_views`` plans (both directions) take the product
+    path, match the flattened sweep, and keep every projection within
+    eight FALLS nodes (the flattened sweep's reached 320)."""
+    pairs = [pair for k in KS for pair in _cold_views_pairs(grid, k)]
+    plans = [build_plan(src, dst) for src, dst in pairs]
+    assert sweeps == []
+    for (src, dst), plan in zip(pairs, plans):
+        assert_same_bytes(plan, swept_plan(src, dst))
+        for t in plan.transfers:
+            assert nodes(t.src_projection.falls) <= 8
+            assert nodes(t.dst_projection.falls) <= 8
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_product_plans_equal_sweep_reference(data):
+    # Two layouts of one array: whole-row displacements keep the pair a
+    # product, others send it down the flattened sweep.
+    array = data.draw(array_shapes())
+    src = data.draw(product_partitions(array))
+    dst = data.draw(product_partitions(array))
+    assert_same_bytes(build_plan(src, dst), swept_plan(src, dst))
+
+
+def test_product_plans_keep_is_identity(sweeps):
+    """A diagonal transfer's projections come from one construction, so
+    equal bytes give equal trees."""
+    for layout in "rcb":
+        p = matrix_partition(layout, 96, 64, 4)
+        assert build_plan(p, p).is_identity
+    q = _block_cyclic(96, 8, (2, 2))
+    assert build_plan(q, q).is_identity
+    assert not build_plan(
+        matrix_partition("r", 96, 64, 4), matrix_partition("c", 96, 64, 4)
+    ).is_identity
+    assert sweeps == []
 
 
 def test_plan_path_never_maps_or_intersects_pairs(monkeypatch):
