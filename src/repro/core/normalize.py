@@ -7,7 +7,10 @@ Two families of utilities live here:
   list repeats, level by level, with maximal arithmetic runs of equally
   sized segments as the flat fallback.  Plan construction produces its
   intersections and projections as segment lists per period; this is
-  how those lists become FALLS again.
+  how those lists become FALLS again.  For a product of rows and
+  columns, ``product_falls`` assembles the tree from the two compressed
+  1-D lists instead, and ``node_floor`` bounds what compressing the
+  flattened list would give.
 
 * **Tree shaping** — the paper's nested intersection algorithm "assumes,
   without loss of generality, that the nested FALLS trees have the same
