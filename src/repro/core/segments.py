@@ -140,9 +140,12 @@ def merge_segment_arrays(segs: SegmentArrays) -> SegmentArrays:
 def unit_segments(segs: SegmentArrays) -> SegmentArrays:
     """Every position a segment list covers, as its own unit segment."""
     starts, lengths = segs
-    first = np.cumsum(lengths) - lengths
-    each = np.arange(int(lengths.sum()), dtype=np.int64)
-    each += np.repeat(starts - first, lengths)
+    if starts.size == 1:
+        each = np.arange(starts[0], starts[0] + lengths[0], dtype=np.int64)
+    else:
+        first = np.cumsum(lengths) - lengths
+        each = np.arange(int(lengths.sum()), dtype=np.int64)
+        each += np.repeat(starts - first, lengths)
     return each, np.ones_like(each)
 
 
