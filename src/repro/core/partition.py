@@ -177,9 +177,22 @@ class Partition:
         """The pattern's maximal same-owner runs as ``(starts, owners)``:
         a run ends where the next begins (the last at ``size``), so one
         ``searchsorted`` on ``starts`` finds the owner of any offset."""
+        if self.contiguous:
+            lefts = np.array([e.falls[0].l for e in self.elements])
+            owners = np.argsort(lefts).astype(np.int32)
+            return lefts[owners], owners
         starts, _, owners = self._segments()
         heads = run_heads(owners)
         return starts[heads], owners[heads]
+
+    @cached_property
+    def contiguous(self) -> bool:
+        """True when every element is one contiguous block of the pattern
+        (one leaf FALLS with one block)."""
+        return all(
+            len(e.falls) == 1 and e.falls[0].n == 1 and e.falls[0].is_leaf
+            for e in self.elements
+        )
 
     @cached_property
     def row_width(self) -> int:

@@ -28,7 +28,6 @@ __all__ = [
     "run_heads",
     "segments_to_linesegments",
     "intersect_segment_arrays",
-    "join_abutting",
     "tile_segment_arrays",
 ]
 
@@ -48,16 +47,16 @@ def leaf_segment_arrays(falls: Falls) -> SegmentArrays:
     Starts are absolute in the coordinate space of ``falls``; the arrays
     are sorted by start.
     """
-    block_starts = falls.l + falls.s * np.arange(falls.n, dtype=np.int64)
     if falls.is_leaf:
-        lengths = np.full(falls.n, falls.block_length, dtype=np.int64)
-        return block_starts, lengths
+        starts = falls.l + falls.s * np.arange(falls.n, dtype=np.int64)
+        return starts, np.full(falls.n, falls.block_length, dtype=np.int64)
     inner_starts, inner_lengths = leaf_segment_arrays_set(falls.inner)
-    starts = (block_starts[:, None] + inner_starts[None, :]).reshape(-1)
-    lengths = np.broadcast_to(
-        inner_lengths[None, :], (falls.n, inner_lengths.shape[0])
-    ).reshape(-1)
-    return _sorted_by_start((starts, np.ascontiguousarray(lengths)))
+    if falls.n == 1:
+        return inner_starts + falls.l, inner_lengths
+    # Sorted already: the inner segments are sorted and lie inside a block.
+    block_starts = falls.l + falls.s * np.arange(falls.n, dtype=np.int64)
+    starts = (block_starts[:, None] + inner_starts).reshape(-1)
+    return starts, np.repeat(inner_lengths[None, :], falls.n, 0).reshape(-1)
 
 
 def _sorted_by_start(segs: SegmentArrays) -> SegmentArrays:
@@ -76,6 +75,8 @@ def leaf_segment_arrays_set(falls_set: Iterable[Falls]) -> SegmentArrays:
     sorted explicitly.
     """
     parts = [leaf_segment_arrays(f) for f in falls_set]
+    if len(parts) == 1:
+        return parts[0]
     if not parts:
         return _empty()
     starts = np.concatenate([p[0] for p in parts])
@@ -149,21 +150,6 @@ def unit_segments(segs: SegmentArrays) -> SegmentArrays:
     return each, np.ones_like(each)
 
 
-def join_abutting(segs: SegmentArrays) -> SegmentArrays:
-    """Merge a sorted, disjoint segment list (only abutting segments join,
-    so it is cheaper than :func:`merge_segment_arrays`)."""
-    starts, lengths = segs
-    if starts.size < 2:
-        return segs
-    heads = np.empty(starts.size, dtype=bool)
-    heads[0] = True
-    np.not_equal(starts[1:], starts[:-1] + lengths[:-1], out=heads[1:])
-    if heads.all():
-        return segs
-    at = np.flatnonzero(heads)
-    return starts[at], np.add.reduceat(lengths, at)
-
-
 def product_segment_arrays(
     rows: SegmentArrays, width: int, cols: SegmentArrays
 ) -> SegmentArrays:
@@ -178,7 +164,7 @@ def product_segment_arrays(
     starts = (each[:, None] + col_starts).reshape(-1)
     lengths = np.broadcast_to(col_lengths, (each.size, col_lengths.size)).reshape(-1)
     if col_starts[0] == 0 and col_starts[-1] + col_lengths[-1] == width:
-        return join_abutting((starts, lengths))  # runs over row ends
+        return merge_segment_arrays((starts, lengths))  # runs over row ends
     return starts, lengths
 
 

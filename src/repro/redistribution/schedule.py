@@ -6,7 +6,8 @@ destination element and projects each non-empty intersection on both
 sides; :func:`build_plan` gets all of them from labelled sweeps over a
 period: one per dimension when both partitions are products of rows
 and columns (every multidimensional array layout is), one over the
-flattened period otherwise.  The result is a
+flattened period otherwise or when every element of both is one block.
+The result is a
 :class:`RedistributionPlan`: one :class:`Transfer` per communicating
 element pair, carrying
 
@@ -38,7 +39,7 @@ from ..core.normalize import falls_set_from_segments, node_floor, product_falls
 from ..core.partition import Partition
 from ..core.periodic import PeriodicFallsSet
 from ..core.segments import (
-    join_abutting,
+    merge_segment_arrays,
     product_segment_arrays,
     run_heads,
     unit_segments,
@@ -308,8 +309,10 @@ def _product_transfers(src, dst, lo, period, width) -> List[Transfer]:
 
     @functools.cache
     def merged(dim, pair, k):
-        # Pieces apart in the window may abut in an element.
-        return join_abutting(segs(dim, pair, k)) if k else segs(dim, pair, k)
+        starts, size = segs(dim, pair, k)
+        if k and size.size > 1:  # pieces apart in the window may abut in an element
+            return merge_segment_arrays((starts, size))
+        return starts, size
 
     def swept(rp, cp, k, w):
         """The flattened sweep's list ``k``: one piece per merged segment
@@ -385,14 +388,23 @@ def build_plan(src: Partition, dst: Partition) -> RedistributionPlan:
     Any other pair sweeps the flattened window, cutting it at both
     sides' same-owner runs (:attr:`Partition.runs`) and re-nesting each
     pair's byte lists by period detection (:func:`_swept_transfers`),
-    the reference the product path matches segment for segment.
+    the reference the product path matches segment for segment.  So do
+    two partitions whose every element is one block
+    (:attr:`Partition.contiguous`, such as row blocks against row
+    blocks): their window is only P + Q pieces, cheaper than two factor
+    sweeps.
     """
     candidates = src.num_elements * dst.num_elements
     lo = max(src.displacement, dst.displacement)
     period = math.lcm(src.size, dst.size)
 
     width = math.gcd(src.row_width, dst.row_width, src.displacement - dst.displacement)
-    if width > 1 and src.factors(width) and dst.factors(width):
+    if (
+        width > 1
+        and not (src.contiguous and dst.contiguous)
+        and src.factors(width)
+        and dst.factors(width)
+    ):
         transfers = _product_transfers(src, dst, lo, period, width)
     else:
         transfers = _swept_transfers(src, dst, lo, period)

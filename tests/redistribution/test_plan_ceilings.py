@@ -8,6 +8,9 @@ the matrix.  The flattened sweep it replaces for such layouts cuts a
 ``k = 1`` window into one piece per byte and re-nests every pair's
 segment lists by period detection: 0.22 s and a 66 MiB tracemalloc peak
 at n = 1024, about 5 s and 1 GiB by extrapolation at the n = 4096 below.
+The flattened sweep still serves every layout that is not a product,
+so its own peak at n = 1024 keeps the pairwise construction's ceiling
+(96 MiB; the sweep frees per-pair work as it goes).
 Structural INTERSECT-AUX on the single-block wrappers of a
 multidimensional layout recurses once per row instead (more than 70 s
 at n = 1024), and a flat compressor stored one FALLS per matrix column
@@ -22,10 +25,11 @@ import pytest
 from repro.core.partition import Partition
 from repro.distributions import BlockCyclic, matrix_partition, multidim_partition
 from repro.distributions.multidim import multidim_element
-from repro.redistribution import build_plan
+from repro.redistribution import build_plan, schedule
 
 N = 4096
 PEAK_CEILING_MIB = 8
+SWEEP_PEAK_CEILING_MIB = 96
 
 
 def _block_cyclic(n, k, grid):
@@ -82,6 +86,20 @@ def test_unit_block_cyclic_plan_peak_memory(physical):
         tracemalloc.stop()
     assert peak < PEAK_CEILING_MIB << 20
     _assert_closed_form_total(plan)
+
+
+@pytest.mark.parametrize("physical", ["r", "c", "b"])
+def test_flattened_sweep_peak_memory(physical):
+    src = _block_cyclic(1024, 1, (2, 2))
+    dst = matrix_partition(physical, 1024, 1024, 4)
+    tracemalloc.start()
+    try:
+        transfers = schedule._swept_transfers(src, dst, 0, 1024 * 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < SWEEP_PEAK_CEILING_MIB << 20
+    assert sum(t.bytes_in_file(1024 * 1024) for t in transfers) == 1024 * 1024
 
 
 def test_column_cyclic_projections_are_pattern_sized():

@@ -1,9 +1,10 @@
 """Plan construction against the references it replaced.
 
 ``build_plan`` sweeps a pair of product layouts once per dimension and
-assembles every transfer as rows x columns; any other pair takes the
-flattened sweep, which labels every byte of one lcm window with its
-(source element, destination element) pair.  The flattened sweep
+assembles every transfer as rows x columns; any other pair, and block
+layouts on both sides, take the flattened sweep, which labels every
+byte of one lcm window with its (source element, destination element)
+pair.  The flattened sweep
 (:func:`swept_plan`) must equal the pairwise construction it replaced
 (:func:`reference_plan`: intersect all P x Q pairs of merged element
 segment lists, compress each non-empty result, and PROJ it onto both
@@ -177,12 +178,16 @@ def sweeps(monkeypatch):
 
 @pytest.mark.parametrize("grid", GRIDS)
 def test_cold_views_plans_are_factorised(grid, sweeps):
-    """All 576 ``cold_views`` plans (both directions) take the product
+    """The 576 ``cold_views`` plans (both directions) take the product
     path, match the flattened sweep, and keep every projection within
-    eight FALLS nodes (the flattened sweep's reached 320)."""
+    eight FALLS nodes (the flattened sweep's reached 320).  The two
+    exceptions are row blocks on both sides (``bc(256, 64, 4 x 1)`` is
+    ``r``), which the flattened sweep cuts into P + Q pieces."""
     pairs = [pair for k in KS for pair in _cold_views_pairs(grid, k)]
     plans = [build_plan(src, dst) for src, dst in pairs]
-    assert sweeps == []
+    contiguous = [(s, d) for s, d in pairs if s.contiguous and d.contiguous]
+    assert [args[:2] for args in sweeps] == contiguous
+    assert len(contiguous) == (2 if grid == (4, 1) else 0)
     for (src, dst), plan in zip(pairs, plans):
         assert_same_bytes(plan, swept_plan(src, dst))
         for t in plan.transfers:
@@ -203,7 +208,8 @@ def test_product_plans_equal_sweep_reference(data):
 
 def test_product_plans_keep_is_identity(sweeps):
     """A diagonal transfer's projections come from one construction, so
-    equal bytes give equal trees."""
+    equal bytes give equal trees.  Row blocks against row blocks take the
+    flattened sweep, which cuts them into P + Q pieces."""
     for layout in "rcb":
         p = matrix_partition(layout, 96, 64, 4)
         assert build_plan(p, p).is_identity
@@ -212,7 +218,7 @@ def test_product_plans_keep_is_identity(sweeps):
     assert not build_plan(
         matrix_partition("r", 96, 64, 4), matrix_partition("c", 96, 64, 4)
     ).is_identity
-    assert sweeps == []
+    assert [args[0].contiguous and args[1].contiguous for args in sweeps] == [True]
 
 
 def test_plan_path_never_maps_or_intersects_pairs(monkeypatch):
