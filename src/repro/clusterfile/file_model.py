@@ -130,12 +130,15 @@ class ClusterFile:
         return self.physical.num_elements
 
     def file_length(self) -> int:
-        """Logical file length implied by the subfile lengths."""
+        """Logical file length implied by the subfile lengths (a
+        subfile's longest replica: a crashed primary misses writes its
+        mirrors took)."""
         best = self.displacement
-        for s, store in enumerate(self.stores):
-            if store.length == 0:
+        for s in range(self.num_subfiles):
+            length = max(st.length for st in self.replica_stores(s))
+            if length == 0:
                 continue
-            best = max(best, unmap_offset(self.physical, s, store.length - 1) + 1)
+            best = max(best, unmap_offset(self.physical, s, length - 1) + 1)
         return best
 
     def linear_contents(self, length: int | None = None) -> np.ndarray:

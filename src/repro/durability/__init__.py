@@ -19,10 +19,10 @@ discipline — clients see the same calls, now crash-consistent):
 * :mod:`~repro.durability.nslog` — :class:`NamespaceJournal`, the same
   discipline for the inode tree (journaled metadata ops, fold-to-JSON
   snapshots, id-preserving replay);
-* :mod:`~repro.durability.chaos` — kill-and-restart scenarios for the
-  ``tools chaos`` CLI: SIGKILL a subprocess-hosted service at a random
-  point, recover, and compare byte-for-byte against a serial replay of
-  the acknowledged-ticket prefix.
+
+:mod:`repro.conformance` SIGKILLs a subprocess-hosted service at a
+random point, recovers it with this package, and compares its bytes
+with a serial replay of the acknowledged-ticket prefix.
 
 Everything is measured under ``durability.*`` in the process-wide
 metrics registry: journal record/byte/commit counters, snapshot sizes,
@@ -30,7 +30,6 @@ and recovery histograms (time, records replayed, tail bytes
 discarded).
 """
 
-from .chaos import kill_workload, run_kill_restart, run_kill_restart_sweep
 from .journal import (
     JournalRecord,
     JournalScan,
@@ -49,9 +48,6 @@ from .snapshot import (
 
 __all__ = [
     "DurabilityManager",
-    "kill_workload",
-    "run_kill_restart",
-    "run_kill_restart_sweep",
     "NamespaceJournal",
     "JournalRecord",
     "JournalScan",

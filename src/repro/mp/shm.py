@@ -26,6 +26,7 @@ __all__ = [
     "attach_segment",
     "release_segment",
     "shm_segments_alive",
+    "unlink_segments_of",
 ]
 
 
@@ -72,12 +73,16 @@ class _suppress_tracker_register:
         _ATTACH_LOCK.release()
 
 
+def _prefix(pid: int) -> str:
+    return f"repro-{pid}-"
+
+
 def create_segment(size: int, hint: str = "seg") -> shared_memory.SharedMemory:
     """A fresh uniquely named shared-memory segment, registered for
     unlink-at-exit."""
     global _SEQ
     _SEQ += 1
-    name = f"repro-{os.getpid()}-{_SEQ}-{hint}"[:30]
+    name = f"{_prefix(os.getpid())}{_SEQ}-{hint}"[:30]
     shm = shared_memory.SharedMemory(name=name, create=True, size=size)
     _OWNED[shm.name] = shm
     return shm
@@ -137,3 +142,21 @@ def _cleanup_at_exit() -> None:  # pragma: no cover - exit hook
         except Exception:
             pass
     _OWNED.clear()
+
+
+def unlink_segments_of(pid: int) -> None:
+    """Unlink every segment a SIGKILLed process created (the names carry
+    its pid).  Its resource tracker would unlink only the ones it had
+    registered; a kill between ``shm_open`` and that registration,
+    inside ``SharedMemory``, leaves the segment to whoever killed the
+    process.  Linux only (``/dev/shm``); elsewhere a no-op."""
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:
+        return
+    for name in names:
+        if name.startswith(_prefix(pid)):
+            try:
+                os.unlink(os.path.join("/dev/shm", name))
+            except FileNotFoundError:  # its tracker got there first
+                pass

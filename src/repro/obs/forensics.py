@@ -18,8 +18,8 @@ Three layers:
   victim was cutting when it died, and the final N events as a
   relative-time timeline.
 * :func:`render_blackbox` — the human-readable report
-  (``python -m repro.tools blackbox`` prints it; the kill-restart
-  chaos harness attaches the JSON form to every report).
+  (``python -m repro.tools blackbox`` prints it; the conformance
+  driver's sigkill runs attach the JSON form to every report).
 """
 
 from __future__ import annotations

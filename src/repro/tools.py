@@ -137,123 +137,81 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
+    """Conformance runs over seeds: every data path under a fault plan,
+    or a journaled service SIGKILLed and recovered; each report is
+    byte-checked against a serial replay of the acknowledged ops."""
     import json
 
-    from .faults.chaos import run_sweep
+    from .conformance import DEFAULT_CONFIG, default_plan, replay, run
 
-    seeds = (
-        [args.seed]
-        if args.seed is not None
-        else list(range(args.seeds))
-    )
-    if args.kill_restart:
-        return _cmd_chaos_kill_restart(args, seeds)
-    reports, all_ok = run_sweep(
-        seeds,
-        n_bytes=args.n,
-        nprocs=args.nprocs,
-        replication=args.replication,
-        drop=args.drop,
-        corrupt=args.corrupt,
-        delay_s=args.delay,
-        crash_node=args.crash_node,
-        crash_after=args.crash_after,
-        slow_node=args.slow_node,
-        slow_factor=args.slow_factor,
-        mode=args.mode,
-    )
+    if args.replay:
+        with open(args.replay) as f:
+            original = json.load(f)
+        reports = [replay(original)]
+    else:
+        # Unset stream flags are left to the driver's DEFAULT_CONFIG.
+        config = {
+            axis: getattr(args, axis) for axis in DEFAULT_CONFIG
+            if getattr(args, axis) is not None
+        }
+        seeds = range(args.seeds) if args.seed is None else [args.seed]
+        reports = []
+        for seed in seeds:
+            if args.perturbation == "faults":
+                pert = default_plan(
+                    seed, args.drop, args.corrupt, args.delay,
+                    args.crash_node, args.crash_after, args.slow_node,
+                    args.slow_factor,
+                )
+            elif args.perturbation == "sigkill":
+                # Odd seeds kill right after an ack, even ones at a time.
+                by = "acks" if seed % 2 else "time"
+                pert = {"kind": "sigkill", "by": by}
+            else:
+                pert = "none"
+            reports.append(run(config, seed, pert))
+    def verdicts(report):
+        return {**report.get("paths", {}), **report.get("files", {})}
+
     for report in reports:
-        verdict = "OK " if report["ok"] else "FAIL"
-        print(f"[{verdict}] seed {report['seed']}:")
-        for name, p in report["paths"].items():
-            print(
-                f"    {name:<11} ok={str(p['ok']):<5} "
-                f"retries={p['retries']} failed_over={p['failed_over']} "
-                f"degraded={p['degraded']}"
-            )
+        pert = report["perturbation"]
         print(
-            "    recovery-latency overhead "
-            f"{report['recovery_latency_overhead'] * 100:+.1f}%"
+            f"[{'OK ' if report['ok'] else 'FAIL'}] seed {report['seed']}: "
+            + " ".join(f"{k}={v}" for k, v in pert.items() if k != "plan")
+            + (f" killed={report['killed']} acked={report['total_acked']}"
+               if "killed" in report else "")
         )
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(reports, f, indent=2)
-        print(f"\nreports -> {args.json}")
-    if not all_ok:
-        failing = [r for r in reports if not r["ok"]]
-        with open(args.fail_plan, "w") as f:
-            f.write(failing[0]["plan"])
-        print(
-            f"FAILED: byte mismatch under seed(s) "
-            f"{[r['seed'] for r in failing]}; "
-            f"first failing FaultPlan -> {args.fail_plan}"
-        )
-        return 1
-    print(f"\nall {len(reports)} seed(s): four data paths byte-identical")
-    return 0
-
-
-def _cmd_chaos_kill_restart(args, seeds) -> int:
-    """SIGKILL a journaled service subprocess at a randomized point,
-    recover from the write-ahead journals, and diff the recovered bytes
-    against a serial replay of the acknowledged-ticket prefix."""
-    import json
-
-    from .durability.chaos import run_kill_restart_sweep
-
-    reports, all_ok = run_kill_restart_sweep(
-        seeds,
-        nprocs=args.nprocs,
-        files=args.kill_files,
-        n_ops=args.kill_ops,
-        snapshot_every=args.snapshot_every,
-    )
-    for report in reports:
-        verdict = "OK " if report["ok"] else "FAIL"
-        print(
-            f"[{verdict}] seed {report['seed']}: killed={report['killed']} "
-            f"mode={report['kill_mode']} acked={report['total_acked']}"
-        )
-        for name, p in report["files_report"].items():
-            print(
-                f"    {name:<11} ok={str(p['ok']):<5} "
-                f"acked={p['acked']} stamp={p['stamp']} "
-                f"replayed={p['records_replayed']} "
-                f"tail_discarded={p['tail_bytes_discarded']} "
-                f"recovered_in={p['recovery_time_s']:.4f}s"
-            )
+        for name, facts in verdicts(report).items():
+            print(f"    {name:<11} "
+                  + " ".join(f"{k}={v}" for k, v in facts.items()))
         bb = report.get("blackbox", {})
         if "error" in bb:
             print(f"    blackbox: undecodable ({bb['error']})")
-        else:
-            print(
-                f"    blackbox: {bb.get('events', 0)} events "
-                f"({bb.get('torn', 0)} torn) — last words: "
-                f"{len(bb.get('in_flight', []))} in-flight, "
-                f"{len(bb.get('held_locks', []))} held lock(s), "
-                f"{len(bb.get('commit_in_progress', []))} mid-commit"
-            )
-            for d in bb.get("in_flight", []):
-                print(
-                    f"      in-flight {d.get('trace_id', '?')} "
-                    f"file={d.get('file', '?')} seq={d.get('ticket_seq')}"
-                )
+        elif bb:
+            print(f"    blackbox: {bb['events']} events ({bb['torn']} torn); "
+                  f"last words: {len(bb['in_flight'])} in flight, "
+                  f"{len(bb['held_locks'])} held lock(s), "
+                  f"{len(bb['commit_in_progress'])} mid-commit")
+    if args.replay:
+        same = [
+            {name: facts["ok"] for name, facts in verdicts(r).items()}
+            for r in (original, reports[0])
+        ]
+        print(f"verdicts as in {args.replay}: {same[0] == same[1]}")
     if args.json:
         with open(args.json, "w") as f:
             json.dump(reports, f, indent=2, default=str)
         print(f"\nreports -> {args.json}")
-    if not all_ok:
-        failing = [r["seed"] for r in reports if not r["ok"]]
-        dirs = [r.get("workdir") for r in reports if not r["ok"]]
-        print(
-            f"FAILED: recovery diverged from the acked prefix under "
-            f"seed(s) {failing}; state preserved in {dirs}"
-        )
+    failing = [r for r in reports if not r["ok"]]
+    if failing:
+        if not args.replay:
+            with open(args.artifact, "w") as f:
+                json.dump(failing[0], f, indent=2, default=str)
+        print(f"FAILED: seed(s) {[r['seed'] for r in failing]} diverged from "
+              f"the serial replay; replay with: python -m repro.tools chaos "
+              f"--replay {args.replay or args.artifact}")
         return 1
-    print(
-        f"\nall {len(reports)} seed(s): recovered bytes identical to the "
-        "serial replay of every acknowledged write"
-    )
+    print(f"\nall {len(reports)} run(s) equal the serial replay")
     return 0
 
 
@@ -541,17 +499,28 @@ def main(argv=None) -> int:
     pt.set_defaults(fn=_cmd_trace)
 
     pc = sub.add_parser(
-        "chaos", help="seeded fault-injection sweep over all data paths"
+        "chaos", help="seeded conformance runs: message faults or SIGKILL"
     )
     pc.add_argument(
-        "--seeds", type=int, default=3, help="sweep seeds 0..N-1 (default 3)"
+        "--seeds", type=int, default=3, help="run seeds 0..N-1 (default 3)"
     )
     pc.add_argument(
         "--seed", type=int, default=None, help="run one specific seed"
     )
-    pc.add_argument("--n", type=int, default=4096, help="file bytes")
-    pc.add_argument("--nprocs", type=int, default=4)
-    pc.add_argument("--replication", type=int, default=2)
+    pc.add_argument(
+        "--perturbation", choices=["none", "faults", "sigkill"],
+        default="faults",
+        help="message faults in process, or SIGKILL a journaled service "
+        "subprocess and recover it (default faults)",
+    )
+    pc.add_argument("--ops", type=int, help="ops in the stream")
+    pc.add_argument("--files", type=int, help="files in the stream")
+    pc.add_argument("--nprocs", type=int)
+    pc.add_argument("--replication", type=int)
+    pc.add_argument(
+        "--snapshot-every", type=int,
+        help="a checkpoint boundary every N ops (0: never)",
+    )
     pc.add_argument("--drop", type=float, default=0.05)
     pc.add_argument("--corrupt", type=float, default=0.05)
     pc.add_argument("--delay", type=float, default=0.0)
@@ -559,30 +528,15 @@ def main(argv=None) -> int:
     pc.add_argument("--crash-after", type=int, default=0)
     pc.add_argument("--slow-node", type=int, default=None)
     pc.add_argument("--slow-factor", type=float, default=1.0)
-    pc.add_argument("--json", help="write the per-seed reports here")
+    pc.add_argument("--json", help="write the reports here")
     pc.add_argument(
-        "--fail-plan",
-        default="chaos-failing-plan.json",
-        help="where to save the failing FaultPlan JSON (on mismatch)",
+        "--artifact", default="chaos-failing-run.json",
+        help="where a failing run's report is written for --replay",
     )
     pc.add_argument(
-        "--kill-restart", action="store_true",
-        help="SIGKILL a journaled service subprocess instead of "
-        "injecting transfer faults, then recover and diff against a "
-        "serial replay of the acknowledged writes",
-    )
-    pc.add_argument(
-        "--kill-ops", type=int, default=160,
-        help="operations in the kill-restart victim workload",
-    )
-    pc.add_argument(
-        "--kill-files", type=int, default=2,
-        help="files in the kill-restart victim workload",
-    )
-    pc.add_argument(
-        "--snapshot-every", type=int, default=10,
-        help="inject a checkpoint boundary every N ops (0: never) so "
-        "kills land mid-snapshot too",
+        "--replay", metavar="FILE",
+        help="re-run a failing-run artifact (its config, seed and "
+        "perturbation)",
     )
     _add_mode_flags(pc, io_processes=False)
     pc.set_defaults(fn=_cmd_chaos)

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro import tools
-from repro.durability.chaos import run_kill_restart
+from repro.conformance import run
 from repro.obs import metrics as obs_metrics
 from repro.obs.forensics import decode_ring, finished_ops, reconstruct
 from repro.obs.live import stats_payload
@@ -28,10 +28,13 @@ def kill_run(tmp_path_factory):
     """One SIGKILL run whose workdir (ring, journals, ack log) we keep."""
     workdir = str(tmp_path_factory.mktemp("chaos"))
     obs_metrics.reset_metrics("durability")
-    report, ok = run_kill_restart(
-        11, n_ops=120, kill_mode="acks", snapshot_every=16, workdir=workdir
+    report = run(
+        {"ops": 120, "replication": 1, "snapshot_every": 16},
+        11,
+        {"kind": "sigkill", "by": "acks"},
+        workdir=workdir,
     )
-    return workdir, report, ok
+    return workdir, report, report["ok"]
 
 
 class TestSigkillForensics:
@@ -86,7 +89,7 @@ class TestSigkillForensics:
 
     def test_per_file_recovery_detail_in_report(self, kill_run):
         _, report, _ = kill_run
-        for name, verdict in report["files_report"].items():
+        for name, verdict in report["files"].items():
             assert "records_replayed" in verdict
             assert "tail_bytes_discarded" in verdict
             assert verdict["recovery_time_s"] >= 0.0
@@ -117,12 +120,13 @@ class TestBlackboxCli:
 
     def test_chaos_cli_prints_blackbox_summary(self, capsys):
         rc = tools.main(
-            ["chaos", "--kill-restart", "--seeds", "1", "--kill-ops", "60"]
+            ["chaos", "--perturbation", "sigkill", "--seeds", "1",
+             "--ops", "60", "--replication", "1"]
         )
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "blackbox" in out
-        assert "recovered_in=" in out
+        assert "recovery_time_s=" in out
 
 
 class TestStatsDurabilitySection:

@@ -2,8 +2,8 @@
 
 Two layers:
 
-* **Real SIGKILL** — :func:`repro.durability.chaos.run_kill_restart`
-  hosts the journaled service in a subprocess, kills it at a
+* **Real SIGKILL** — :func:`repro.conformance.run` with a ``sigkill``
+  perturbation hosts the journaled service in a subprocess, kills it at a
   randomized point (mid-batch, mid-group-commit, mid-snapshot), and
   diffs recovery against a serial replay of the acknowledged-ticket
   prefix.  A few full runs here; the CI chaos job sweeps more seeds.
@@ -15,17 +15,22 @@ Two layers:
   *every* partition shape and cut.
 """
 
+import json
 import os
 import shutil
 import tempfile
+import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clusterfile.fs import Clusterfile
-from repro.durability import DurabilityManager
-from repro.durability.chaos import run_kill_restart
+from repro.conformance import replay, run
+from repro.durability import DurabilityManager, scan_journal
+from repro.durability.journal import HEADER_SIZE
+from repro.durability.manager import COMMIT_LOG
 from repro.simulation.cluster import ClusterConfig
 
 from ..properties.strategies import nested_partitions
@@ -33,21 +38,113 @@ from ..properties.strategies import nested_partitions
 NAME = "sim"
 
 
+def _sigkill(by, after=None):
+    return {"kind": "sigkill", "by": by, "after": after}
+
+
+def _repro_segments():
+    return {e for e in os.listdir("/dev/shm") if e.startswith("repro-")}
+
+
+def _processes_running(marker):
+    """Pids of live processes whose command line names ``marker``."""
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                if marker.encode() in fh.read():
+                    pids.append(int(pid))
+        except OSError:  # exited meanwhile
+            pass
+    return pids
+
+
 class TestRealSigkill:
     def test_time_mode_kill_recovers_acked_prefix(self):
-        report, ok = run_kill_restart(3, n_ops=80, kill_mode="time")
+        report = run(
+            {"ops": 80, "replication": 1, "snapshot_every": 0},
+            3,
+            _sigkill("time"),
+        )
         assert report["killed"]
-        assert ok, report
+        assert report["ok"], report
 
     def test_acks_mode_kill_with_snapshots_recovers_acked_prefix(self):
         """Ack-triggered kill with checkpoint boundaries sprinkled in:
         kills land mid-snapshot and right after acks — the case that
         once lost acked writes to an unflushed journal header."""
-        report, ok = run_kill_restart(
-            5, n_ops=80, kill_mode="acks", snapshot_every=10
+        report = run(
+            {"ops": 80, "replication": 1, "snapshot_every": 10},
+            5,
+            _sigkill("acks"),
         )
         assert report["killed"]
-        assert ok, report
+        assert report["ok"], report
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+    )
+    def test_process_mode_kill_recovers_and_leaks_no_segment(self, tmp_path):
+        """The victim honours ``mode``: its I/O nodes run on a worker
+        pool over shared-memory stores, and a SIGKILL mid-stream leaves
+        no segment behind (the driver reclaims the dead victim's), once
+        the orphaned pool workers -- forked, so their command line is
+        the victim's, naming its workdir -- have exited."""
+        before = _repro_segments()
+        workdir = str(tmp_path / "run")
+        report = run(
+            {"mode": "process", "ops": 80, "snapshot_every": 10},
+            6,
+            _sigkill("time"),
+            workdir=workdir,
+        )
+        assert report["victim_mode"] == "process"
+        assert report["killed"]
+        assert report["ok"], report
+        deadline = time.monotonic() + 10.0
+        while _processes_running(workdir) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _processes_running(workdir)
+        assert not _repro_segments() - before
+
+    def test_dropped_commit_record_is_caught(self, monkeypatch, tmp_path):
+        """The oracle can fail: a recovery that loses the last commit
+        record covering an acked write leaves that ack uncovered, and
+        the replayed artifact reaches the same verdicts."""
+
+        class DropLastAckedCommit(DurabilityManager):
+            def recover_into(self, fs):
+                log = os.path.join(os.path.dirname(self.root), "acked.log")
+                with open(log) as fh:
+                    lines = fh.read().split("\n")[:-1]
+                acks = [line.rsplit(",", 1) for line in lines]
+                for name in {n for n, _ in acks}:
+                    seqs = {int(s) for n, s in acks if n == name}
+                    path = os.path.join(self.file_dir(name), COMMIT_LOG)
+                    start, cut = HEADER_SIZE, None
+                    for rec in scan_journal(path).records:
+                        if seqs & set(json.loads(rec.payload)["seqs"]):
+                            cut = start
+                        start = rec.end
+                    if cut is not None:
+                        os.truncate(path, cut)
+                return super().recover_into(fs)
+
+        monkeypatch.setattr(
+            "repro.conformance.DurabilityManager", DropLastAckedCommit
+        )
+        report = run(
+            {"snapshot_every": 0}, 4, _sigkill("acks", 20),
+            workdir=str(tmp_path / "run"),
+        )
+        again = replay(
+            json.loads(json.dumps(report)), workdir=str(tmp_path / "replay")
+        )
+        for r in (report, again):
+            assert r["total_acked"] >= 20
+            assert not r["ok"]
+            assert not any(f["acked_covered"] for f in r["files"].values())
+        assert again["perturbation"] == report["perturbation"]
 
 
 def _deployment(physical):

@@ -9,6 +9,7 @@ from repro import build_plan, distribute, round_robin
 from repro.clusterfile import Clusterfile
 from repro.clusterfile.engine import run_shuffle
 from repro.clusterfile.relayout import relayout
+from repro.conformance import default_plan, run
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -17,7 +18,6 @@ from repro.faults import (
     RetryBudgetExceeded,
     RetryPolicy,
 )
-from repro.faults.chaos import default_plan, run_chaos
 from repro.obs import metrics as obs_metrics
 from repro.simulation import ClusterConfig
 from repro.simulation.network import NetworkModel
@@ -46,8 +46,11 @@ def _shuffle_case():
 class TestByteExactnessUnderChaos:
     def test_all_paths_survive_drop_and_corrupt(self):
         plan = default_plan(seed=0, drop=0.10, corrupt=0.10)
-        report, ok = run_chaos(plan, n_bytes=2048, nprocs=4, replication=2)
-        assert ok, report
+        report = run(None, 0, plan)
+        assert report["ok"], report
+        assert set(report["paths"]) == {
+            "write_read", "relayout", "collective", "reshard"
+        }
         assert all(p["ok"] for p in report["paths"].values())
 
     def test_all_paths_survive_single_crash(self):
@@ -55,8 +58,8 @@ class TestByteExactnessUnderChaos:
             seed=1, drop=0.05, corrupt=0.05, crash_node=1, slow_node=0,
             slow_factor=2.0,
         )
-        report, ok = run_chaos(plan, n_bytes=2048, nprocs=4, replication=2)
-        assert ok, report
+        report = run(None, 1, plan)
+        assert report["ok"], report
         # A crashed primary forces the read path to fail over and the
         # write path to acknowledge degradation.
         assert report["paths"]["write_read"]["failed_over"] > 0
@@ -64,12 +67,13 @@ class TestByteExactnessUnderChaos:
 
     def test_same_seed_reproduces_the_report(self):
         plan = default_plan(seed=5, drop=0.10, corrupt=0.10)
-        a, _ = run_chaos(plan, n_bytes=1024, nprocs=4, replication=2)
-        b, _ = run_chaos(plan, n_bytes=1024, nprocs=4, replication=2)
-        # Global metrics differ (process-wide counters); the per-path
-        # recovery facts and the plan must match exactly.
+        a = run(None, 5, plan)
+        b = run(None, 5, plan)
+        # Counters are per-run deltas, so the whole report matches:
+        # per-path recovery facts, the plan and the fault counters.
         assert a["paths"] == b["paths"]
-        assert a["plan"] == b["plan"]
+        assert a["perturbation"] == b["perturbation"]
+        assert a == b
 
     @staticmethod
     def _one_path(path, plan):

@@ -285,14 +285,14 @@ class TestTelemetryAcrossProcesses:
 
 class TestChaosProcessMode:
     def test_chaos_run_byte_identical_in_process_mode(self):
-        from repro.faults.chaos import default_plan, run_chaos
+        from repro.conformance import default_plan, run
 
-        report, ok = run_chaos(
-            default_plan(seed=0), n_bytes=1024, nprocs=4,
-            replication=2, mode="process",
-        )
-        assert ok, report
+        report = run({"mode": "process"}, 0, default_plan(seed=0))
+        assert report["ok"], report
         assert all(p["ok"] for p in report["paths"].values())
+        # Every deployment path ran its rounds inside the pool.
+        for name in ("write_read", "relayout", "collective"):
+            assert report["paths"][name]["worker_jobs"] > 0, name
 
     @pytest.mark.parametrize(
         "plan", [DROP_AND_CORRUPT, CRASH], ids=["drop+corrupt", "crash"]

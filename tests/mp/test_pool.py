@@ -3,13 +3,23 @@ semantics, and shared-memory hygiene.  A dead worker must surface as
 :class:`WorkerCrashed` and tear the whole pool (and every one of its
 segments) down — never a hang, never a leak."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.clusterfile.fs import Clusterfile
 from repro.distributions import round_robin
 from repro.mp.pool import ProcessPoolExecutorBackend, WorkerCrashed
-from repro.mp.shm import shm_segments_alive
+from repro.mp.shm import (
+    create_segment,
+    release_segment,
+    shm_segments_alive,
+    unlink_segments_of,
+)
 from repro.simulation.cluster import ClusterConfig
 
 
@@ -97,6 +107,37 @@ class TestCrashSemantics:
         assert set(shm_segments_alive()) > before
         fs.close()
         assert set(shm_segments_alive()) == before
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+    )
+    def test_segments_of_a_killed_process_are_unlinked(self):
+        """A segment a SIGKILLed process created but never registered
+        with its resource tracker is reclaimed by pid; other processes'
+        segments are left alone."""
+        script = (
+            "import os, sys; sys.path.insert(0, %r)\n"
+            "from multiprocessing import resource_tracker\n"
+            "from repro.mp.shm import create_segment\n"
+            "seg = create_segment(64, 'x')\n"
+            "resource_tracker.unregister(seg._name, 'shared_memory')\n"
+            "print(seg.name, flush=True)\n"
+            "os.kill(os.getpid(), 9)\n"
+        ) % os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True
+        )
+        name = proc.stdout.readline().split()[0]
+        proc.wait(timeout=60)
+        proc.stdout.close()
+        assert os.path.exists(os.path.join("/dev/shm", name))
+        mine = create_segment(64, "keep")
+        try:
+            unlink_segments_of(proc.pid)
+            assert not os.path.exists(os.path.join("/dev/shm", name))
+            assert os.path.exists(os.path.join("/dev/shm", mine.name))
+        finally:
+            release_segment(mine)
 
 
 class TestModeValidation:
