@@ -17,7 +17,7 @@ state:
   expects.
 
 The format is deliberately dumb: fixed little-endian framing,
-``zlib.crc32`` (ubiquitous, fast, good enough for torn-write
+CRC-32 (:mod:`repro.codec`; ubiquitous, fast, good enough for torn-write
 detection — this is not a cryptographic log), and no compaction.
 Compaction is the checkpoint's job: a snapshot plus *empty* journals at
 a bumped epoch supersedes any journal content from earlier epochs.
@@ -40,6 +40,8 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
+
+from ..codec import CRC, Header, crc32, frame_crc, fsync_dir
 
 __all__ = [
     "JOURNAL_MAGIC",
@@ -70,12 +72,12 @@ REC_WRITE = 1  # redo bytes at a subfile offset
 REC_COMMIT = 2  # a group commit (payload: canonical JSON)
 REC_META = 3  # one namespace operation (payload: canonical JSON)
 
-_HEADER = struct.Struct("<4sBBHI")  # magic, kind, version, subfile, epoch
+_HEADER = Header("journal", "<4sBBHI", "magic kind version subfile epoch",
+                 magic=JOURNAL_MAGIC, version=JOURNAL_VERSION)
 _BODY = struct.Struct("<IBQQI")  # prev_crc, rtype, stamp, offset, length
-_CRC = struct.Struct("<I")
 
 HEADER_SIZE = _HEADER.size  # 12
-RECORD_OVERHEAD = _CRC.size + _BODY.size  # 4 + 25 = 29 bytes per record
+RECORD_OVERHEAD = CRC.size + _BODY.size  # 4 + 25 = 29 bytes per record
 
 #: Buffers one ``writev(2)`` takes (1024 on Linux).  A longer list goes
 #: out in several calls.
@@ -92,14 +94,6 @@ class RecoveryError(RuntimeError):
     belongs to a different file or kind.  This is the only exception
     the durability layer raises past its API.
     """
-
-
-def _crc(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def pack_header(kind: int, subfile: int, epoch: int) -> bytes:
-    return _HEADER.pack(JOURNAL_MAGIC, kind, JOURNAL_VERSION, subfile, epoch)
 
 
 @dataclass
@@ -163,19 +157,17 @@ class JournalWriter:
     def __init__(self, path: str, kind: int, subfile: int = 0,
                  epoch: int = 0, sync: bool = False):
         self.path = path
-        self.kind = kind
-        self.subfile = subfile
-        self.epoch = epoch
         self.sync = sync
-        header = pack_header(kind, subfile, epoch)
+        header = _HEADER.pack(kind=kind, subfile=subfile, epoch=epoch)
         self._fd: Optional[int] = os.open(
             path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666
         )
-        self._chain = _crc(header)
+        self._chain = crc32(header)
         self._length = 0
         self._writev([header], len(header))
         if sync:
             os.fsync(self._fd)
+            fsync_dir(path)  # the new directory entry, too
 
     @property
     def length(self) -> int:
@@ -212,7 +204,7 @@ class JournalWriter:
         n = len(payload)
         prefix = _BODY.pack(self._chain, rtype, stamp, offset, n)
         crc = zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF
-        self._writev([_CRC.pack(crc) + prefix, payload], RECORD_OVERHEAD + n)
+        self._writev([CRC.pack(crc) + prefix, payload], RECORD_OVERHEAD + n)
         self._chain = crc
         return self._length
 
@@ -239,7 +231,7 @@ class JournalWriter:
             n = len(payload)
             prefix = _BODY.pack(chain, rtype, stamp, offset, n)
             chain = zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF
-            bufs.append(_CRC.pack(chain) + prefix)
+            bufs.append(CRC.pack(chain) + prefix)
             bufs.append(payload)
             nbytes += RECORD_OVERHEAD + n
         self._writev(bufs, nbytes)
@@ -278,43 +270,33 @@ def scan_journal(path: str, expect_kind: Optional[int] = None,
     except OSError:
         return scan
     total = len(raw)
-    if total < HEADER_SIZE:
-        scan.tail_discarded = total
-        return scan
     try:
-        magic, kind, version, subfile, epoch = _HEADER.unpack_from(raw, 0)
-    except struct.error:  # pragma: no cover - length checked above
-        scan.tail_discarded = total
-        return scan
-    if (
-        magic != JOURNAL_MAGIC
-        or version != JOURNAL_VERSION
-        or (expect_kind is not None and kind != expect_kind)
-        or (expect_epoch is not None and epoch != expect_epoch)
-    ):
+        kind, subfile, epoch = _HEADER.unpack(
+            raw, kind=expect_kind, epoch=expect_epoch
+        )
+    except ValueError:  # not a journal, or another stream or epoch
         scan.tail_discarded = total
         return scan
     scan.kind, scan.subfile, scan.epoch = kind, subfile, epoch
     scan.header_ok = True
-    chain = _crc(raw[:HEADER_SIZE])
+    chain = crc32(memoryview(raw)[:HEADER_SIZE])
     pos = HEADER_SIZE
     while pos + RECORD_OVERHEAD <= total:
-        (crc,) = _CRC.unpack_from(raw, pos)
         prev_crc, rtype, stamp, offset, length = _BODY.unpack_from(
-            raw, pos + _CRC.size
+            raw, pos + CRC.size
         )
         end = pos + RECORD_OVERHEAD + length
-        if end > total:
-            break  # torn: payload truncated
-        body = raw[pos + _CRC.size : end]
-        if prev_crc != chain or _crc(body) != crc:
+        if end > total or prev_crc != chain:
+            break  # torn: payload truncated, or the chain is broken
+        crc = frame_crc(raw, pos, end)
+        if crc is None:
             break  # torn or corrupt: stop at the last intact record
         scan.records.append(
             JournalRecord(
                 rtype=rtype,
                 stamp=stamp,
                 offset=offset,
-                payload=body[_BODY.size :],
+                payload=raw[pos + RECORD_OVERHEAD : end],
                 end=end,
             )
         )

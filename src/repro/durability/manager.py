@@ -58,6 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..clusterfile.engine import IOEngine
+from ..codec import read_document, write_document
 from ..core.serialize import partition_from_obj, partition_to_obj
 from ..obs import flightrec
 from ..obs import metrics as obs_metrics
@@ -95,46 +96,6 @@ _SEGMENT_CACHE_CAPACITY = 4096
 def _quote(name: str) -> str:
     """A filesystem-safe, collision-free directory name."""
     return urllib.parse.quote(name, safe="-_.")
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _manifest_text(manifest: Dict[str, object]) -> str:
-    """Canonical manifest JSON with a self-checksum: ``crc`` is the
-    CRC-32 of the canonical body without it, so a bit flip that happens
-    to stay valid JSON is still detected at recovery."""
-    import zlib
-
-    body = _canonical_json(manifest)
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return _canonical_json({**manifest, "crc": crc})
-
-
-def _parse_manifest(text: str) -> Dict[str, object]:
-    """Parse + verify a manifest; raises ``ValueError`` on damage."""
-    import zlib
-
-    m = json.loads(text)
-    if not isinstance(m, dict):
-        raise ValueError("manifest is not an object")
-    if "crc" in m:
-        crc = int(m.pop("crc"))
-        body = _canonical_json(m)
-        if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != crc:
-            raise ValueError("manifest checksum mismatch")
-    return m
-
-
-def _atomic_write_text(path: str, text: str, sync: bool = False) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        if sync:
-            os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 class _FileJournal:
@@ -264,8 +225,7 @@ class DurabilityManager:
         manifest = os.path.join(d, MANIFEST_NAME)
         if os.path.exists(manifest):
             try:
-                with open(manifest, "r", encoding="utf-8") as fh:
-                    prev = _parse_manifest(fh.read())
+                prev = read_document(manifest)
                 epoch = int(prev.get("epoch", 0)) + 1
                 stamp = int(prev.get("stamp", -1))
             except (ValueError, OSError):
@@ -418,8 +378,7 @@ class DurabilityManager:
 
     # -- checkpoint -----------------------------------------------------------
 
-    def checkpoint(self, fs, name: str,
-                   extra_meta: Optional[Dict[str, object]] = None) -> str:
+    def checkpoint(self, fs, name: str) -> str:
         """Snapshot a file's logical state and restart its journals.
 
         The snapshot is serial-equivalent (see
@@ -435,24 +394,19 @@ class DurabilityManager:
         cfile = fs.open(name)
         payload = cfile.linear_contents()
         meta = {"length": int(payload.size)}
-        if extra_meta:
-            meta.update(extra_meta)
         snap_path = os.path.join(fj.dir, SNAPSHOT_NAME)
         size = write_snapshot_file(snap_path, payload, meta, sync=self.sync)
         fj.epoch += 1
-        _atomic_write_text(
-            os.path.join(fj.dir, MANIFEST_NAME),
-            _manifest_text(
-                {
-                    "version": 1,
-                    "name": name,
-                    "partition": partition_to_obj(cfile.physical),
-                    "replication": cfile.replication,
-                    "epoch": fj.epoch,
-                    "stamp": fj.stamp,
-                }
-            ),
-            sync=self.sync,
+        manifest = {
+            "version": 1,
+            "name": name,
+            "partition": partition_to_obj(cfile.physical),
+            "replication": cfile.replication,
+            "epoch": fj.epoch,
+            "stamp": fj.stamp,
+        }
+        write_document(
+            os.path.join(fj.dir, MANIFEST_NAME), manifest, sync=self.sync
         )
         fj.open_fresh(cfile.num_subfiles, self.sync)
         self._m_snapshots.inc()
@@ -484,8 +438,7 @@ class DurabilityManager:
                 continue
             t0 = time.perf_counter()
             try:
-                with open(manifest, "r", encoding="utf-8") as fh:
-                    m = _parse_manifest(fh.read())
+                m = read_document(manifest)
                 name = str(m["name"])
                 partition = partition_from_obj(m["partition"])
                 replication = int(m.get("replication", 1))

@@ -30,6 +30,7 @@ import json
 import os
 from typing import Dict, List, Optional, Tuple
 
+from ..codec import canonical_json
 from ..core.partition import Partition
 from ..core.serialize import partition_from_obj, partition_to_obj
 from ..obs import metrics as obs_metrics
@@ -70,12 +71,6 @@ def _decode_meta(meta: Dict[str, object]) -> Dict[str, object]:
         else:
             out[k] = v
     return out
-
-
-def _canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
 
 
 class NamespaceJournal:
@@ -169,7 +164,7 @@ class NamespaceJournal:
         """Durably append one metadata op (flushed before returning)."""
         if self._writer is None:
             raise ValueError("namespace journal not open; use open()/recover()")
-        self._writer.append(REC_META, self._seq, 0, _canonical(op))
+        self._writer.append(REC_META, self._seq, 0, canonical_json(op))
         self._writer.flush()
         self._seq += 1
         self._m_records.inc()
@@ -220,7 +215,7 @@ class NamespaceJournal:
                 "stamp": tree._stamp,
                 "inodes": inodes,
             }
-        return _canonical(obj)
+        return canonical_json(obj)
 
     @staticmethod
     def _load_tree(tree, payload: bytes) -> None:

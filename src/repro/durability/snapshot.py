@@ -36,13 +36,11 @@ is data loss, and reading it raises :class:`RecoveryError`.
 from __future__ import annotations
 
 import json
-import os
-import struct
-import zlib
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..codec import CRC, Header, canonical_json, crc32, write_atomic
 from ..redistribution.gather_scatter import as_flat_bytes
 from .journal import RecoveryError
 
@@ -58,22 +56,17 @@ __all__ = [
 SNAPSHOT_MAGIC = b"RSNP"
 SNAPSHOT_VERSION = 1
 
-_FIXED = struct.Struct("<4sB3xIQ")  # magic, version, pad, meta_len, payload_len
-_CRC = struct.Struct("<I")
+_HEADER = Header("header", "<4sB3xIQ", "magic version meta_len payload_len",
+                 magic=SNAPSHOT_MAGIC, version=SNAPSHOT_VERSION)
 
 
 def _snapshot_pieces(payload, meta: Optional[Dict[str, object]]):
     """The on-disk pieces: header + metadata, the payload's own buffer
     (not a copy), and the CRC of both."""
     data = as_flat_bytes(payload, "snapshot payload")
-    mblob = json.dumps(
-        meta or {}, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    head = _FIXED.pack(
-        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(mblob), int(data.size)
-    ) + mblob
-    crc = zlib.crc32(data, zlib.crc32(head))
-    return head, data, _CRC.pack(crc & 0xFFFFFFFF)
+    mblob = canonical_json(meta or {})
+    head = _HEADER.pack(meta_len=len(mblob), payload_len=data.size) + mblob
+    return head, data, CRC.pack(crc32(data, crc32(head)))
 
 
 def snapshot_bytes(payload, meta: Optional[Dict[str, object]] = None) -> bytes:
@@ -92,28 +85,21 @@ def parse_snapshot(blob: bytes) -> Tuple[np.ndarray, Dict[str, object]]:
     a snapshot is all-or-nothing (there is no meaningful prefix to
     salvage the way a journal scan salvages records).
     """
-    if len(blob) < _FIXED.size + _CRC.size:
-        raise RecoveryError(f"snapshot truncated ({len(blob)} bytes)")
-    magic, version, meta_len, payload_len = _FIXED.unpack_from(blob, 0)
-    if magic != SNAPSHOT_MAGIC:
-        raise RecoveryError(f"bad snapshot magic {magic!r}")
-    if version != SNAPSHOT_VERSION:
-        raise RecoveryError(f"unsupported snapshot version {version}")
-    end = _FIXED.size + meta_len + payload_len
-    if end + _CRC.size != len(blob):
-        raise RecoveryError(
-            f"snapshot length mismatch: header implies {end + _CRC.size} "
-            f"bytes, file has {len(blob)}"
-        )
-    (crc,) = _CRC.unpack_from(blob, end)
-    if zlib.crc32(memoryview(blob)[:end]) & 0xFFFFFFFF != crc:
-        raise RecoveryError("snapshot checksum mismatch")
     try:
-        meta = json.loads(blob[_FIXED.size : _FIXED.size + meta_len])
-    except ValueError as exc:
-        raise RecoveryError(f"snapshot metadata unreadable: {exc}") from exc
+        meta_len, payload_len = _HEADER.unpack(blob)
+        end = _HEADER.size + meta_len + payload_len
+        if end + CRC.size != len(blob):
+            raise ValueError(
+                f"header implies {end + CRC.size} bytes, file has {len(blob)}"
+            )
+        (crc,) = CRC.unpack_from(blob, end)
+        if crc32(memoryview(blob)[:end]) != crc:
+            raise ValueError("checksum mismatch")
+        meta = json.loads(blob[_HEADER.size : _HEADER.size + meta_len])
+    except ValueError as exc:  # the JSON decoder's errors are ValueErrors
+        raise RecoveryError(f"snapshot unreadable: {exc}") from exc
     payload = np.frombuffer(
-        blob, dtype=np.uint8, count=payload_len, offset=_FIXED.size + meta_len
+        blob, dtype=np.uint8, count=payload_len, offset=_HEADER.size + meta_len
     ).copy()
     return payload, meta
 
@@ -123,15 +109,7 @@ def write_snapshot_file(path: str, payload,
                         sync: bool = False) -> int:
     """Atomically write a snapshot (piece by piece, the payload never
     copied); returns its size in bytes."""
-    pieces = _snapshot_pieces(payload, meta)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.writelines(pieces)
-        fh.flush()
-        if sync:
-            os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return sum(len(piece) for piece in pieces)
+    return write_atomic(path, _snapshot_pieces(payload, meta), sync=sync)
 
 
 def read_snapshot_file(path: str) -> Tuple[np.ndarray, Dict[str, object]]:

@@ -54,6 +54,7 @@ import time
 import zlib
 from typing import Dict, Optional, Tuple
 
+from ..codec import CRC, Header, crc32
 from . import metrics as obs_metrics
 
 __all__ = [
@@ -74,9 +75,6 @@ __all__ = [
     "disarm",
     "trace_num",
 ]
-
-RING_MAGIC = b"RFR1"
-RING_VERSION = 1
 
 #: Event types.  ``a``/``b`` are two event-specific u64 arguments.
 EV_OP_START = 1  # a=view offset, b=payload/read bytes
@@ -110,15 +108,17 @@ EVENT_NAMES = {
 INTERN_TENANT = 1
 INTERN_FILE = 2
 
-HEADER = struct.Struct("<4sHHIIQ")
+SLOT_BYTES = 64
+HEADER = Header("flight ring", "<4sHHIIQ",
+                "magic version slot capacity pid created_ns",
+                magic=b"RFR1", version=1, slot=SLOT_BYTES)
 HEADER_BYTES = 64
 INTERN_ENTRY = struct.Struct("<BIB26s")
 INTERN_SLOTS = 64
 INTERN_BYTES = INTERN_SLOTS * 32
 BODY = struct.Struct("<QB3xQQqIIQQ")
-CRC = struct.Struct("<I")
+BODY_FIELDS = "seq etype t_ns trace tseq tenant file a b"  # BODY, in order
 SLOT = struct.Struct("<I60s")  # crc + body, packed in one allocation
-SLOT_BYTES = 64
 SLOTS_OFFSET = HEADER_BYTES + INTERN_BYTES
 
 assert CRC.size + BODY.size == SLOT.size == SLOT_BYTES
@@ -141,11 +141,7 @@ def trace_num(trace_id: Optional[str]) -> int:
     tail = trace_id.rsplit("-", 1)[-1]
     if tail.isdigit():
         return int(tail)
-    return zlib.crc32(trace_id.encode("utf-8")) & 0xFFFFFFFF
-
-
-def _key(name: str) -> int:
-    return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
+    return crc32(trace_id.encode("utf-8"))
 
 
 class FlightRecorder:
@@ -170,8 +166,8 @@ class FlightRecorder:
         finally:
             os.close(fd)
         header = HEADER.pack(
-            RING_MAGIC, RING_VERSION, SLOT_BYTES, capacity,
-            os.getpid() & 0xFFFFFFFF, time.monotonic_ns(),
+            capacity=capacity, pid=os.getpid() & 0xFFFFFFFF,
+            created_ns=time.monotonic_ns(),
         )
         self._mm[:len(header)] = header
         self._lock = threading.Lock()  # intern table + close; NOT record()
@@ -209,7 +205,7 @@ class FlightRecorder:
         k = memo.get((kind, name))
         if k is not None:
             return k
-        k = _key(name)
+        k = crc32(name.encode("utf-8"))
         with self._lock:
             if (kind, name) not in memo:
                 if self._next_intern < INTERN_SLOTS and self._mm is not None:

@@ -24,13 +24,14 @@ Three layers:
 
 from __future__ import annotations
 
-import struct
-import zlib
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..codec import frame_crc
 from .flightrec import (
     BODY,
+    BODY_FIELDS,
     CRC,
     EVENT_NAMES,
     EV_BATCH,
@@ -43,13 +44,10 @@ from .flightrec import (
     EV_WORKER_CRASH,
     HEADER,
     HEADER_BYTES,
-    INTERN_BYTES,
     INTERN_ENTRY,
     INTERN_FILE,
     INTERN_SLOTS,
     INTERN_TENANT,
-    RING_MAGIC,
-    RING_VERSION,
     SLOT_BYTES,
     SLOTS_OFFSET,
 )
@@ -64,19 +62,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class RingEvent:
+class RingEvent(namedtuple("RingEvent", BODY_FIELDS)):
     """One CRC-verified event, as stored."""
 
-    seq: int
-    etype: int
-    t_ns: int
-    trace: int
-    tseq: int
-    tenant: int
-    file: int
-    a: int
-    b: int
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -117,21 +106,14 @@ def decode_ring(path: str) -> RingDump:
     """Decode a ring file into its verified event sequence.
 
     Raises ``ValueError`` only when the file is not a flight-recorder
-    ring at all (bad magic/version/size); damage *inside* a valid ring
-    degrades to counts, never an exception.
+    ring at all (bad magic/version/slot size, or too short); damage
+    *inside* a valid ring degrades to counts, never an exception.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < SLOTS_OFFSET:
         raise ValueError(f"{path!r} is too short to be a flight ring")
-    magic, version, slot, capacity, pid, created_ns = HEADER.unpack_from(
-        raw, 0
-    )
-    if magic != RING_MAGIC or version != RING_VERSION or slot != SLOT_BYTES:
-        raise ValueError(
-            f"{path!r} is not a flight ring "
-            f"(magic={magic!r} version={version} slot={slot})"
-        )
+    capacity, pid, created_ns = HEADER.unpack(raw)
     dump = RingDump(
         path=path, pid=pid, created_ns=created_ns, capacity=capacity
     )
@@ -148,12 +130,10 @@ def decode_ring(path: str) -> RingDump:
         if not any(cell):
             dump.empty += 1
             continue
-        (crc,) = CRC.unpack_from(cell, 0)
-        body = cell[CRC.size:]
-        if zlib.crc32(body) & 0xFFFFFFFF != crc:
+        if frame_crc(cell) is None:
             dump.torn += 1
             continue
-        dump.events.append(RingEvent(*BODY.unpack(body)))
+        dump.events.append(RingEvent(*BODY.unpack_from(cell, CRC.size)))
     dump.events.sort(key=lambda e: e.seq)
     if dump.events:
         dump.wrapped = dump.events[-1].seq > capacity

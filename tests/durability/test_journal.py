@@ -1,6 +1,7 @@
 """Unit tests for the journal framing and the snapshot format."""
 
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -388,3 +389,52 @@ class TestSnapshotFormat:
         path = str(tmp_path / "s.bin")
         write_snapshot_file(path, np.zeros(8, dtype=np.uint8), {})
         assert os.listdir(str(tmp_path)) == ["s.bin"]
+
+
+class TestSyncMode:
+    def test_directory_is_fsynced_after_each_rename_and_create(
+        self, tmp_path, monkeypatch
+    ):
+        """``sync=True`` makes new names durable, not just new bytes:
+        after every rename into place (snapshot, manifest, the
+        namespace's ``tree.bin``) and every journal created, the
+        directory holding it is fsynced before the next such step."""
+        from repro.namespace import ClusterNamespace
+
+        events = []
+        real_fsync, real_replace, real_open = os.fsync, os.replace, os.open
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            if stat.S_ISDIR(st.st_mode):
+                events.append(("dir", st.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(("name", dst))
+
+        def open_(path, flags, *args):
+            fd = real_open(path, flags, *args)
+            if flags & os.O_CREAT:
+                events.append(("name", path))
+            return fd
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "open", open_)
+        manager = DurabilityManager(str(tmp_path / "journal"), sync=True)
+        ns = ClusterNamespace(Clusterfile(), durability=manager)
+        ns.create("/g", round_robin(2, 8))
+        manager.close()
+        ns.nslog.close()
+        monkeypatch.undo()
+        names = [i for i, (kind, _) in enumerate(events) if kind == "name"]
+        leaves = sorted({os.path.basename(events[i][1]) for i in names})
+        assert leaves == [
+            "commit.wal", "manifest.json", "meta.wal", "sf0.wal", "sf1.wal",
+            "snapshot.bin", "tree.bin",
+        ]
+        for i, j in zip(names, names[1:] + [len(events)]):
+            parent = os.stat(os.path.dirname(events[i][1])).st_ino
+            assert ("dir", parent) in events[i + 1 : j], events[i][1]

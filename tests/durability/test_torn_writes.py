@@ -245,7 +245,14 @@ class TestSnapshotAndManifestDamage:
         self, workload, tmp_path
     ):
         pristine, _ops = workload
-        for i, junk in enumerate(["{not json", json.dumps({"epoch": 3})]):
+        with open(os.path.join(pristine, NAME, MANIFEST_NAME)) as fh:
+            whole = json.load(fh)
+        # A complete manifest that lost its crc and had its epoch
+        # bumped: read as valid, its journals would be skipped as stale.
+        del whole["crc"]
+        whole["epoch"] += 1
+        junks = ["{not json", json.dumps({"epoch": 3}), json.dumps(whole)]
+        for i, junk in enumerate(junks):
             root = str(tmp_path / f"man{i}")
             shutil.copytree(pristine, root)
             with open(
