@@ -11,7 +11,7 @@ from .file_model import ClusterFile, SubfileStore
 from .fs import Clusterfile
 from .relayout import RelayoutResult, relayout
 from .server import IOServer, RequestCost
-from .view import SubfileLink, View, set_view
+from .view import LinkAccess, SubfileLink, View, set_view
 
 __all__ = [
     "ClusterFile",
@@ -19,6 +19,7 @@ __all__ = [
     "RelayoutResult",
     "Clusterfile",
     "IOServer",
+    "LinkAccess",
     "OperationResult",
     "RequestCost",
     "SubfileLink",

@@ -56,7 +56,11 @@ from ..obs import metrics as obs_metrics
 from ..obs.context import current_trace_id, new_trace_id
 from ..obs.span import Span, open_span
 from ..redistribution.executor import execute_plan
-from ..redistribution.gather_scatter import gather_segments, scatter_segments
+from ..redistribution.gather_scatter import (
+    gather_segments,
+    run_copy,
+    scatter_segments,
+)
 from ..redistribution.schedule import RedistributionPlan
 from ..simulation.cluster import Cluster
 from ..simulation.disk import write_time_for_segments
@@ -64,7 +68,7 @@ from ..simulation.network import NetworkModel
 from ..simulation.price import Attempt, Log, SimMessage, SimulatedTransport, price
 from .file_model import ClusterFile
 from .server import IOServer, serve_request
-from .view import View
+from .view import LinkAccess, View
 
 __all__ = [
     "WriteRequest",
@@ -144,14 +148,10 @@ class _Message:
     current attempt (rewritten every retry round)."""
 
     req: WriteRequest
-    link: object
+    access: LinkAccess
     compute: int
     subfile: int
-    l_s: int
-    r_s: int
     payload: np.ndarray
-    #: Fragments gathered on the view side (1 = contiguous fast path).
-    view_runs: int = 1
     #: CRC32 of ``payload``, stamped lazily the first time the message
     #: meets injected corruption; verified by the receiver before any
     #: scatter (``None`` = never corrupted, nothing to verify).
@@ -304,33 +304,12 @@ class IOEngine:
 
     # -- client-side phases --------------------------------------------------
 
-    @staticmethod
-    def _map_extremities(view: View, link, lo: int, hi: int) -> Tuple[int, int]:
-        """Lines 3-4 of the first §8.1 fragment: l_S and r_S via MAP
-        composition with next/prev rounding.
-
-        When the view and the subfile perfectly overlap the mapping is
-        the identity and costs nothing (the paper's t_m = 0 case).
-        Otherwise the scalar recursive MAP functions are used — a few
-        binary searches, matching the paper's observation that t_m "is
-        very small".
-        """
-        if link.is_identity:
-            return lo, hi
-        from ..core.mapping import map_offset, unmap_offset
-
-        x0 = unmap_offset(view.logical, view.element, lo)
-        x1 = unmap_offset(view.logical, view.element, hi)
-        phys = link.subfile_mapper.partition
-        l_s = map_offset(phys, link.subfile, x0, mode="next")
-        r_s = map_offset(phys, link.subfile, x1, mode="prev")
-        return l_s, r_s
-
     def _prepare(
-        self, requests: Sequence[WriteRequest], gather_payload: bool
+        self, requests: Sequence[WriteRequest], write: bool
     ) -> List[_Message]:
-        """Client-side phase: extremity mapping and (for writes)
-        gathering, one ``client.prepare`` span per request.
+        """Client-side phase: each request's cached access layout
+        (:meth:`View.layout`; building one opens the ``map`` spans) and,
+        for writes, the gather, one ``client.prepare`` span per request.
 
         Gather destinations come from the view's per-subfile scratch
         buffers (:meth:`View.gather_buffer`), so a view issuing many
@@ -341,6 +320,7 @@ class IOEngine:
         """
         messages: List[_Message] = []
         seen_buffers: set = set()
+        empty = np.empty(0, dtype=np.uint8)
         for req in requests:
             view = req.view
             with open_span(
@@ -348,60 +328,31 @@ class IOEngine:
                 compute=view.compute_node,
                 t_i_us=view.set_time_s * 1e6,
             ):
-                for link in view.links.values():
-                    # Which view-space bytes of this link fall in the
-                    # window (line 2's emptiness test, and the gather
-                    # index set).
-                    starts, lengths = link.proj_view.segments_in(
-                        req.lo, req.hi
-                    )
-                    if starts.size == 0:
-                        continue
-
-                    # Lines 3-4: map the access extremities.
-                    with open_span("map", subfile=link.subfile):
-                        l_s, r_s = self._map_extremities(
-                            view, link, req.lo, req.hi
-                        )
-
-                    payload = np.empty(0, dtype=np.uint8)
-                    runs = int(starts.size)
-                    if gather_payload:
-                        nbytes = int(lengths.sum())
-                        if runs == 1:
-                            # Line 7: one contiguous run - send it
-                            # straight out of the user buffer, no copy,
-                            # no gather time.
-                            a = int(starts[0]) - req.lo
-                            payload = req.buf[a : a + nbytes]
-                        else:
-                            # Line 9: GATHER the non-contiguous regions.
-                            buf_key = (id(view), link.subfile)
-                            scratch = (
-                                view.gather_buffer(link.subfile, nbytes)
-                                if buf_key not in seen_buffers
-                                else None
-                            )
-                            seen_buffers.add(buf_key)
-                            with open_span(
-                                "gather",
-                                subfile=link.subfile,
-                                bytes=nbytes,
-                                runs=runs,
-                            ):
-                                payload = gather_segments(
-                                    req.buf, (starts - req.lo, lengths), scratch
-                                )
+                for acc in view.layout(write, req.lo, req.hi):
+                    payload = empty
+                    if write and acc.runs == 1:
+                        # Line 7: one contiguous run - send it straight
+                        # out of the user buffer, no copy, no gather time.
+                        payload = req.buf[acc.client : acc.client + acc.nbytes]
+                    elif write:
+                        # Line 9: GATHER the non-contiguous regions.
+                        buf_key = (id(view), acc.subfile)
+                        payload = (
+                            view.gather_buffer(acc.subfile, acc.nbytes)
+                            if buf_key not in seen_buffers
+                            else np.empty(acc.nbytes, dtype=np.uint8)
+                        )[: acc.nbytes]
+                        seen_buffers.add(buf_key)
+                        with open_span(
+                            "gather",
+                            subfile=acc.subfile,
+                            bytes=acc.nbytes,
+                            runs=acc.runs,
+                        ):
+                            run_copy(payload, req.buf, acc.client)
                     messages.append(
                         _Message(
-                            req,
-                            link,
-                            view.compute_node,
-                            link.subfile,
-                            l_s,
-                            r_s,
-                            payload,
-                            runs,
+                            req, acc, view.compute_node, acc.subfile, payload
                         )
                     )
         return messages
@@ -464,7 +415,7 @@ class IOEngine:
             injector, op, op=op, **{"to_disk" if write else "from_disk": disk}
         )
         with open_span(f"parallel_{op}", **attrs) as root:
-            pending = self._prepare(requests, gather_payload=write)
+            pending = self._prepare(requests, write)
             n_messages = 0
             payload_bytes = 0
             degraded = False
@@ -548,7 +499,7 @@ class IOEngine:
                         # Snapshot the attempt: ``msg`` is rewritten
                         # next round.
                         attempts.append((
-                            msg.compute, msg.view_runs, size, msg.delay_s,
+                            msg.compute, msg.access.runs, size, msg.delay_s,
                             lost, nodes, () if lost else tuple(msg.costs),
                         ))
                     log.append((round_start, tuple(attempts)))
@@ -610,21 +561,19 @@ class IOEngine:
                 msg.fate = "ok"  # empty reply: nothing to flip
         if msg.fate != "ok":
             return
-        req, proj = msg.req, msg.link.proj_view
-        t0 = time.perf_counter()
-        starts, lengths = proj.segments_in(req.lo, req.hi)
-        run = proj.contiguous_run_in(req.lo, req.hi)
-        if run is not None:
-            req.buf[run[0] - req.lo : run[1] - req.lo + 1] = payload
+        req, acc = msg.req, msg.access
+        if acc.runs == 1:
+            req.buf[acc.client : acc.client + acc.nbytes] = payload
         else:
-            scatter_segments(req.buf, (starts - req.lo, lengths), payload)
+            t0 = time.perf_counter()
+            run_copy(req.buf, payload, acc.client)
             root.record(
                 "scatter",
                 time.perf_counter() - t0,
                 compute=msg.compute,
                 subfile=msg.subfile,
-                bytes=int(payload.size),
-                runs=int(starts.size),
+                bytes=acc.nbytes,
+                runs=acc.runs,
             )
 
     def _fail_over(self, root: Span, subfile: int, serving) -> None:
@@ -695,16 +644,18 @@ class IOEngine:
                         self.cluster.config,
                     )
                 replicas.append((r, server, disk_factor))
+            acc = msg.access
             msg.costs, reply = serve_request(
                 op,
                 replicas,
-                msg.l_s,
-                msg.r_s,
-                msg.link.proj_subfile.segments_in(msg.l_s, msg.r_s),
+                acc.l_s,
+                acc.r_s,
+                acc.segments,
                 msg.wire,
                 disk,
                 msg.crc,
                 attempt,
+                acc.server,
             )
             if reply is not None:
                 msg.wire = reply
@@ -721,11 +672,10 @@ class IOEngine:
         """Group the round's server jobs by owning worker and run them
         in one pool round.
 
-        The parent resolves everything a worker cannot cheaply (or
-        picklably) compute itself — the projection's segment arrays come
-        from the view's mapping-function machinery, which carries
-        thread-local scratch state — so a job is plain arrays and ints:
-        one bulk pickle, no View/plan objects crossing the boundary.
+        A job carries the message's cached access layout — the
+        subfile segments and the server's resolved copy, plain arrays
+        and ints — so a worker maps and resolves nothing: one bulk
+        pickle, no View/plan objects crossing the boundary.
         """
         backend = self.backend
         jobs: List[List[dict]] = [[] for _ in range(backend.processes)]
@@ -744,27 +694,16 @@ class IOEngine:
                 replicas.append(
                     (r, node_idx, disk_factor, shm_name, stores[r].capacity)
                 )
-            starts, lengths = msg.link.proj_subfile.segments_in(
-                msg.l_s, msg.r_s
-            )
-            nbytes = int(lengths.sum()) if lengths.size else 0
-            if op == "write" and nbytes != int(msg.wire.size):
-                # The pool packs the payload into a slab region of
-                # ``nbytes``, which the worker scatters from.
-                raise ValueError(
-                    f"subfile {msg.subfile}: payload of "
-                    f"{int(msg.wire.size)} bytes does not match the "
-                    f"projection's {nbytes}"
-                )
+            acc = msg.access
             w = backend.worker_for(msg.subfile, cfile.num_subfiles)
             jobs[w].append(
                 {
                     "subfile": msg.subfile,
-                    "l_s": msg.l_s,
-                    "r_s": msg.r_s,
-                    "starts": starts,
-                    "lengths": lengths,
-                    "nbytes": nbytes,
+                    "l_s": acc.l_s,
+                    "r_s": acc.r_s,
+                    "segments": acc.segments,
+                    "copy": acc.server,
+                    "nbytes": acc.nbytes,
                     "replicas": replicas,
                     "crc": msg.crc,
                     "attempt": attempt,

@@ -211,7 +211,8 @@ class Clusterfile:
 
     def _requests(self, name: str, accesses, buffers) -> List[WriteRequest]:
         """One request per ``(compute_node, view_offset, _)`` access,
-        covering its buffer."""
+        covering its buffer; an empty access is a no-op and sends no
+        message."""
         return [
             WriteRequest(
                 view=self.view_of(name, node),
@@ -220,6 +221,7 @@ class Clusterfile:
                 buf=buf,
             )
             for (node, off, _), buf in zip(accesses, buffers)
+            if buf.size
         ]
 
     def write(

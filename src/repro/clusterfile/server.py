@@ -31,7 +31,7 @@ from ..core.periodic import PeriodicFallsSet
 from ..faults import ChecksumError, checksum
 from ..obs import metrics as obs_metrics
 from ..obs.span import open_span
-from ..redistribution.gather_scatter import gather_segments, scatter_segments
+from ..redistribution.gather_scatter import ResolvedCopy, resolve_packed, run_copy
 from ..simulation.cluster import ClusterConfig, IONode
 from ..simulation.disk import write_time_for_segments
 from .file_model import SubfileStore
@@ -58,7 +58,9 @@ class IOServer:
     ``proj_subfile`` in :meth:`write` / :meth:`read` is either the
     projection itself or its precomputed ``segments_in(l_s, r_s)``
     arrays — what a request carries once it has crossed a process
-    boundary, where the projection object does not travel.
+    boundary, where the projection object does not travel.  ``copy`` is
+    the request's resolved copy between payload and window, when the
+    access layout that sent it already holds one.
     """
 
     def __init__(self, node: IONode, store: SubfileStore, config: ClusterConfig):
@@ -68,7 +70,8 @@ class IOServer:
 
     @staticmethod
     def _segments(
-        l_s: int, r_s: int, proj_subfile: Union[PeriodicFallsSet, Segments]
+        l_s: int, r_s: int, proj_subfile: Union[PeriodicFallsSet, Segments],
+        copy: Optional[ResolvedCopy],
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         if r_s < l_s:
             raise ValueError(f"bad subfile window [{l_s}, {r_s}]")
@@ -76,7 +79,20 @@ class IOServer:
             starts, lengths = proj_subfile
         else:
             starts, lengths = proj_subfile.segments_in(l_s, r_s)
-        return starts, lengths, int(lengths.sum()) if lengths.size else 0
+        nbytes = int(lengths.sum()) if copy is None else copy.nbytes
+        return starts, lengths, nbytes
+
+    def _cache_cost(self, l_s, r_s, lengths, nbytes) -> Tuple[int, float]:
+        """``(runs, cache_s)``: one run covering the window may go
+        straight between NIC and cache (``contiguous_write_optimized``)."""
+        runs = int(lengths.size)
+        if (
+            runs == 1
+            and lengths[0] == r_s - l_s + 1
+            and self.config.contiguous_write_optimized
+        ):
+            return runs, 0.0
+        return runs, self.config.memory.copy_time(nbytes, runs=runs)
 
     # -- write ---------------------------------------------------------------
 
@@ -88,6 +104,7 @@ class IOServer:
         proj_subfile: Union[PeriodicFallsSet, Segments],
         to_disk: bool,
         crc: int | None = None,
+        copy: Optional[ResolvedCopy] = None,
     ) -> RequestCost:
         """Handle one write request (§8.1, second pseudocode fragment).
 
@@ -98,7 +115,7 @@ class IOServer:
         subfile store untouched, so the engine's retransmit is
         idempotent.
         """
-        starts, lengths, nbytes = self._segments(l_s, r_s, proj_subfile)
+        starts, lengths, nbytes = self._segments(l_s, r_s, proj_subfile, copy)
         if nbytes != payload.size:
             raise ValueError(
                 f"payload holds {payload.size} bytes but the projection "
@@ -112,18 +129,10 @@ class IOServer:
         if nbytes == 0:
             return RequestCost(0.0, 0.0, 0, 0)
         window = self.store.view(l_s, r_s)
-        contiguous = starts.size == 1 and lengths[0] == r_s - l_s + 1
-        if contiguous:
-            window[:] = payload
-            runs = 1
-            if self.config.contiguous_write_optimized:
-                cache_s = 0.0  # straight from the NIC into the cache
-            else:
-                cache_s = self.config.memory.copy_time(nbytes, runs=1)
-        else:
-            scatter_segments(window, (starts - l_s, lengths), payload)
-            runs = int(starts.size)
-            cache_s = self.config.memory.copy_time(nbytes, runs=runs)
+        if copy is None:
+            copy = resolve_packed(window.size, (starts - l_s, lengths), False)
+        run_copy(window, payload, copy)
+        runs, cache_s = self._cache_cost(l_s, r_s, lengths, nbytes)
         disk_s = 0.0
         if to_disk:
             disk_s = write_time_for_segments(
@@ -139,20 +148,20 @@ class IOServer:
         r_s: int,
         proj_subfile: Union[PeriodicFallsSet, Segments],
         from_disk: bool,
+        copy: Optional[ResolvedCopy] = None,
     ) -> Tuple[np.ndarray, RequestCost]:
         """Handle one read request: gather the projected bytes of the
-        window into a reply payload."""
-        starts, lengths, nbytes = self._segments(l_s, r_s, proj_subfile)
+        window into a reply payload, each byte copied once, straight out
+        of the store (past EOF the window reads as zeros)."""
+        starts, lengths, nbytes = self._segments(l_s, r_s, proj_subfile, copy)
         if nbytes == 0:
             return np.empty(0, dtype=np.uint8), RequestCost(0.0, 0.0, 0, 0)
-        window = self.store.read(l_s, r_s)
-        payload = gather_segments(window, (starts - l_s, lengths))
-        runs = int(starts.size)
-        contiguous = runs == 1 and lengths[0] == r_s - l_s + 1
-        if contiguous and self.config.contiguous_write_optimized:
-            cache_s = 0.0
-        else:
-            cache_s = self.config.memory.copy_time(nbytes, runs=runs)
+        window = self.store.read_bytes(l_s, r_s)
+        if copy is None:
+            copy = resolve_packed(window.size, (starts - l_s, lengths), True)
+        payload = np.empty(nbytes, dtype=np.uint8)
+        run_copy(payload, window, copy)
+        runs, cache_s = self._cache_cost(l_s, r_s, lengths, nbytes)
         disk_s = 0.0
         if from_disk:
             disk_s = write_time_for_segments(
@@ -171,6 +180,7 @@ def serve_request(
     disk: bool,
     crc: Optional[int] = None,
     attempt: int = 0,
+    copy: Optional[ResolvedCopy] = None,
 ) -> Tuple[List[Tuple[float, float]], Optional[np.ndarray]]:
     """Serve one request attempt on each replica it is addressed to.
 
@@ -182,9 +192,11 @@ def serve_request(
     store is touched, and the remaining replicas are not tried (they
     would reject the same bytes).
 
-    Returns ``(costs, reply)``: one ``(cache_s, disk_s)`` per replica
-    that served the request (fewer than ``len(replicas)`` means it was
-    rejected) and, for reads, the gathered reply payload.
+    ``copy`` is the request's resolved server copy (see
+    :class:`IOServer`).  Returns ``(costs, reply)``: one ``(cache_s,
+    disk_s)`` per replica that served the request (fewer than
+    ``len(replicas)`` means it was rejected) and, for reads, the
+    gathered reply payload.
     """
     costs: List[Tuple[float, float]] = []
     reply = None
@@ -199,14 +211,14 @@ def serve_request(
             if op == "write":
                 try:
                     cost = server.write(
-                        l_s, r_s, payload, segments, to_disk=disk, crc=crc
+                        l_s, r_s, payload, segments, disk, crc, copy
                     )
                 except ChecksumError:
                     obs_metrics.inc("faults.checksum_failures")
                     sp.annotate(error="checksum")
                     break
             else:
-                reply, cost = server.read(l_s, r_s, segments, from_disk=disk)
+                reply, cost = server.read(l_s, r_s, segments, disk, copy)
         disk_s = cost.disk_s * disk_factor
         sp.annotate(
             bytes=cost.nbytes,

@@ -23,23 +23,32 @@ the first view against a (logical, physical) pair pays the full
 ``t_i``, every structurally identical later view — other elements of
 the same logical partition, re-opened files, checkpoint restarts —
 reuses the cached schedule and pays only the per-element slicing.
+
+Each access is then resolved once per (direction, interval)
+(:meth:`View.layout`), so only its first use pays ``t_m``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.mapping import ElementMapper
+from ..core.mapping import ElementMapper, map_offset, unmap_offset
 from ..core.partition import Partition
 from ..core.periodic import PeriodicFallsSet
+from ..core.segments import SegmentArrays
 from ..obs.span import Span, open_span
+from ..redistribution.gather_scatter import ResolvedCopy, resolve_packed
 from ..redistribution.plan_cache import get_mapper, get_plan
 
-__all__ = ["SubfileLink", "View", "set_view"]
+__all__ = ["SubfileLink", "LinkAccess", "View", "set_view"]
+
+#: Access layouts one view keeps (:meth:`View.layout`); a view whose
+#: accesses outgrow it starts over.
+_LAYOUT_CACHE_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,48 @@ class SubfileLink:
     #: need no mapping at all — the paper's "t_m is 0 when a view and a
     #: subfile perfectly overlap".
     is_identity: bool = False
+
+
+class LinkAccess(NamedTuple):
+    """One subfile's share of a view access, resolved once."""
+
+    subfile: int
+    #: The access extremities mapped onto the subfile (§8.1, lines 3-4).
+    l_s: int
+    r_s: int
+    #: View-side fragments (1: the payload is one slice of the buffer).
+    runs: int
+    #: The payload's offset in the user buffer when ``runs == 1``, else
+    #: the client's gather (write) or scatter (read).
+    client: Union[int, ResolvedCopy]
+    #: PROJ_S(V ∩ S) in ``[l_s, r_s]`` (absolute subfile offsets), which
+    #: the server prices and the journal records, and the server's
+    #: scatter (write) or gather (read) between payload and window.
+    segments: SegmentArrays
+    server: ResolvedCopy
+
+    @property
+    def nbytes(self) -> int:
+        return self.server.nbytes
+
+
+def _map_extremities(view: "View", link: SubfileLink, lo: int, hi: int):
+    """Lines 3-4 of the first §8.1 fragment: l_S and r_S via MAP
+    composition with next/prev rounding.
+
+    When the view and the subfile perfectly overlap the mapping is the
+    identity and costs nothing (the paper's t_m = 0 case).  Otherwise
+    the scalar recursive MAP functions are used — a few binary
+    searches, matching the paper's observation that t_m "is very
+    small"."""
+    if link.is_identity:
+        return lo, hi
+    x0 = unmap_offset(view.logical, view.element, lo)
+    x1 = unmap_offset(view.logical, view.element, hi)
+    phys = link.subfile_mapper.partition
+    l_s = map_offset(phys, link.subfile, x0, mode="next")
+    r_s = map_offset(phys, link.subfile, x1, mode="prev")
+    return l_s, r_s
 
 
 @dataclass
@@ -76,6 +127,10 @@ class View:
     _gather_tls: threading.local = field(default_factory=threading.local)
     #: The ``view.set`` span this view's ``set_time_s`` was read from.
     trace: Optional[Span] = None
+    #: ``(write, lo, hi)`` -> the access's links (:meth:`layout`).
+    _layouts: Dict[tuple, Tuple[LinkAccess, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def size_per_period(self) -> int:
@@ -98,6 +153,42 @@ class View:
             buf = np.empty(nbytes, dtype=np.uint8)
             buffers[subfile] = buf
         return buf
+
+    def layout(self, write: bool, lo: int, hi: int) -> Tuple[LinkAccess, ...]:
+        """The links the access ``[lo, hi]`` touches, built on first use
+        and kept per (direction, interval).  Entries are immutable and
+        equal however often they are built, so concurrent accesses need
+        no lock: a race builds one twice and keeps either."""
+        key = (write, lo, hi)
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = tuple(self._link_accesses(write, lo, hi))
+            if len(self._layouts) >= _LAYOUT_CACHE_CAPACITY:
+                self._layouts.clear()
+            self._layouts[key] = layout
+        return layout
+
+    def _link_accesses(self, write: bool, lo: int, hi: int):
+        for link in self.links.values():
+            # Which view-space bytes of this link fall in the window
+            # (line 2's emptiness test, and the client copy's segments).
+            starts, lengths = link.proj_view.segments_in(lo, hi)
+            if starts.size == 0:
+                continue
+            with open_span("map", subfile=link.subfile):
+                l_s, r_s = _map_extremities(self, link, lo, hi)
+            segments = link.proj_subfile.segments_in(l_s, r_s)
+            client = (
+                int(starts[0]) - lo
+                if starts.size == 1
+                else resolve_packed(hi - lo + 1, (starts - lo, lengths), write)
+            )
+            window = (segments[0] - l_s, segments[1])
+            server = resolve_packed(r_s - l_s + 1, window, not write)
+            yield LinkAccess(
+                link.subfile, l_s, r_s, int(starts.size), client, segments,
+                server,
+            )
 
 
 def set_view(

@@ -52,12 +52,10 @@ import json
 import os
 import time
 import urllib.parse
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..clusterfile.engine import IOEngine
 from ..codec import read_document, write_document
 from ..core.serialize import partition_from_obj, partition_to_obj
 from ..obs import flightrec
@@ -83,14 +81,6 @@ COMMIT_LOG = "commit.wal"
 
 #: Directory reserved for namespace metadata state (no file manifest).
 NAMESPACE_DIR = "_namespace"
-
-#: Entries kept in the (view, offset, nbytes) -> touched-segments cache.
-#: Real workloads revisit a small set of access shapes (fixed record
-#: sizes at strided offsets), so the mapping math that turns a view
-#: write into subfile segments — the dominant per-record commit cost —
-#: hits this cache almost always; 4096 shapes outlasts any plausible
-#: working set while bounding memory.
-_SEGMENT_CACHE_CAPACITY = 4096
 
 
 def _quote(name: str) -> str:
@@ -161,13 +151,6 @@ class DurabilityManager:
         self.sync = sync
         os.makedirs(root, exist_ok=True)
         self._files: Dict[str, _FileJournal] = {}
-        #: LRU of (id(view), offset, nbytes) -> (view, segments).  The
-        #: stored view reference both validates the entry (same object,
-        #: not a recycled id) and pins the id against reuse; a re-set
-        #: view is a new object, so its stale entries simply age out.
-        self._segments: "OrderedDict[Tuple[int, int, int], tuple]" = (
-            OrderedDict()
-        )
         self._m_records = obs_metrics.counter("durability.journal.records")
         self._m_bytes = obs_metrics.counter("durability.journal.bytes")
         self._m_commits = obs_metrics.counter("durability.journal.commits")
@@ -248,40 +231,6 @@ class DurabilityManager:
 
     # -- group commit ---------------------------------------------------------
 
-    def _touched_segments(
-        self, fs, name: str, node: int, offset: int, nbytes: int
-    ) -> List[Tuple[int, int, int]]:
-        """The subfile byte segments one view write lands on, computed
-        from the mapping functions exactly as the engine computes them
-        (mode-independent: thread or process pool, batched or not).
-
-        Cached per (view, offset, nbytes): the mapping math dominates
-        the per-record commit cost, and workloads revisit a small set
-        of access shapes, so the hit rate is effectively 100% in steady
-        state — this is what keeps group commit inside its overhead
-        budget on the coalesced write path."""
-        view = fs.views[(name, node)]
-        key = (id(view), offset, nbytes)
-        hit = self._segments.get(key)
-        if hit is not None and hit[0] is view:
-            self._segments.move_to_end(key)
-            return hit[1]
-        lo, hi = offset, offset + nbytes - 1
-        out: List[Tuple[int, int, int]] = []
-        for link in view.links.values():
-            starts, _lengths = link.proj_view.segments_in(lo, hi)
-            if starts.size == 0:
-                continue
-            l_s, r_s = IOEngine._map_extremities(view, link, lo, hi)
-            s_starts, s_lens = link.proj_subfile.segments_in(l_s, r_s)
-            for a, n in zip(s_starts, s_lens):
-                if n > 0:
-                    out.append((link.subfile, int(a), int(n)))
-        self._segments[key] = (view, out)
-        if len(self._segments) > _SEGMENT_CACHE_CAPACITY:
-            self._segments.popitem(last=False)
-        return out
-
     def commit_write(
         self, fs, name: str, ops: Sequence[Tuple[int, int, int, int]]
     ) -> int:
@@ -292,7 +241,10 @@ class DurabilityManager:
         order.  Must be called *after* the batch applied to the stores
         and *before* its tickets resolve, with the file's lock held —
         the redo payloads are read back from the subfile stores, so
-        every journaled byte carries the post-batch state.
+        every journaled byte carries the post-batch state.  The subfile
+        segments each op landed on are read from the write layout the
+        engine cached on the node's view (:meth:`View.layout`), and an
+        empty op journals nothing.
 
         Because payloads are post-state and recovery replays whole
         commit groups in order, the batch's segments within a subfile
@@ -308,6 +260,7 @@ class DurabilityManager:
         fj = self._files.get(name)
         if fj is None:
             fj = self.register_file(fs, name)
+        ops = [op for op in ops if op[3] > 0]
         if not ops:
             return fj.stamp
         stamp = max(op[0] for op in ops)
@@ -322,18 +275,17 @@ class DurabilityManager:
             )
         stores = fs.open(name).stores
         writers = fj.data
-        seg_of = self._touched_segments
         # Segment intervals per subfile, then coalesce and emit one
         # record per merged run — and one write syscall per touched
         # journal (append_many goes straight to the OS); flush() only
         # matters in sync (fsync) mode.
         per_subfile: Dict[int, list] = {}
-        for seq, node, offset, nbytes in ops:
-            if nbytes <= 0:
-                continue
-            for subfile, start, n in seg_of(fs, name, node, offset, nbytes):
-                per_subfile.setdefault(subfile, []).append(
-                    (start, start + n)
+        for _seq, node, offset, nbytes in ops:
+            view = fs.views[(name, node)]
+            for acc in view.layout(True, offset, offset + nbytes - 1):
+                starts, lengths = acc.segments
+                per_subfile.setdefault(acc.subfile, []).extend(
+                    zip(starts.tolist(), (starts + lengths).tolist())
                 )
         records = 0
         payload_bytes = 0

@@ -139,9 +139,8 @@ def _worker_main(worker_id: int, cfg_bytes: bytes, conn,
             for r, io_node, disk_factor, name, capacity in job["replicas"]
         ]
         return serve_request(
-            op, replicas, job["l_s"], job["r_s"],
-            (job["starts"], job["lengths"]), payload, disk,
-            job["crc"], job["attempt"],
+            op, replicas, job["l_s"], job["r_s"], job["segments"], payload,
+            disk, job["crc"], job["attempt"], job["copy"],
         )
 
     def run_batch(cmd: dict, slab) -> dict:

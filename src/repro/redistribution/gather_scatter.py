@@ -25,7 +25,9 @@ Three execution strategies, selected per call:
 
 :func:`copy_segments` is the two-sided form for a copy that crosses no
 wire: source segments onto destination segments in one pass, by the
-same three strategies, without the packed buffer in between.
+same three strategies, without the packed buffer in between.  Its
+resolved half (:func:`resolve_copy`, or :func:`resolve_packed` for a
+gather or scatter) can be kept and run again with :func:`run_copy`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "gather_segments",
     "scatter_segments",
     "copy_segments",
+    "resolve_packed",
 ]
 
 Strategy = Literal["auto", "strided", "fancy", "slices"]
@@ -80,6 +83,10 @@ def _flat_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
+    first = int(lengths[0])
+    if first * lengths.size == total and (lengths == first).all():
+        # Equal segments (FALLS blocks): one broadcast add, not five passes.
+        return (starts[:, None] + np.arange(first, dtype=np.int64)).reshape(-1)
     reps = np.repeat(starts, lengths)
     ramp = np.arange(total, dtype=np.int64)
     resets = np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -205,7 +212,8 @@ class ResolvedCopy(NamedTuple):
     dst_size: int
     #: ``"strided"``, ``"fancy"`` or ``"slices"``.
     kind: str
-    #: strided: ``(first, strides)`` of the view; else the piece offsets.
+    #: strided: ``(first, strides)`` of the view; else the piece offsets
+    #: (fancy: an int, the first offset, when the pieces are one run).
     src: tuple
     dst: tuple
     #: strided: the views' common shape; else the piece lengths.
@@ -246,7 +254,8 @@ def resolve_copy(
         return ResolvedCopy(0, src_size, dst_size, "slices", (), (), ())
     s_flat = _flat_falls(src_size, s_starts, s_lengths)
     d_flat = _flat_falls(dst_size, d_starts, d_lengths)
-    if s_flat is not None and d_flat is not None:
+    # One run onto one run is one slice assignment, cheaper than views.
+    if s_flat and d_flat and s_starts.size + d_starts.size > 2:
         inner, outer = sorted((s_flat[3], d_flat[3]))
         if outer % inner == 0:
             m = outer // inner
@@ -258,27 +267,72 @@ def resolve_copy(
             )
     _check_inside("source", src_size, s_starts, s_lengths)
     _check_inside("destination", dst_size, d_starts, d_lengths)
-    # Refine both lists to their common boundaries: piece k is the bytes
-    # of rank [begins[k], cuts[k]) in either list's order.
-    s_ends, d_ends = np.cumsum(s_lengths), np.cumsum(d_lengths)
-    cuts = np.union1d(s_ends, d_ends)
-    cuts = cuts[cuts > 0]
-    begins = np.concatenate(([0], cuts[:-1]))
-    i = np.searchsorted(s_ends, begins, side="right")
-    j = np.searchsorted(d_ends, begins, side="right")
-    pieces = (
-        s_starts[i] + (begins - (s_ends[i] - s_lengths[i])),
-        d_starts[j] + (begins - (d_ends[j] - d_lengths[j])),
-        cuts - begins,
-    )
-    if _prefer_fancy(int(cuts.size), nbytes):
-        for arr in pieces:
-            arr.setflags(write=False)
-        return ResolvedCopy(nbytes, src_size, dst_size, "fancy", *pieces)
+    if min(s_starts.size, d_starts.size) == 1:
+        # One side is one run (a gather's payload, a scatter's source):
+        # the pieces are the other side's non-empty segments.
+        to_run = d_starts.size == 1
+        starts, lengths = (s_starts, s_lengths) if to_run else (d_starts, d_lengths)
+        starts, extent = starts[lengths > 0], lengths[lengths > 0]
+        run = int((d_starts if to_run else s_starts)[0])
+        if not _prefer_fancy(int(extent.size), nbytes):
+            run = run + np.cumsum(extent) - extent
+        pieces = (starts, run, extent) if to_run else (run, starts, extent)
+    else:
+        # Refine both lists to their common boundaries: piece k is the
+        # bytes of rank [begins[k], cuts[k]) in either list's order (a
+        # stable sort merges the sorted ends; np.union1d hashes, 25x slower).
+        s_ends, d_ends = np.cumsum(s_lengths), np.cumsum(d_lengths)
+        cuts = np.concatenate((s_ends, d_ends))
+        cuts.sort(kind="stable")
+        cuts = cuts[np.diff(cuts, prepend=0) > 0]
+        begins = np.concatenate(([0], cuts[:-1]))
+        i = np.searchsorted(s_ends, begins, side="right")
+        j = np.searchsorted(d_ends, begins, side="right")
+        pieces = (
+            s_starts[i] + (begins - (s_ends[i] - s_lengths[i])),
+            d_starts[j] + (begins - (d_ends[j] - d_lengths[j])),
+            cuts - begins,
+        )
+    src, dst, extent = pieces
+    if _prefer_fancy(int(extent.size), nbytes):
+        extent.setflags(write=False)
+        return ResolvedCopy(
+            nbytes, src_size, dst_size, "fancy",
+            _fancy_side(src, extent), _fancy_side(dst, extent), extent,
+        )
     return ResolvedCopy(
         nbytes, src_size, dst_size, "slices",
         *(tuple(arr.tolist()) for arr in pieces),
     )
+
+
+def _fancy_side(offsets, extent: np.ndarray):
+    """One side's piece offsets, or its first offset alone (an int) when
+    the pieces are one packed run (a gather's payload, a scatter's
+    source): that side is then a slice, not a byte index."""
+    if isinstance(offsets, np.ndarray):
+        if not np.array_equal(offsets[1:], offsets[:-1] + extent[:-1]):
+            offsets.setflags(write=False)
+            return offsets
+        offsets = int(offsets[0])
+    return offsets
+
+
+def _fancy_index(side, copy: ResolvedCopy):
+    if isinstance(side, int):
+        return slice(side, side + copy.nbytes)
+    return _flat_indices(side, copy.extent)
+
+
+def resolve_packed(size: int, segs: SegmentArrays, gather: bool) -> ResolvedCopy:
+    """:func:`resolve_copy` between ``segs`` of a ``size``-byte buffer
+    and a contiguous payload: packing them into it (``gather``) or
+    unpacking it onto them."""
+    nbytes = int(segs[1].sum())
+    packed = (np.zeros(1, dtype=np.int64), np.full(1, nbytes, dtype=np.int64))
+    if gather:
+        return resolve_copy(nbytes, packed, size, segs)
+    return resolve_copy(size, segs, nbytes, packed)
 
 
 def run_copy(dst: np.ndarray, src: np.ndarray, copy: ResolvedCopy) -> None:
@@ -299,9 +353,7 @@ def run_copy(dst: np.ndarray, src: np.ndarray, copy: ResolvedCopy) -> None:
             np.ndarray(copy.extent, np.uint8, src, s_first, s_strides),
         )
     elif copy.kind == "fancy":
-        dst[_flat_indices(copy.dst, copy.extent)] = src[
-            _flat_indices(copy.src, copy.extent)
-        ]
+        dst[_fancy_index(copy.dst, copy)] = src[_fancy_index(copy.src, copy)]
     else:
         for s, d, ln in zip(copy.src, copy.dst, copy.extent):
             dst[d : d + ln] = src[s : s + ln]

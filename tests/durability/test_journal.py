@@ -219,6 +219,26 @@ class TestCommitCoalescing:
         assert merged.offset + len(merged.payload) == second_offset + 16
 
 
+def test_empty_ops_journal_nothing(tmp_path):
+    """A batch of zero-length writes appends no data and no commit
+    record; one beside a real write adds no record of its own."""
+    fs = Clusterfile()
+    fs.create("g", round_robin(2, 8))
+    fs.set_view("g", 0, round_robin(2, 16))
+    with DurabilityManager(str(tmp_path)) as dm:
+        dm.register_file(fs, "g")
+        d = dm.file_dir("g")
+        names = ("commit.wal", "sf0.wal", "sf1.wal")
+        before = [_read(os.path.join(d, n)) for n in names]
+        fs.write("g", [(0, 5, b"")])
+        dm.commit_write(fs, "g", [(0, 0, 5, 0), (1, 0, 9, 0)])
+        assert [_read(os.path.join(d, n)) for n in names] == before
+        fs.write("g", [(0, 0, np.ones(4, np.uint8)), (0, 20, b"")])
+        dm.commit_write(fs, "g", [(2, 0, 0, 4), (3, 0, 20, 0)])
+        scan = scan_journal(os.path.join(d, "sf0.wal"))
+    assert [(r.offset, r.payload) for r in scan.records] == [(0, b"\1" * 4)]
+
+
 class TestShortAndLongWritev:
     def test_short_writes_still_yield_a_scannable_journal(
         self, tmp_path, monkeypatch

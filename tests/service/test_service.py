@@ -189,6 +189,30 @@ class TestBatching:
             np.testing.assert_array_equal(buf, data[node][off : off + n])
         assert not np.shares_memory(got[0], got[1])
 
+    def test_empty_ops_are_no_ops_inside_a_batch(self, stalled):
+        """A zero-length read or write coalesced with others yields an
+        empty buffer and sends nothing; its batch-mates still land."""
+        svc = stalled.svc
+        data = _payloads(18, nprocs=1, nbytes=32)[0]
+        svc.fs.write("f0", [(0, 0, data)])
+        reads = [svc.submit_read("f0", 0, 0, 16),
+                 svc.submit_read("f0", 0, 16, 0),
+                 svc.submit_read("f0", 0, 16, 16)]
+        new = _payloads(19, nprocs=2, nbytes=8)
+        writes = [svc.submit_write("f0", 0, 0, new[0]),
+                  svc.submit_write("f0", 0, 8, b""),
+                  svc.submit_write("f0", 0, 8, new[1])]
+        stalled.release()
+        got = [t.result(timeout=30) for t in reads]
+        for t in writes:
+            t.result(timeout=30)
+        assert [t.batched_with for t in reads + writes] == [3] * 6
+        np.testing.assert_array_equal(np.concatenate(got), data)
+        assert got[1].size == 0
+        [after] = svc.fs.read("f0", [(0, 0, 32)])
+        np.testing.assert_array_equal(after[:16], np.concatenate(new))
+        np.testing.assert_array_equal(after[16:], data[16:])
+
     def test_write_between_reads_splits_the_run(self, stalled):
         svc = stalled.svc
         old, new = _payloads(16, nprocs=2)
