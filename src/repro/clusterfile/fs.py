@@ -70,6 +70,9 @@ class Clusterfile:
         self.cluster = Cluster(self.config)
         self.files: Dict[str, ClusterFile] = {}
         self.views: Dict[tuple, View] = {}
+        #: One access-layout table per (logical, element, physical)
+        #: structure, shared by every view set with that triple.
+        self._layout_tables: Dict[tuple, dict] = {}
         self.backend = None
         if self.workers_mode not in ("thread", "process"):
             raise ValueError(
@@ -157,13 +160,14 @@ class Clusterfile:
         return self.files[name]
 
     def unlink(self, name: str) -> None:
-        """Remove a file and its subfile stores.
+        """Remove a file, its views and its subfile stores.
 
         File-backed stores are durably flushed, closed, and their
         backing files deleted; the in-memory backend's flush/close are
         no-ops.
         """
         f = self.files.pop(name)
+        self._drop_views(name)
         for store in [
             st for st in f.stores
         ] + [st for group in f.mirrors for st in group]:
@@ -188,13 +192,36 @@ class Clusterfile:
         if not 0 <= compute_node < self.config.compute_nodes:
             raise ValueError(f"no compute node {compute_node}")
         e = compute_node if element is None else element
-        view = set_view(compute_node, logical, e, f.physical)
+        key = (logical.structure_key(), e, f.physical.structure_key())
+        layouts = self._layout_tables.setdefault(key, {})
+        view = set_view(compute_node, logical, e, f.physical, layouts)
+        old = self.views.get((name, compute_node))
         self.views[(name, compute_node)] = view
+        if old is not None and old._layouts is not layouts:
+            self._prune_layout_tables()
         return view
 
     def view_of(self, name: str, compute_node: int) -> View:
         """The view a compute node currently has set on a file."""
         return self.views[(name, compute_node)]
+
+    def _drop_views(self, name: str) -> None:
+        """Forget every view on a file (its links refer to subfiles
+        that are gone or re-laid out)."""
+        for key in [k for k in self.views if k[0] == name]:
+            del self.views[key]
+        self._prune_layout_tables()
+
+    def _prune_layout_tables(self) -> None:
+        """Drop the layout tables no current view holds, so their count
+        stays bounded by the pattern triples in use.  O(views); runs on
+        unlink, re-layout and view re-set only.  A view set concurrently
+        may lose its table from the index: that costs sharing, never
+        bytes."""
+        held = {id(v._layouts) for v in list(self.views.values())}
+        for key, table in list(self._layout_tables.items()):
+            if id(table) not in held:
+                del self._layout_tables[key]
 
     # -- data operations -------------------------------------------------
 

@@ -114,8 +114,7 @@ def relayout(
     cfile.stores = new_stores
     cfile.mirrors = new_mirrors
     # Invalidate every view on this file.
-    for key in [k for k in fs.views if k[0] == name]:
-        del fs.views[key]
+    fs._drop_views(name)
 
     return RelayoutResult(
         bytes_moved=bytes_moved,

@@ -25,7 +25,11 @@ the same logical partition, re-opened files, checkpoint restarts —
 reuses the cached schedule and pays only the per-element slicing.
 
 Each access is then resolved once per (direction, interval)
-(:meth:`View.layout`), so only its first use pays ``t_m``.
+(:meth:`View.layout`), so only its first use pays ``t_m``.  A layout
+depends only on the pattern pair and the element, so a
+:class:`~repro.clusterfile.fs.Clusterfile` hands every view of one
+(logical, element, physical) triple the same layout table: the first
+view of any file with that pair to make an access pays its ``t_m``.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from ..redistribution.plan_cache import get_mapper, get_plan
 
 __all__ = ["SubfileLink", "LinkAccess", "View", "set_view"]
 
-#: Access layouts one view keeps (:meth:`View.layout`); a view whose
-#: accesses outgrow it starts over.
+#: Access layouts one layout table keeps (:meth:`View.layout`); a table
+#: whose accesses outgrow it starts over.
 _LAYOUT_CACHE_CAPACITY = 64
 
 
@@ -90,19 +94,14 @@ class LinkAccess(NamedTuple):
         return self.server.nbytes
 
 
-def _map_extremities(view: "View", link: SubfileLink, lo: int, hi: int):
-    """Lines 3-4 of the first §8.1 fragment: l_S and r_S via MAP
-    composition with next/prev rounding.
+def _map_extremities(view: "View", link: SubfileLink, x0: int, x1: int):
+    """Lines 3-4 of the first §8.1 fragment: l_S and r_S by MAP_S with
+    next/prev rounding of the extremities' file offsets
+    ``x0 = MAP_V^{-1}(lo)`` and ``x1 = MAP_V^{-1}(hi)``, which the
+    view's access unmapped once for all its links.
 
-    When the view and the subfile perfectly overlap the mapping is the
-    identity and costs nothing (the paper's t_m = 0 case).  Otherwise
-    the scalar recursive MAP functions are used — a few binary
-    searches, matching the paper's observation that t_m "is very
-    small"."""
-    if link.is_identity:
-        return lo, hi
-    x0 = unmap_offset(view.logical, view.element, lo)
-    x1 = unmap_offset(view.logical, view.element, hi)
+    The scalar recursive MAP function is used — a few binary searches,
+    matching the paper's observation that t_m "is very small"."""
     phys = link.subfile_mapper.partition
     l_s = map_offset(phys, link.subfile, x0, mode="next")
     r_s = map_offset(phys, link.subfile, x1, mode="prev")
@@ -127,7 +126,9 @@ class View:
     _gather_tls: threading.local = field(default_factory=threading.local)
     #: The ``view.set`` span this view's ``set_time_s`` was read from.
     trace: Optional[Span] = None
-    #: ``(write, lo, hi)`` -> the access's links (:meth:`layout`).
+    #: ``(write, lo, hi)`` -> the access's links (:meth:`layout`); shared
+    #: by every view a deployment sets with this view's pattern pair and
+    #: element.
     _layouts: Dict[tuple, Tuple[LinkAccess, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -156,8 +157,9 @@ class View:
 
     def layout(self, write: bool, lo: int, hi: int) -> Tuple[LinkAccess, ...]:
         """The links the access ``[lo, hi]`` touches, built on first use
-        and kept per (direction, interval).  Entries are immutable and
-        equal however often they are built, so concurrent accesses need
+        and kept per (direction, interval) in the view's layout table.
+        Entries are immutable and equal however often, and by whichever
+        view of the table, they are built, so concurrent accesses need
         no lock: a race builds one twice and keeps either."""
         key = (write, lo, hi)
         layout = self._layouts.get(key)
@@ -169,14 +171,24 @@ class View:
         return layout
 
     def _link_accesses(self, write: bool, lo: int, hi: int):
+        unmapped = None
         for link in self.links.values():
             # Which view-space bytes of this link fall in the window
             # (line 2's emptiness test, and the client copy's segments).
             starts, lengths = link.proj_view.segments_in(lo, hi)
             if starts.size == 0:
                 continue
-            with open_span("map", subfile=link.subfile):
-                l_s, r_s = _map_extremities(self, link, lo, hi)
+            if link.is_identity:
+                # MAP_S(MAP_V^{-1}(y)) == y: the paper's t_m = 0 case.
+                l_s, r_s = lo, hi
+            else:
+                with open_span("map", subfile=link.subfile):
+                    if unmapped is None:
+                        unmapped = (
+                            unmap_offset(self.logical, self.element, lo),
+                            unmap_offset(self.logical, self.element, hi),
+                        )
+                    l_s, r_s = _map_extremities(self, link, *unmapped)
             segments = link.proj_subfile.segments_in(l_s, r_s)
             client = (
                 int(starts[0]) - lo
@@ -196,6 +208,7 @@ def set_view(
     logical: Partition,
     element: int,
     physical: Partition,
+    layouts: Optional[dict] = None,
 ) -> View:
     """Compute and cache all view <-> subfile mapping state.
 
@@ -206,7 +219,8 @@ def set_view(
     sweep), later ones reuse the schedule
     (their recorded ``t_i`` is correspondingly the residual lookup cost
     — call :func:`repro.redistribution.plan_cache.clear_plan_cache`
-    first to measure a cold set).
+    first to measure a cold set).  ``layouts`` is the access-layout
+    table to share (:meth:`View.layout`); a fresh one by default.
     """
     with open_span("view.set", compute=compute_node, element=element) as sp:
         plan = get_plan(logical, physical)
@@ -238,4 +252,5 @@ def set_view(
         view_mapper=view_mapper,
         set_time_s=sp.wall_s,
         trace=sp,
+        _layouts={} if layouts is None else layouts,
     )

@@ -126,6 +126,10 @@ class Falls:
                     f"with n={self.n} would overlap blocks"
                 )
         validate_inner_layout(self.inner, block_len)
+        # SIZE, once: the MAP recursion asks every level for it.  Not a
+        # field, so equality and hashing stay structural.
+        per_block = sum(f._size for f in self.inner) if self.inner else block_len
+        object.__setattr__(self, "_size", self.n * per_block)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -169,9 +173,7 @@ class Falls:
 
     def size(self) -> int:
         """Number of bytes selected (SIZE in the paper)."""
-        if self.is_leaf:
-            return self.n * self.block_length
-        return self.n * sum(f.size() for f in self.inner)
+        return self._size
 
     def height(self) -> int:
         """Tree height: 1 for a leaf FALLS."""
@@ -307,6 +309,7 @@ class FallsSet:
                     "FALLS in a set must be sorted by non-decreasing l"
                 )
             prev_l = f.l
+        object.__setattr__(self, "_size", sum(f._size for f in self.falls))
 
     def __iter__(self) -> Iterator[Falls]:
         return iter(self.falls)
@@ -326,7 +329,7 @@ class FallsSet:
 
     def size(self) -> int:
         """Total number of bytes selected by all FALLS of the set."""
-        return sum(f.size() for f in self.falls)
+        return self._size
 
     def height(self) -> int:
         if not self.falls:

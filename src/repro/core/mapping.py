@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Literal, Optional, Sequence
 
 import numpy as np
@@ -60,10 +61,7 @@ class MappingError(KeyError):
 
 
 def _prefix_sizes(falls_seq: Sequence[Falls]) -> List[int]:
-    cum = [0]
-    for f in falls_seq:
-        cum.append(cum[-1] + f.size())
-    return cum
+    return [0, *accumulate(f.size() for f in falls_seq)]
 
 
 def _map_aux_seq(

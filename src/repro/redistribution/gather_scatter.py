@@ -327,8 +327,21 @@ def _fancy_index(side, copy: ResolvedCopy):
 def resolve_packed(size: int, segs: SegmentArrays, gather: bool) -> ResolvedCopy:
     """:func:`resolve_copy` between ``segs`` of a ``size``-byte buffer
     and a contiguous payload: packing them into it (``gather``) or
-    unpacking it onto them."""
+    unpacking it onto them.  One segment resolves to a slice and one
+    flat FALLS to a strided view directly, as the merge would."""
     nbytes = int(segs[1].sum())
+    flat = _flat_falls(size, *segs) if nbytes else None
+    if flat is not None:
+        first, stride, n, seg_len = flat
+        if n == 1:
+            side, payload, kind, extent = (first,), (0,), "slices", (nbytes,)
+        else:
+            side = (first, (n * stride, stride, 1))
+            payload, kind = (0, (nbytes, seg_len, 1)), "strided"
+            extent = (1, n, seg_len)
+        if gather:
+            return ResolvedCopy(nbytes, size, nbytes, kind, side, payload, extent)
+        return ResolvedCopy(nbytes, nbytes, size, kind, payload, side, extent)
     packed = (np.zeros(1, dtype=np.int64), np.full(1, nbytes, dtype=np.int64))
     if gather:
         return resolve_copy(nbytes, packed, size, segs)

@@ -1,6 +1,7 @@
-"""Cached access layouts: each access resolved once per (view,
+"""Cached access layouts: each access resolved once per (layout table,
 direction, interval) and read by the engine, the I/O servers and the
-journal commit.
+journal commit.  A deployment shares one table among the views of one
+(logical, element, physical) triple, whatever file they are set on.
 
 Byte contents are checked against the per-byte oracle
 (``tests/oracle/naive.py``): a view write puts byte ``i`` of its buffer
@@ -374,3 +375,256 @@ def test_one_shot_block_cyclic_layout_peak_memory(physical):
         tracemalloc.stop()
     assert peak < LAYOUT_PEAK_CEILING_MIB << 20
     np.testing.assert_array_equal(fs.linear_contents("m"), data)
+
+
+# -- layout tables shared by the views of one deployment ---------------------
+
+
+def _files(fs, names, physical="c"):
+    for name in names:
+        fs.create(name, matrix_partition(physical, N, N, 4))
+        for node in range(4):
+            fs.set_view(name, node, ROWS)
+
+
+def _count_builds(monkeypatch):
+    """Record every layout build as ``(write, lo, hi)`` and every
+    extremity mapping as its subfile."""
+    builds, maps = [], []
+    real_build, real_map = view_mod.View._link_accesses, view_mod._map_extremities
+
+    def building(view, write, lo, hi):
+        builds.append((view.element, write, lo, hi))
+        return real_build(view, write, lo, hi)
+
+    def mapping(view, link, x0, x1):
+        maps.append(link.subfile)
+        return real_map(view, link, x0, x1)
+
+    monkeypatch.setattr(view_mod.View, "_link_accesses", building)
+    monkeypatch.setattr(view_mod, "_map_extremities", mapping)
+    return builds, maps
+
+
+#: ``(node, offset, length)`` of the accesses every file gets.
+WINDOWS = ((0, 20, 100), (3, 7, 90))
+
+
+def _write_all(fs, names, oracles, seed):
+    for j, name in enumerate(names):
+        for node, off, n in WINDOWS:
+            data = _bytes(1000 * seed + 10 * j + node, n)
+            fs.write(name, [(node, off, data)])
+            oracles[name].write(ROWS, node, off, data)
+
+
+def _assert_files(fs, oracles):
+    for name, oracle in oracles.items():
+        np.testing.assert_array_equal(fs.linear_contents(name, N * N), oracle.data)
+
+
+class TestSharedTables:
+    def test_files_with_one_pattern_pair_build_each_layout_once(
+        self, monkeypatch
+    ):
+        fs = Clusterfile(ClusterConfig(compute_nodes=4, io_nodes=4))
+        names = [f"f{j}" for j in range(4)]
+        _files(fs, names)
+        builds, maps = _count_builds(monkeypatch)
+        oracles = {name: _Oracle(N * N) for name in names}
+        for seed in range(3):
+            _write_all(fs, names, oracles, seed)
+            for name in names:
+                for node, off, n in WINDOWS:
+                    [got] = fs.read(name, [(node, off, n)])
+                    np.testing.assert_array_equal(
+                        got, oracles[name].read(ROWS, node, off, n)
+                    )
+        _assert_files(fs, oracles)
+        assert sorted(builds) == sorted(
+            (node, w, off, off + n - 1) for node, off, n in WINDOWS
+            for w in (True, False)
+        )
+        tables = {
+            id(fs.view_of(name, node)._layouts)
+            for name in names
+            for node in range(4)
+        }
+        assert len(tables) == len(fs._layout_tables) == 4
+        linked = [
+            acc.subfile
+            for node, off, n in WINDOWS
+            for w in (True, False)
+            for acc in fs.view_of("f0", node).layout(w, off, off + n - 1)
+        ]
+        assert sorted(maps) == sorted(linked)
+
+    def test_different_physical_partitions_do_not_share(self):
+        fs = Clusterfile(ClusterConfig(compute_nodes=4, io_nodes=4))
+        _files(fs, ["c0", "c1"], "c")
+        _files(fs, ["b0"], "b")
+        assert fs.view_of("c0", 0)._layouts is fs.view_of("c1", 0)._layouts
+        assert fs.view_of("c0", 0)._layouts is not fs.view_of("b0", 0)._layouts
+        assert fs.view_of("c0", 0)._layouts is not fs.view_of("c0", 1)._layouts
+        oracles = {name: _Oracle(N * N) for name in ("c0", "c1", "b0")}
+        _write_all(fs, list(oracles), oracles, 0)
+        _assert_files(fs, oracles)
+
+    def test_relayout_gives_the_file_a_new_table(self, monkeypatch):
+        fs = Clusterfile(ClusterConfig(compute_nodes=4, io_nodes=4))
+        names = ["f0", "f1", "f2"]
+        _files(fs, names)
+        oracles = {name: _Oracle(N * N) for name in names}
+        _write_all(fs, names, oracles, 0)
+        shared = fs.view_of("f1", 0)._layouts
+        relayout(fs, "f0", matrix_partition("b", N, N, 4))
+        for node in range(4):
+            fs.set_view("f0", node, ROWS)
+        assert fs.view_of("f0", 0)._layouts is not shared
+        builds, _ = _count_builds(monkeypatch)
+        _write_all(fs, ["f1", "f2"], oracles, 1)
+        assert builds == []  # the other files' layouts survived
+        _write_all(fs, ["f0"], oracles, 2)
+        assert len(builds) == 2  # one per (node, interval), for the new table
+        _assert_files(fs, oracles)
+        # A same-layout re-layout finds the table the other file holds.
+        relayout(fs, "f1", fs.open("f1").physical)
+        for node in range(4):
+            fs.set_view("f1", node, ROWS)
+        assert fs.view_of("f1", 0)._layouts is shared
+        _write_all(fs, ["f1"], oracles, 3)
+        assert len(builds) == 2
+        _assert_files(fs, oracles)
+
+    def test_two_deployments_do_not_share(self):
+        runs = []
+        for _ in range(2):
+            fs = _fs()
+            fs.set_view("m", 0, ROWS)
+            data = _bytes(4, 64)
+            runs.append((fs, fs.write("m", [(0, 8, data)])))
+        (fs_a, first), (fs_b, second) = runs
+        assert fs_a.view_of("m", 0)._layouts is not fs_b.view_of("m", 0)._layouts
+        for res in (first, second):
+            assert "map" in res.trace.phase_names()
+            assert res.per_compute[0].t_m > 0
+
+    def test_table_count_stays_bounded(self):
+        fs = Clusterfile(ClusterConfig(compute_nodes=4, io_nodes=4))
+        _files(fs, ["keep"])
+        oracles = {"keep": _Oracle(N * N)}
+        for i in range(12):
+            physical = ("c", "b", "r")[i % 3]
+            relayout(fs, "keep", matrix_partition(physical, N, N, 4))
+            for node in range(4):
+                fs.set_view("keep", node, ROWS)
+            _write_all(fs, ["keep"], oracles, i)
+            assert len(fs._layout_tables) == 4
+            # Unlink and re-create a file under a pattern of its own.
+            fs.create("temp", round_robin(4, i + 1))
+            fs.set_view("temp", 0, round_robin(2, i + 3), 0)
+            fs.write("temp", [(0, 0, _bytes(i, 40))])
+            assert len(fs._layout_tables) == 5
+            fs.unlink("temp")
+            assert len(fs._layout_tables) == 4
+        _assert_files(fs, oracles)
+        for name in list(fs.files):
+            fs.unlink(name)
+        assert fs._layout_tables == {}
+
+    def test_view_reset_drops_the_table_no_view_holds(self):
+        fs = _fs()
+        fs.set_view("m", 0, ROWS)
+        fs.set_view("m", 0, round_robin(4, 8))
+        assert len(fs._layout_tables) == 1
+        assert fs._layout_tables[next(iter(fs._layout_tables))] is (
+            fs.view_of("m", 0)._layouts
+        )
+
+
+def test_four_threads_on_two_files_sharing_a_table_read_the_same_bytes():
+    fs = Clusterfile(ClusterConfig(compute_nodes=4, io_nodes=4))
+    names = ["a", "b"]
+    _files(fs, names)
+    assert fs.view_of("a", 0)._layouts is fs.view_of("b", 0)._layouts
+    oracles = {name: _Oracle(N * N) for name in names}
+    for j, name in enumerate(names):
+        data = _bytes(20 + j, 256)
+        fs.write(name, [(0, 0, data)])
+        oracles[name].write(ROWS, 0, 0, data)
+    windows = [(0, 256), (3, 200), (64, 100)]
+    want = {
+        name: [oracles[name].read(ROWS, 0, off, n) for off, n in windows]
+        for name in names
+    }
+    barrier = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+
+    def reader(k):
+        barrier.wait()
+        for i in range(30):
+            name = names[(k + i) % 2]
+            bufs = fs.read(name, [(0, off, n) for off, n in windows])
+            results[k].append((name, bufs))
+
+    threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == 30
+        for name, bufs in got:
+            for buf, w in zip(bufs, want[name]):
+                np.testing.assert_array_equal(buf, w)
+
+
+class TestUnlinkForgetsViews:
+    def test_recreated_file_does_not_write_through_old_links(self):
+        fs = Clusterfile(ClusterConfig(compute_nodes=4, io_nodes=4))
+        fs.create("f", matrix_partition("r", N, N, 4))
+        for node in range(4):
+            fs.set_view("f", node, ROWS)
+        fs.unlink("f")
+        fs.create("f", matrix_partition("c", N, N, 4))
+        with pytest.raises(KeyError):
+            fs.write("f", [(0, 0, _bytes(30, 1024))])
+        oracle = _Oracle(N * N)
+        fs.set_view("f", 0, ROWS)
+        data = _bytes(31, 256)
+        fs.write("f", [(0, 0, data)])
+        oracle.write(ROWS, 0, 0, data)
+        np.testing.assert_array_equal(fs.linear_contents("f", N * N), oracle.data)
+
+    def test_recovery_over_a_file_of_another_layout_drops_its_views(
+        self, tmp_path
+    ):
+        """Recovery unlinks and re-creates every manifested name: views
+        on the replaced file referred to its old subfiles."""
+        source, oracle = _fs(), _Oracle(N * N)
+        source.set_view("m", 0, ROWS)
+        data = _bytes(32, 256)
+        with DurabilityManager(str(tmp_path)) as dm:
+            dm.register_file(source, "m")
+            source.write("m", [(0, 0, data)])
+            dm.commit_write(source, "m", [(0, 0, 0, data.size)])
+        oracle.write(ROWS, 0, 0, data)
+        target = _fs(physical="r")
+        for node in range(4):
+            target.set_view("m", node, ROWS)
+        with DurabilityManager(str(tmp_path)) as dm:
+            dm.recover_into(target)
+        np.testing.assert_array_equal(target.linear_contents("m", N * N), oracle.data)
+        with pytest.raises(KeyError):
+            target.write("m", [(0, 0, _bytes(33, 1024))])
+        target.set_view("m", 1, ROWS)
+        more = _bytes(34, 100)
+        target.write("m", [(1, 5, more)])
+        oracle.write(ROWS, 1, 5, more)
+        np.testing.assert_array_equal(target.linear_contents("m", N * N), oracle.data)
