@@ -2,7 +2,7 @@
 
 These isolate the costs that the table columns aggregate: flat and
 nested intersection (t_i), scalar and vectorised mapping (t_m),
-gather/scatter strategies (t_g, t_sc).
+gather/scatter by segment shape (t_g, t_sc).
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.periodic import PeriodicFallsSet
 from repro.core.segments import segments_from_pairs
-from repro.distributions import matrix_partition
+from repro.distributions import BlockCyclic, matrix_partition, multidim_partition
 from repro.redistribution.gather_scatter import (
     copy_segments,
     gather_segments,
@@ -86,21 +86,46 @@ class TestGatherScatter:
             [(i * stride, i * stride + run_len - 1) for i in range(runs)]
         )
 
-    @pytest.mark.parametrize("strategy", ["strided", "fancy", "slices"])
-    def test_gather_uniform_1k_runs(self, benchmark, strategy):
+    # One element's file segments in four shapes, one per way the kernel
+    # moves bytes: one run (a slice), one flat FALLS (a strided view),
+    # bc k = 8 (18 Ki 8-byte pieces, one index) and the 1-byte irregular
+    # bc(512, k = 1, 2 x 2) (64 Ki pieces, one index).
+    _SHAPES = {
+        "run-r768": lambda: matrix_partition("r", 768, 768, 4),
+        "falls-c768": lambda: matrix_partition("c", 768, 768, 4),
+        "bc8-768": lambda: multidim_partition(
+            (768, 768), 1, (BlockCyclic(8),) * 2, (2, 2)
+        ),
+        "bc1-512": lambda: multidim_partition(
+            (512, 512), 1, (BlockCyclic(1),) * 2, (2, 2)
+        ),
+    }
+
+    def _shape_case(self, shape):
+        p = self._SHAPES[shape]()
+        segs = p.element_segments(0, 0, p.size - 1)
+        return np.zeros(p.size, dtype=np.uint8), segs, int(segs[1].sum())
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_gather_shape(self, benchmark, shape):
+        src, segs, nbytes = self._shape_case(shape)
+        benchmark.group = "gather-shape"
+        out = benchmark(lambda: gather_segments(src, segs))
+        assert out.size == nbytes
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_scatter_shape(self, benchmark, shape):
+        dst, segs, nbytes = self._shape_case(shape)
+        payload = np.arange(nbytes, dtype=np.uint8)
+        benchmark.group = "scatter-shape"
+        benchmark(lambda: scatter_segments(dst, segs, payload))
+
+    def test_gather_uniform_1k_runs(self, benchmark):
         segs = self._segments(1024, 256, 1024)
         src = np.zeros(1024 * 1024 + 256, dtype=np.uint8)
         benchmark.group = "gather-uniform"
-        out = benchmark(lambda: gather_segments(src, segs, strategy=strategy))
+        out = benchmark(lambda: gather_segments(src, segs))
         assert out.size == 1024 * 256
-
-    @pytest.mark.parametrize("strategy", ["strided", "fancy", "slices"])
-    def test_scatter_uniform_1k_runs(self, benchmark, strategy):
-        segs = self._segments(1024, 256, 1024)
-        dst = np.zeros(1024 * 1024 + 256, dtype=np.uint8)
-        src = np.arange(1024 * 256, dtype=np.uint8)
-        benchmark.group = "scatter-uniform"
-        benchmark(lambda: scatter_segments(dst, segs, src, strategy=strategy))
 
     def test_gather_contiguous_baseline(self, benchmark):
         """The copy cost floor: one memcpy of the same volume."""

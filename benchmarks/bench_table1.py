@@ -4,7 +4,8 @@ node, for every (matrix size, physical layout) cell.
 Each benchmark measures one full concurrent write operation (view set
 excluded — it is amortised, which is the paper's point); the shape-check
 test asserts the qualitative claims of §8.2 and writes the formatted
-paper-vs-measured table to ``benchmarks/output/table1.txt``.
+paper-vs-measured table to ``table1.txt`` in the benchmark output
+directory (``--bench-output``; a temporary one by default).
 """
 
 import os

@@ -56,11 +56,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.context import current_trace_id, new_trace_id
 from ..obs.span import Span, open_span
 from ..redistribution.executor import execute_plan
-from ..redistribution.gather_scatter import (
-    gather_segments,
-    run_copy,
-    scatter_segments,
-)
+from ..redistribution.gather_scatter import gather_segments, resolve_copy, run_copy
 from ..redistribution.schedule import RedistributionPlan
 from ..simulation.cluster import Cluster
 from ..simulation.disk import write_time_for_segments
@@ -769,17 +765,20 @@ class IOEngine:
         src_mirrors: Optional[Sequence[Sequence]] = None,
         dst_mirrors: Optional[Sequence[Sequence]] = None,
     ) -> Tuple[int, int, float, Span]:
-        """The per-transfer loop of a physical re-layout: gather at the
-        source subfile, wire between distinct I/O nodes, scatter into
-        the destination subfile — data movement real, timing simulated.
+        """The per-transfer loop of a physical re-layout: copy from the
+        source subfile into the destination subfile, priced as a read at
+        the source, a wire between distinct I/O nodes and a write at the
+        destination — data movement real, timing simulated.
 
         Each transfer reads from the first live source replica, retries
         dropped/corrupt attempts under the retry policy, and writes
-        every live destination replica.  The gather happens once — the
-        source bytes never change mid-relayout, so a retried transfer
-        re-sends the same verified payload; only the *wire* fate is
-        re-drawn per attempt.  No injector and no mirrors is the case of
-        one source, one destination, zero retries.
+        every live destination replica.  Its copy is resolved once and
+        run store to store into each replica, with no packed payload in
+        between; the source bytes never change mid-relayout, so only the
+        *wire* fate is re-drawn per attempt, and the payload is packed
+        only when a corrupt attempt needs its checksum.  No injector and
+        no mirrors is the case of one source, one destination, zero
+        retries.
 
         Returns ``(bytes_moved, cross_node_messages, makespan_s,
         trace)``.
@@ -826,16 +825,15 @@ class IOEngine:
                 if len(dst_live) < len(dst_replicas):
                     degraded = True
 
-                # Real data movement.
+                # Real data movement: store to store, one copy per live
+                # destination replica (fresh stores never alias the source).
                 with open_span(
                     "move",
                     src=t.src_element,
                     dst=t.dst_element,
                     bytes=nbytes,
                 ) as mv:
-                    payload = gather_segments(
-                        src_replicas[r_src].view(0, src_len - 1), src_segs
-                    )
+                    src_view = src_replicas[r_src].view(0, src_len - 1)
                     retries, delay_s, backoff_s = _transfer_retries(
                         injector,
                         self.retry_policy,
@@ -843,16 +841,17 @@ class IOEngine:
                         "relayout",
                         t.src_element,
                         t.dst_element,
-                        lambda: payload,
+                        lambda: gather_segments(src_view, src_segs),
                     )
                     if retries:
                         obs_metrics.inc("faults.retry.rounds", retries)
                         mv.child("retry", messages=retries, rounds=retries)
+                    copy = resolve_copy(dst_len, dst_segs, src_len, src_segs)
                     for r_dst, _node, _factor in dst_live:
-                        scatter_segments(
+                        run_copy(
                             dst_replicas[r_dst].view(0, dst_len - 1),
-                            dst_segs,
-                            payload,
+                            src_view,
+                            copy,
                         )
                 bytes_moved += nbytes
 

@@ -11,8 +11,7 @@ A :class:`View` therefore caches, per intersecting subfile:
 * ``proj_view``  — PROJ_V(V ∩ S), used by GATHER/SCATTER at the compute
   node,
 * ``proj_subfile`` — PROJ_S(V ∩ S), shipped to the I/O server and used
-  there,
-* the element mappers needed to map access extremities (``t_m``).
+  there.
 
 The wall-clock cost of building all of this is the paper's ``t_i``; it
 is paid once per view set and amortised over every subsequent access.
@@ -40,13 +39,13 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.mapping import ElementMapper, map_offset, unmap_offset
+from ..core.mapping import map_offset, unmap_offset
 from ..core.partition import Partition
 from ..core.periodic import PeriodicFallsSet
 from ..core.segments import SegmentArrays
 from ..obs.span import Span, open_span
 from ..redistribution.gather_scatter import ResolvedCopy, resolve_packed
-from ..redistribution.plan_cache import get_mapper, get_plan
+from ..redistribution.plan_cache import get_plan
 
 __all__ = ["SubfileLink", "LinkAccess", "View", "set_view"]
 
@@ -60,10 +59,8 @@ class SubfileLink:
     """Cached mapping state between one view and one subfile."""
 
     subfile: int
-    intersection: PeriodicFallsSet
     proj_view: PeriodicFallsSet
     proj_subfile: PeriodicFallsSet
-    subfile_mapper: ElementMapper
     #: True when the view and the subfile select exactly the same bytes,
     #: in which case MAP_S(MAP_V^{-1}(y)) == y and the access extremities
     #: need no mapping at all — the paper's "t_m is 0 when a view and a
@@ -102,9 +99,8 @@ def _map_extremities(view: "View", link: SubfileLink, x0: int, x1: int):
 
     The scalar recursive MAP function is used — a few binary searches,
     matching the paper's observation that t_m "is very small"."""
-    phys = link.subfile_mapper.partition
-    l_s = map_offset(phys, link.subfile, x0, mode="next")
-    r_s = map_offset(phys, link.subfile, x1, mode="prev")
+    l_s = map_offset(view.physical, link.subfile, x0, mode="next")
+    r_s = map_offset(view.physical, link.subfile, x1, mode="prev")
     return l_s, r_s
 
 
@@ -116,7 +112,8 @@ class View:
     logical: Partition
     element: int
     links: Dict[int, SubfileLink]
-    view_mapper: ElementMapper
+    #: The file's physical partition, whose subfiles the links name.
+    physical: Partition
     set_time_s: float  # the paper's t_i for this view set
     #: Reusable per-subfile gather buffers for the client-side GATHER of
     #: repeated accesses.  Grown on demand and held per *thread*: views
@@ -224,7 +221,6 @@ def set_view(
     """
     with open_span("view.set", compute=compute_node, element=element) as sp:
         plan = get_plan(logical, physical)
-        view_mapper = get_mapper(logical, element)
         links: Dict[int, SubfileLink] = {}
         for t in plan.transfers_from(element):
             proj_view = t.src_projection
@@ -237,10 +233,8 @@ def set_view(
             )
             links[t.dst_element] = SubfileLink(
                 subfile=t.dst_element,
-                intersection=t.intersection,
                 proj_view=proj_view,
                 proj_subfile=proj_subfile,
-                subfile_mapper=get_mapper(physical, t.dst_element),
                 is_identity=identity,
             )
     sp.annotate(links=len(links))
@@ -249,7 +243,7 @@ def set_view(
         logical=logical,
         element=element,
         links=links,
-        view_mapper=view_mapper,
+        physical=physical,
         set_time_s=sp.wall_s,
         trace=sp,
         _layouts={} if layouts is None else layouts,

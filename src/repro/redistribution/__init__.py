@@ -12,7 +12,6 @@ from .plan_cache import (
     PlanCache,
     clear_plan_cache,
     configure_plan_cache,
-    get_mapper,
     get_plan,
     plan_cache_stats,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "execute_plan",
     "gather",
     "gather_segments",
-    "get_mapper",
     "get_plan",
     "plan_cache_stats",
     "redistribute",

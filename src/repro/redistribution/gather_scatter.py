@@ -6,36 +6,26 @@ between two limits out of a linear buffer into a contiguous buffer;
 view data into a send buffer; the I/O node scatters received data into
 its subfile.  The same pair implements MPI-style pack/unpack.
 
-Three execution strategies, selected per call:
-
-``strided``
-    When every segment has the same length and the starts form an
-    arithmetic progression (one flat FALLS — the overwhelmingly common
-    case for array partitions), the copy is a single reshape of a
-    ``numpy.lib.stride_tricks.as_strided`` view: no per-segment Python
-    overhead at all.
-
-``fancy``
-    For many short irregular segments, build a flat index array once
-    (``repeat + cumsum`` trick) and do one vectorised fancy-index copy.
-
-``slices``
-    For few segments, or long ones, plain per-segment slice copies
-    (each one a memcpy) beat the per-byte index-array construction.
-
-:func:`copy_segments` is the two-sided form for a copy that crosses no
-wire: source segments onto destination segments in one pass, by the
-same three strategies, without the packed buffer in between.  Its
-resolved half (:func:`resolve_copy`, or :func:`resolve_packed` for a
-gather or scatter) can be kept and run again with :func:`run_copy`.
+Every byte movement is one kernel in two halves.  The resolve half
+(:func:`resolve_copy` between two segment lists, :func:`resolve_packed`
+between one list and a contiguous payload) looks at the segments once,
+checks that they stay inside their buffers (``ValueError`` otherwise)
+and returns an immutable :class:`ResolvedCopy`; :func:`run_copy` moves
+the bytes, as often as the caller keeps it.  Only the resolve half
+chooses how they move: a slice per piece for one run or a few long
+pieces, one ``np.copyto`` between strided views when each side is one
+flat FALLS (equal lengths, starts in arithmetic progression: array
+partitions), and one fancy-index copy for many short pieces.
+:func:`gather_segments`, :func:`scatter_segments`, :func:`copy_segments`
+and the paper's :func:`gather` and :func:`scatter` resolve and run in
+one call.
 """
 
 from __future__ import annotations
 
-from typing import Literal, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..core.periodic import PeriodicFallsSet
 from ..core.segments import SegmentArrays
@@ -48,8 +38,6 @@ __all__ = [
     "copy_segments",
     "resolve_packed",
 ]
-
-Strategy = Literal["auto", "strided", "fancy", "slices"]
 
 #: Below this many segments, slice copies win over index construction.
 _FANCY_THRESHOLD = 32
@@ -75,11 +63,8 @@ def as_flat_bytes(data, what: str) -> np.ndarray:
 
 
 def _flat_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Expand segments into a flat element-index array.
-
-    Classic vectorised expansion: repeat each start ``length`` times and
-    add a per-position ramp that restarts at every segment boundary.
-    """
+    """Expand segments into a flat element-index array: each start
+    repeated ``length`` times plus a ramp that restarts per segment."""
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
@@ -106,8 +91,11 @@ def _flat_falls(
         stride = int(starts[1]) - first
         if (
             stride <= 0
-            or np.any(lengths != seg_len)
-            or np.any(np.diff(starts) != stride)
+            # The ends first: most irregular lists fail here, in O(1).
+            or int(starts[-1]) - first != (n - 1) * stride
+            or int(lengths[-1]) != seg_len
+            or (lengths != seg_len).any()
+            or (starts[1:] - starts[:-1] != stride).any()
         ):
             return None
     if first < 0 or first + (n - 1) * stride + seg_len > size:
@@ -120,86 +108,29 @@ def _prefer_fancy(pieces: int, total: int) -> bool:
     return pieces >= _FANCY_THRESHOLD and total < _FANCY_MEAN_BYTES * pieces
 
 
-def _resolve(buf, starts, lengths, total: int, strategy: Strategy):
-    """``(strategy, view)`` one copy over ``buf`` runs with; ``view`` is
-    the ``(n_segments, seg_len)`` strided view when the strategy is
-    ``"strided"``, else None."""
-    if strategy in ("auto", "strided"):
-        flat = _flat_falls(buf.size, starts, lengths)
-        if flat is not None:
-            first, stride, n, seg_len = flat
-            view = as_strided(buf[first:], (n, seg_len), (stride, 1))
-            return "strided", view
-        if strategy == "strided":
-            return "slices", None
-    if strategy == "auto":
-        fancy = _prefer_fancy(int(starts.size), total)
-        return ("fancy" if fancy else "slices"), None
-    return strategy, None
-
-
 def gather_segments(
-    src: np.ndarray,
-    segs: SegmentArrays,
-    dst: Optional[np.ndarray] = None,
-    strategy: Strategy = "auto",
+    src: np.ndarray, segs: SegmentArrays, dst: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Pack the bytes of ``src`` at the given segments into a contiguous
-    buffer.  ``src`` must be a 1-D uint8 array; segment coordinates index
-    directly into it."""
-    starts, lengths = segs
-    total = int(lengths.sum()) if lengths.size else 0
+    """Pack the bytes of the 1-D uint8 ``src`` at the given segments into
+    a contiguous buffer (``dst`` when given, else a fresh one)."""
+    copy = resolve_packed(src.size, segs, True)
+    total = copy.nbytes
     if dst is None:
-        dst = np.empty(total, dtype=src.dtype)
+        dst = np.empty(total, dtype=np.uint8)
     elif dst.size < total:
         raise ValueError(f"destination holds {dst.size} bytes, need {total}")
     out = dst[:total]
-    if total == 0:
-        return out
-    strategy, view = _resolve(src, starts, lengths, total, strategy)
-    if strategy == "strided":
-        # As in scatter_segments: reshape(-1) on the strided view would
-        # make a full temporary; copy through the 2-D shape instead.
-        np.copyto(out.reshape(view.shape), view)
-        return out
-    if strategy == "fancy":
-        out[:] = src[_flat_indices(starts, lengths)]
-        return out
-    pos = 0
-    for a, ln in zip(starts.tolist(), lengths.tolist()):
-        out[pos : pos + ln] = src[a : a + ln]
-        pos += ln
+    run_copy(out, src, copy)
     return out
 
 
-def scatter_segments(
-    dst: np.ndarray,
-    segs: SegmentArrays,
-    src: np.ndarray,
-    strategy: Strategy = "auto",
-) -> None:
+def scatter_segments(dst: np.ndarray, segs: SegmentArrays, src: np.ndarray) -> None:
     """Unpack a contiguous buffer into ``dst`` at the given segments —
     the exact reverse of :func:`gather_segments`."""
-    starts, lengths = segs
-    total = int(lengths.sum()) if lengths.size else 0
-    if total == 0:
-        return
-    if src.size < total:
-        raise ValueError(f"source holds {src.size} bytes, need {total}")
-    payload = src[:total]
-    strategy, view = _resolve(dst, starts, lengths, total, strategy)
-    if strategy == "strided":
-        # NB: reshape(-1) on a non-contiguous strided view would
-        # silently copy; assign through the 2-D view instead.
-        view[:, :] = payload.reshape(view.shape)
-        return
-    if strategy == "fancy":
-        dst[_flat_indices(starts, lengths)] = payload
-        return
-    pos = 0
-    for a, ln in zip(starts.tolist(), lengths.tolist()):
-        dst[a : a + ln] = payload[pos : pos + ln]
-        pos += ln
+    copy = resolve_packed(dst.size, segs, False)
+    if src.size < copy.nbytes:
+        raise ValueError(f"source holds {src.size} bytes, need {copy.nbytes}")
+    run_copy(dst, src[: copy.nbytes], copy)
 
 
 class ResolvedCopy(NamedTuple):
@@ -328,24 +259,36 @@ def resolve_packed(size: int, segs: SegmentArrays, gather: bool) -> ResolvedCopy
     """:func:`resolve_copy` between ``segs`` of a ``size``-byte buffer
     and a contiguous payload: packing them into it (``gather``) or
     unpacking it onto them.  One segment resolves to a slice and one
-    flat FALLS to a strided view directly, as the merge would."""
-    nbytes = int(segs[1].sum())
-    flat = _flat_falls(size, *segs) if nbytes else None
-    if flat is not None:
-        first, stride, n, seg_len = flat
-        if n == 1:
-            side, payload, kind, extent = (first,), (0,), "slices", (nbytes,)
+    flat FALLS to a strided view; any other list is bounds-checked once
+    and its pieces are the segments themselves, on the slice or the
+    index path by :func:`_prefer_fancy`."""
+    starts, lengths = segs
+    nbytes = int(lengths.sum())
+    if nbytes == 0:
+        side = payload = extent = ()
+        kind = "slices"
+    else:
+        flat = _flat_falls(size, starts, lengths)
+        if flat is not None:
+            first, stride, n, seg_len = flat
+            if n == 1:
+                side, payload, kind, extent = (first,), (0,), "slices", (nbytes,)
+            else:
+                side = (first, (n * stride, stride, 1))
+                payload, kind = (0, (nbytes, seg_len, 1)), "strided"
+                extent = (1, n, seg_len)
         else:
-            side = (first, (n * stride, stride, 1))
-            payload, kind = (0, (nbytes, seg_len, 1)), "strided"
-            extent = (1, n, seg_len)
-        if gather:
-            return ResolvedCopy(nbytes, size, nbytes, kind, side, payload, extent)
-        return ResolvedCopy(nbytes, nbytes, size, kind, payload, side, extent)
-    packed = (np.zeros(1, dtype=np.int64), np.full(1, nbytes, dtype=np.int64))
+            _check_inside("source" if gather else "destination", size, starts, lengths)
+            if _prefer_fancy(int(starts.size), nbytes):
+                # The payload side is one run: a slice, not a byte index.
+                side, payload, kind, extent = starts, 0, "fancy", lengths
+            else:
+                side, extent = tuple(starts.tolist()), tuple(lengths.tolist())
+                payload = tuple((np.cumsum(lengths) - lengths).tolist())
+                kind = "slices"
     if gather:
-        return resolve_copy(nbytes, packed, size, segs)
-    return resolve_copy(size, segs, nbytes, packed)
+        return ResolvedCopy(nbytes, size, nbytes, kind, side, payload, extent)
+    return ResolvedCopy(nbytes, nbytes, size, kind, payload, side, extent)
 
 
 def run_copy(dst: np.ndarray, src: np.ndarray, copy: ResolvedCopy) -> None:
@@ -380,46 +323,28 @@ def copy_segments(
 ) -> None:
     """Copy the bytes of ``src`` at ``src_segs`` onto ``dst`` at
     ``dst_segs``, in list order — ``scatter_segments(dst, dst_segs,
-    gather_segments(src, src_segs))`` in one pass, with no packed
-    intermediate.  Both buffers are 1-D uint8 arrays that share no
-    memory; the two lists must hold equally many bytes and stay inside
-    their buffer (``ValueError`` otherwise)."""
+    gather_segments(src, src_segs))`` with no packed intermediate.  The
+    buffers are 1-D uint8 arrays that share no memory; the lists must
+    hold equally many bytes and stay inside their buffers."""
     run_copy(dst, src, resolve_copy(dst.size, dst_segs, src.size, src_segs))
 
 
-def _window_segments(
-    pfs: PeriodicFallsSet, lo: int, hi: int, base: int
-) -> SegmentArrays:
-    starts, lengths = pfs.segments_in(lo, hi)
-    return starts - base, lengths
-
-
 def gather(
-    dst: np.ndarray,
-    src: np.ndarray,
-    lo: int,
-    hi: int,
-    pfs: PeriodicFallsSet,
-    strategy: Strategy = "auto",
+    dst: np.ndarray, src: np.ndarray, lo: int, hi: int, pfs: PeriodicFallsSet
 ) -> np.ndarray:
-    """The paper's GATHER(dest, src, lo, hi, S).
-
-    ``src`` holds the linear-space interval ``[lo, hi]`` of the space
-    ``pfs`` selects from (``src[0]`` is linear offset ``lo``); the bytes
-    ``pfs`` selects inside the interval are packed into ``dst``.
-    """
-    return gather_segments(src, _window_segments(pfs, lo, hi, lo), dst, strategy)
+    """The paper's GATHER(dest, src, lo, hi, S): ``src`` holds the
+    interval ``[lo, hi]`` of the space ``pfs`` selects from (``src[0]``
+    is offset ``lo``); the bytes ``pfs`` selects in it are packed into
+    ``dst``."""
+    starts, lengths = pfs.segments_in(lo, hi)
+    return gather_segments(src, (starts - lo, lengths), dst)
 
 
 def scatter(
-    dst: np.ndarray,
-    src: np.ndarray,
-    lo: int,
-    hi: int,
-    pfs: PeriodicFallsSet,
-    strategy: Strategy = "auto",
+    dst: np.ndarray, src: np.ndarray, lo: int, hi: int, pfs: PeriodicFallsSet
 ) -> None:
     """The paper's SCATTER(dest, src, lo, hi, S): reverse of
     :func:`gather` — unpack contiguous ``src`` into the selected bytes of
     the interval ``[lo, hi]`` held in ``dst``."""
-    scatter_segments(dst, _window_segments(pfs, lo, hi, lo), src, strategy)
+    starts, lengths = pfs.segments_in(lo, hi)
+    scatter_segments(dst, (starts - lo, lengths), src)

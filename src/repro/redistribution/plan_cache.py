@@ -22,13 +22,10 @@ This module provides that cache:
   :func:`clear_plan_cache`;
 * capacity is configurable via :func:`configure_plan_cache` or the
   ``REPRO_PLAN_CACHE_CAPACITY`` environment variable (``0`` disables
-  caching entirely);
-* a small companion cache for :class:`~repro.core.mapping.ElementMapper`
-  instances, which view sets build per element and are likewise
-  immutable and shareable.
+  caching entirely).
 
-Everything is thread-safe; cached plans and mappers are treated as
-immutable by every consumer.
+Everything is thread-safe; cached plans are treated as immutable by
+every consumer.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Tuple
 
-from ..core.mapping import ElementMapper
 from ..core.partition import Partition
 from ..obs import metrics as _metrics
 from .schedule import RedistributionPlan, build_plan
@@ -46,7 +42,6 @@ from .schedule import RedistributionPlan, build_plan
 __all__ = [
     "PlanCache",
     "get_plan",
-    "get_mapper",
     "plan_cache_stats",
     "clear_plan_cache",
     "configure_plan_cache",
@@ -152,37 +147,7 @@ class PlanCache:
         return len(self._plans)
 
 
-class _MapperCache:
-    """LRU of :class:`ElementMapper` keyed by (partition key, element)."""
-
-    def __init__(self, capacity: int = 1024):
-        self._capacity = capacity
-        self._mappers: "OrderedDict[Tuple[str, int], ElementMapper]" = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-
-    def get(self, partition: Partition, element: int) -> ElementMapper:
-        key = (partition.structure_key(), element)
-        with self._lock:
-            mapper = self._mappers.get(key)
-            if mapper is not None:
-                self._mappers.move_to_end(key)
-                return mapper
-        mapper = ElementMapper(partition, element)
-        with self._lock:
-            self._mappers.setdefault(key, mapper)
-            while len(self._mappers) > self._capacity:
-                self._mappers.popitem(last=False)
-            return self._mappers[key]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._mappers.clear()
-
-
 _GLOBAL_PLANS = PlanCache(name="global")
-_GLOBAL_MAPPERS = _MapperCache()
 
 
 def get_plan(src: Partition, dst: Partition) -> RedistributionPlan:
@@ -196,20 +161,14 @@ def get_plan(src: Partition, dst: Partition) -> RedistributionPlan:
     return _GLOBAL_PLANS.get(src, dst)
 
 
-def get_mapper(partition: Partition, element: int) -> ElementMapper:
-    """A shared :class:`ElementMapper` for one partition element."""
-    return _GLOBAL_MAPPERS.get(partition, element)
-
-
 def plan_cache_stats() -> Dict[str, int]:
     """Counters of the process-wide plan cache."""
     return _GLOBAL_PLANS.stats()
 
 
 def clear_plan_cache() -> None:
-    """Empty the process-wide plan (and mapper) cache and reset stats."""
+    """Empty the process-wide plan cache and reset stats."""
     _GLOBAL_PLANS.clear()
-    _GLOBAL_MAPPERS.clear()
 
 
 def configure_plan_cache(capacity: int) -> None:

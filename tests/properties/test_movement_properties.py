@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from repro import collect, distribute, execute_plan, build_plan
 from repro.core.segments import segments_from_pairs
+from repro.distributions import BlockCyclic, multidim_partition
 from repro.redistribution.gather_scatter import (
+    _flat_indices,
     copy_segments,
     gather_segments,
     scatter_segments,
@@ -55,16 +57,63 @@ class TestGatherScatterProperties:
         np.testing.assert_array_equal(dst[mask], src[mask])
         assert not dst[~mask].any()
 
-    @given(segment_lists())
-    @settings(max_examples=100)
-    def test_strategies_agree(self, segs):
-        src = np.random.default_rng(0).integers(0, 256, 200, dtype=np.uint8)
-        outs = [
-            gather_segments(src, segs, strategy=s)
-            for s in ("strided", "fancy", "slices")
-        ]
-        for o in outs[1:]:
-            np.testing.assert_array_equal(outs[0], o)
+
+@st.composite
+def shaped_segments(draw):
+    """``(space, segs)``: one run, one flat FALLS, a product (the file
+    segments of one ``bc`` element) or an irregular list, inside a
+    buffer of ``space`` bytes — the shapes the kernel resolves to a
+    slice, a strided view, an index or per-piece slices."""
+    shape = draw(st.sampled_from(["run", "falls", "product", "irregular"]))
+    if shape == "run":
+        space = draw(st.integers(1, 600))
+        lo = draw(st.integers(0, space - 1))
+        return space, segments_from_pairs([(lo, draw(st.integers(lo, space - 1)))])
+    if shape == "falls":
+        seg_len, gap = draw(st.integers(1, 24)), draw(st.integers(0, 24))
+        first, n = draw(st.integers(0, 8)), draw(st.integers(2, 64))
+        stride = seg_len + gap
+        space = first + (n - 1) * stride + seg_len + draw(st.integers(0, 8))
+        return space, segments_from_pairs(
+            [(first + i * stride, first + i * stride + seg_len - 1) for i in range(n)]
+        )
+    if shape == "product":
+        k = draw(st.integers(1, 8))
+        rows, cols = draw(st.integers(2 * k, 48)), draw(st.integers(2 * k, 48))
+        p = multidim_partition((rows, cols), 1, (BlockCyclic(k),) * 2, (2, 2))
+        element = draw(st.integers(0, 3))
+        return p.size, p.element_segments(element, 0, p.size - 1)
+    return 600, draw(segment_lists(600, 60))
+
+
+class TestOneKernelProperties:
+    """Gather, scatter and the two-sided copy move exactly the bytes
+    ``_flat_indices`` names, whatever shape the segments take."""
+
+    @given(shaped_segments())
+    @settings(max_examples=200, deadline=None)
+    def test_gather_and_scatter_move_the_indexed_bytes(self, case):
+        space, segs = case
+        idx = _flat_indices(*segs)
+        src = np.random.default_rng(0).integers(0, 256, space, dtype=np.uint8)
+        np.testing.assert_array_equal(gather_segments(src, segs), src[idx])
+        payload = np.random.default_rng(1).integers(0, 256, idx.size, dtype=np.uint8)
+        got, want = np.zeros(space, np.uint8), np.zeros(space, np.uint8)
+        scatter_segments(got, segs, payload)
+        want[idx] = payload
+        np.testing.assert_array_equal(got, want)
+
+    @given(shaped_segments(), shaped_segments())
+    @settings(max_examples=200, deadline=None)
+    def test_copy_segments_moves_the_indexed_bytes(self, a, b):
+        (s_space, s_segs), (d_space, d_segs) = a, b
+        total = min(int(s_segs[1].sum()), int(d_segs[1].sum()))
+        s_segs, d_segs = _first_bytes(s_segs, total), _first_bytes(d_segs, total)
+        src = np.random.default_rng(2).integers(0, 256, s_space, dtype=np.uint8)
+        got, want = np.full(d_space, 7, np.uint8), np.full(d_space, 7, np.uint8)
+        copy_segments(got, d_segs, src, s_segs)
+        want[_flat_indices(*d_segs)] = src[_flat_indices(*s_segs)]
+        np.testing.assert_array_equal(got, want)
 
 
 def _first_bytes(segs, total):

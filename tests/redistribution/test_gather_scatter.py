@@ -1,19 +1,19 @@
-"""Unit tests for GATHER/SCATTER across all execution strategies."""
+"""Unit tests for GATHER/SCATTER and the one copy kernel behind them."""
 
 import numpy as np
 import pytest
 
 from repro.core import Falls, FallsSet, PeriodicFallsSet
 from repro.core.segments import segments_from_pairs
+from repro.distributions import BlockCyclic, matrix_partition, multidim_partition
 from repro.redistribution.gather_scatter import (
     copy_segments,
     gather,
     gather_segments,
+    resolve_packed,
     scatter,
     scatter_segments,
 )
-
-STRATEGIES = ["auto", "strided", "fancy", "slices"]
 
 
 def reference_gather(src, segs):
@@ -25,18 +25,16 @@ def reference_gather(src, segs):
 
 
 class TestGatherSegments:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_uniform_segments(self, strategy):
+    def test_uniform_segments(self):
         src = np.arange(64, dtype=np.uint8)
         segs = segments_from_pairs([(0, 3), (16, 19), (32, 35), (48, 51)])
-        got = gather_segments(src, segs, strategy=strategy)
+        got = gather_segments(src, segs)
         np.testing.assert_array_equal(got, reference_gather(src, segs))
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_irregular_segments(self, strategy):
+    def test_irregular_segments(self):
         src = np.arange(100, dtype=np.uint8)
         segs = segments_from_pairs([(0, 0), (5, 9), (20, 27), (99, 99)])
-        got = gather_segments(src, segs, strategy=strategy)
+        got = gather_segments(src, segs)
         np.testing.assert_array_equal(got, reference_gather(src, segs))
 
     def test_strided_overread_falls_back(self):
@@ -44,7 +42,7 @@ class TestGatherSegments:
         # view padded to the stride would over-read; must still be exact.
         src = np.arange(10, dtype=np.uint8)
         segs = segments_from_pairs([(0, 1), (4, 5), (8, 9)])
-        got = gather_segments(src, segs, strategy="strided")
+        got = gather_segments(src, segs)
         np.testing.assert_array_equal(got, np.array([0, 1, 4, 5, 8, 9]))
 
     def test_empty(self):
@@ -68,14 +66,13 @@ class TestGatherSegments:
 
 
 class TestScatterSegments:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_roundtrip(self, strategy):
+    def test_roundtrip(self):
         rng = np.random.default_rng(3)
         src = rng.integers(0, 256, 128, dtype=np.uint8)
         segs = segments_from_pairs([(3, 10), (20, 20), (50, 69), (100, 127)])
         packed = gather_segments(src, segs)
         dst = np.zeros(128, dtype=np.uint8)
-        scatter_segments(dst, segs, packed, strategy=strategy)
+        scatter_segments(dst, segs, packed)
         # Scattered positions match, untouched positions stay zero.
         starts, lengths = segs
         mask = np.zeros(128, dtype=bool)
@@ -84,12 +81,10 @@ class TestScatterSegments:
         np.testing.assert_array_equal(dst[mask], src[mask])
         assert not dst[~mask].any()
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_uniform_scatter_writes_in_place(self, strategy):
+    def test_uniform_scatter_writes_in_place(self):
         dst = np.zeros(32, dtype=np.uint8)
         segs = segments_from_pairs([(0, 1), (8, 9), (16, 17)])
-        scatter_segments(dst, segs, np.array([1, 2, 3, 4, 5, 6], dtype=np.uint8),
-                         strategy=strategy)
+        scatter_segments(dst, segs, np.array([1, 2, 3, 4, 5, 6], dtype=np.uint8))
         np.testing.assert_array_equal(np.flatnonzero(dst), [0, 1, 8, 9, 16, 17])
         np.testing.assert_array_equal(dst[[0, 1, 8, 9, 16, 17]], [1, 2, 3, 4, 5, 6])
 
@@ -103,6 +98,61 @@ class TestScatterSegments:
         dst = np.zeros(8, dtype=np.uint8)
         scatter_segments(dst, segments_from_pairs([]), np.empty(0, dtype=np.uint8))
         assert not dst.any()
+
+
+# Segments of a 16-byte buffer that leave it: a negative start (once
+# wrapped round to the buffer's tail) and a segment past the end, each
+# alone, in a flat FALLS and in an irregular list.
+_OUTSIDE_16 = [
+    (np.array([-4, 0]), np.array([2, 2])),
+    (np.array([-4]), np.array([4])),
+    (np.array([14]), np.array([4])),
+    (np.array([0, 8, 16]), np.array([4, 4, 4])),
+    (np.array([0, 9]), np.array([2, 8])),
+]
+
+
+class TestSegmentsOutsideTheBuffer:
+    @pytest.mark.parametrize("segs", _OUTSIDE_16)
+    def test_gather_raises(self, segs):
+        with pytest.raises(ValueError, match="source segments leave its 16-byte"):
+            gather_segments(np.arange(16, dtype=np.uint8), segs)
+
+    @pytest.mark.parametrize("segs", _OUTSIDE_16)
+    def test_scatter_raises_and_writes_nothing(self, segs):
+        dst = np.zeros(16, dtype=np.uint8)
+        payload = np.full(int(segs[1].sum()), 7, dtype=np.uint8)
+        with pytest.raises(ValueError, match="destination segments leave"):
+            scatter_segments(dst, segs, payload)
+        assert not dst.any()
+
+
+class TestWhereTheKernelChooses:
+    """``resolve_packed`` alone picks how a gather or scatter moves its
+    bytes, by the shape of the segment list."""
+
+    @pytest.mark.parametrize(
+        "partition,kind",
+        [
+            (matrix_partition("r", 64, 64, 4), "slices"),  # one run
+            (matrix_partition("c", 64, 64, 4), "strided"),  # one flat FALLS
+            # products of 1-D block-cyclic lists: many 1-byte pieces go
+            # through one index, eight 64-byte pieces stay slices
+            (multidim_partition((64, 64), 1, (BlockCyclic(1),) * 2, (2, 2)), "fancy"),
+            (
+                multidim_partition(
+                    (8, 192), 1, (BlockCyclic(4), BlockCyclic(64)), (2, 2)
+                ),
+                "slices",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("gather_side", [True, False])
+    def test_kind_follows_shape(self, partition, kind, gather_side):
+        segs = partition.element_segments(0, 0, partition.size - 1)
+        copy = resolve_packed(partition.size, segs, gather_side)
+        assert copy.kind == kind
+        assert copy.nbytes == partition.element_size(0)
 
 
 def _falls(first, seg_len, stride, n):

@@ -15,7 +15,6 @@ from repro.redistribution import (
     collect,
     configure_plan_cache,
     distribute,
-    get_mapper,
     get_plan,
     plan_cache_stats,
     redistribute,
@@ -128,11 +127,6 @@ class TestPlanCache:
         assert stats["hits"] == 1 and stats["misses"] == 1
         clear_plan_cache()
         assert plan_cache_stats()["size"] == 0
-
-    def test_global_mapper_cache(self):
-        src, _ = _pair()
-        assert get_mapper(src, 0) is get_mapper(src, 0)
-        assert get_mapper(src, 0) is not get_mapper(src, 1)
 
     def test_named_cache_mirrors_into_metrics(self):
         from repro.obs import metrics

@@ -14,7 +14,10 @@ so its own peak at n = 1024 keeps the pairwise construction's ceiling
 Structural INTERSECT-AUX on the single-block wrappers of a
 multidimensional layout recurses once per row instead (more than 70 s
 at n = 1024), and a flat compressor stored one FALLS per matrix column
-(576) where two nested ones describe the same bytes.
+(576) where two nested ones describe the same bytes.  A view set over
+a cached plan reads the plan's projections and nothing else; when it
+also built an element mapper per view and subfile, the ``k = 1`` view
+expanded 160 MiB of them in 47-119 ms, none of which an access read.
 """
 
 import time
@@ -22,10 +25,11 @@ import tracemalloc
 
 import pytest
 
+from repro.clusterfile.view import set_view
 from repro.core.partition import Partition
 from repro.distributions import BlockCyclic, matrix_partition, multidim_partition
 from repro.distributions.multidim import multidim_element
-from repro.redistribution import build_plan, schedule
+from repro.redistribution import build_plan, get_plan, schedule
 
 N = 4096
 PEAK_CEILING_MIB = 8
@@ -100,6 +104,24 @@ def test_flattened_sweep_peak_memory(physical):
         tracemalloc.stop()
     assert peak < SWEEP_PEAK_CEILING_MIB << 20
     assert sum(t.bytes_in_file(1024 * 1024) for t in transfers) == 1024 * 1024
+
+
+@pytest.mark.parametrize("physical", ["r", "c", "b"])
+def test_unit_block_cyclic_view_set_over_a_cached_plan(physical):
+    logical, dst = _unit_block_cyclic(), matrix_partition(physical, N, N, 4)
+    get_plan(logical, dst)
+    for element in range(4):
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            view = set_view(0, logical, element, dst)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_CEILING_MIB << 20
+        assert elapsed < 0.01
+        assert view.links
 
 
 def test_column_cyclic_projections_are_pattern_sized():
