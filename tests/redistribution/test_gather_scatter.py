@@ -11,9 +11,14 @@ from repro.redistribution.gather_scatter import (
     gather,
     gather_segments,
     resolve_packed,
+    run_copy,
     scatter,
     scatter_segments,
 )
+
+#: ``"auto"`` is the copy ``resolve_packed`` picks; the others lay the
+#: same segments out for that path of ``run_copy``.
+PATHS = ["auto", "strided", "fancy", "slices"]
 
 
 def reference_gather(src, segs):
@@ -24,17 +29,53 @@ def reference_gather(src, segs):
     return np.array(out, dtype=src.dtype)
 
 
+def _packed_copy(size, segs, gather_side, path):
+    """``resolve_packed``'s copy, or the same copy on the ``path`` of
+    ``run_copy``.  Only a flat FALLS has a strided layout, so for any
+    other list ``"strided"`` keeps the picked copy."""
+    copy = resolve_packed(size, segs, gather_side)
+    if path in ("auto", "strided", copy.kind):
+        return copy
+    starts, lengths = segs
+    if path == "fancy":
+        side, payload, extent = starts, 0, lengths
+    else:
+        side, extent = tuple(starts.tolist()), tuple(lengths.tolist())
+        payload = tuple((np.cumsum(lengths) - lengths).tolist())
+    src, dst = (side, payload) if gather_side else (payload, side)
+    return copy._replace(kind=path, src=src, dst=dst, extent=extent)
+
+
+def _gather(src, segs, path):
+    if path == "auto":
+        return gather_segments(src, segs)
+    copy = _packed_copy(src.size, segs, True, path)
+    out = np.empty(copy.nbytes, dtype=np.uint8)
+    run_copy(out, src, copy)
+    return out
+
+
+def _scatter(dst, segs, src, path):
+    if path == "auto":
+        return scatter_segments(dst, segs, src)
+    run_copy(dst, src, _packed_copy(dst.size, segs, False, path))
+
+
 class TestGatherSegments:
-    def test_uniform_segments(self):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_uniform_segments(self, path):
         src = np.arange(64, dtype=np.uint8)
         segs = segments_from_pairs([(0, 3), (16, 19), (32, 35), (48, 51)])
-        got = gather_segments(src, segs)
+        # One flat FALLS: every path, strided included, is really taken.
+        assert _packed_copy(64, segs, True, path).kind in (path, "strided")
+        got = _gather(src, segs, path)
         np.testing.assert_array_equal(got, reference_gather(src, segs))
 
-    def test_irregular_segments(self):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_irregular_segments(self, path):
         src = np.arange(100, dtype=np.uint8)
         segs = segments_from_pairs([(0, 0), (5, 9), (20, 27), (99, 99)])
-        got = gather_segments(src, segs)
+        got = _gather(src, segs, path)
         np.testing.assert_array_equal(got, reference_gather(src, segs))
 
     def test_strided_overread_falls_back(self):
@@ -66,13 +107,14 @@ class TestGatherSegments:
 
 
 class TestScatterSegments:
-    def test_roundtrip(self):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_roundtrip(self, path):
         rng = np.random.default_rng(3)
         src = rng.integers(0, 256, 128, dtype=np.uint8)
         segs = segments_from_pairs([(3, 10), (20, 20), (50, 69), (100, 127)])
         packed = gather_segments(src, segs)
         dst = np.zeros(128, dtype=np.uint8)
-        scatter_segments(dst, segs, packed)
+        _scatter(dst, segs, packed, path)
         # Scattered positions match, untouched positions stay zero.
         starts, lengths = segs
         mask = np.zeros(128, dtype=bool)
@@ -81,10 +123,12 @@ class TestScatterSegments:
         np.testing.assert_array_equal(dst[mask], src[mask])
         assert not dst[~mask].any()
 
-    def test_uniform_scatter_writes_in_place(self):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_uniform_scatter_writes_in_place(self, path):
         dst = np.zeros(32, dtype=np.uint8)
         segs = segments_from_pairs([(0, 1), (8, 9), (16, 17)])
-        scatter_segments(dst, segs, np.array([1, 2, 3, 4, 5, 6], dtype=np.uint8))
+        assert _packed_copy(32, segs, False, path).kind in (path, "strided")
+        _scatter(dst, segs, np.array([1, 2, 3, 4, 5, 6], dtype=np.uint8), path)
         np.testing.assert_array_equal(np.flatnonzero(dst), [0, 1, 8, 9, 16, 17])
         np.testing.assert_array_equal(dst[[0, 1, 8, 9, 16, 17]], [1, 2, 3, 4, 5, 6])
 
