@@ -19,16 +19,14 @@ checkpoint resharding) price their exchange with the alpha-beta
 :class:`DirectTransport`.
 
 Because every data path crosses this one seam, cross-cutting failure
-handling lives here too (:mod:`repro.faults`).  Every operation is one
-round-based loop: resolve each message's live replicas, draw its fate,
-serve it, log it, and retransmit what was lost under a
-:class:`~repro.faults.RetryPolicy` (timeout + capped, jittered
-exponential backoff, per-message budget).  Corrupted payloads are caught
-by CRC32 checksums verified before any scatter (stamped lazily — the
-injector is the simulation's only corruption source, so intact messages
-never pay the hash), reads fail over to replica subfiles when a node is
-crashed, and writes degrade gracefully to the live replicas.  No
-injector and replication 1 is not a separate path but the degenerate
+handling lives here too (:mod:`repro.faults`).  Writes, reads,
+re-layout and the shuffle all send through :func:`_deliver`, the one
+fate model: one fate per (operation, subfile, round), and lost rounds
+re-sent in request order under a :class:`~repro.faults.RetryPolicy`.
+Corrupted payloads are caught by CRC32 checksums verified before any
+scatter (taken lazily: intact messages never pay the hash), reads fail
+over to replica subfiles when a node is crashed, and writes degrade to
+the live replicas.  No injector and replication 1 is the degenerate
 case of the same loop: one round, one replica per message, every fate
 ok, no checksum.
 """
@@ -54,10 +52,10 @@ from ..faults import (
 )
 from ..obs import metrics as obs_metrics
 from ..obs.context import current_trace_id, new_trace_id
-from ..obs.span import Span, open_span
+from ..obs.span import Span, current_span, open_span
 from ..redistribution.executor import execute_plan
 from ..redistribution.gather_scatter import gather_segments, resolve_copy, run_copy
-from ..redistribution.schedule import RedistributionPlan
+from ..redistribution.schedule import RedistributionPlan, Transfer
 from ..simulation.cluster import Cluster
 from ..simulation.disk import write_time_for_segments
 from ..simulation.network import NetworkModel
@@ -164,6 +162,22 @@ class _Message:
     costs: Sequence[Tuple[float, float]] = ()
 
 
+@dataclass
+class _Transfer:
+    """A re-layout or shuffle transfer in flight: its fate's ``subfile``
+    is the destination element, and each round re-sends the same
+    source bytes."""
+
+    subfile: int
+    t: Transfer
+    src: np.ndarray
+    src_segs: Tuple[np.ndarray, np.ndarray]
+    fate: str = "ok"
+    delay_s: float = 0.0
+    #: The delivered attempt's round start plus its injected delay.
+    sent_s: float = 0.0
+
+
 def _op_trace_id() -> str:
     """The trace id for an operation root span: the caller's bound id
     (a service worker executing a batch binds the head ticket's) or a
@@ -182,6 +196,96 @@ def _begin_op(injector: Optional[FaultInjector], op: str, /, **attrs):
         op_id = attrs["op_id"] = injector.begin_op(op)
     attrs["trace_id"] = _op_trace_id()
     return op_id, attrs
+
+
+def _deliver(
+    injector: Optional[FaultInjector],
+    policy: RetryPolicy,
+    op: str,
+    op_id,
+    pending: list,
+    attempt,
+) -> int:
+    """Run ``attempt(pending, round_idx, round_start_s) -> lost`` until
+    nothing is lost; returns the retransmissions.
+
+    The one fate model: a fate is a function of ``(op_id, op, subfile,
+    round)``, drawn once per subfile and round and set on each message
+    to that subfile, so its messages are delivered or lost together and
+    re-sent in request order.  No injector draws nothing.  Round
+    ``r > 0`` runs in a ``retry`` span and starts ``timeout_s +
+    backoff_s(r - 1)`` after the last on the modelled clock.
+    """
+    round_idx = retries = 0
+    round_start = 0.0
+    while True:
+        if injector is not None:
+            fates: Dict[int, Tuple[str, float]] = {}
+            for msg in pending:
+                fate = fates.get(msg.subfile)
+                if fate is None:
+                    fate = fates[msg.subfile] = injector.message_fate(
+                        op_id, op, msg.subfile, round_idx
+                    )
+                msg.fate, msg.delay_s = fate
+        with (
+            open_span("retry", round=round_idx, messages=len(pending))
+            if round_idx else contextlib.nullcontext()
+        ):
+            lost = attempt(pending, round_idx, round_start)
+        if not lost:
+            return retries
+        # Only an injector loses a message, so one exists here.
+        round_start += policy.timeout_s + policy.backoff_s(
+            round_idx, seed=injector.plan.seed, token=(op, op_id)
+        )
+        round_idx += 1
+        if round_idx > policy.max_retries:
+            raise RetryBudgetExceeded(
+                f"{op} op {op_id}: {len(lost)} message(s) still failing "
+                f"after {policy.max_retries} retries"
+            )
+        obs_metrics.inc("faults.retry.rounds")
+        obs_metrics.inc("faults.retry.messages", len(lost))
+        retries += len(lost)
+        pending = lost
+
+
+def _caught(injector: FaultInjector, payload: np.ndarray, *token) -> bool:
+    """Whether a corrupt attempt's copy of ``payload`` fails its CRC
+    (taken lazily, here); an empty payload has no byte to flip."""
+    received = injector.corrupt_payload(payload, *token)
+    if checksum(received) == checksum(payload):
+        return False
+    obs_metrics.inc("faults.checksum_failures")
+    return True
+
+
+def _deliver_transfers(
+    injector: Optional[FaultInjector],
+    policy: RetryPolicy,
+    op: str,
+    op_id,
+    transfers: List[_Transfer],
+) -> int:
+    """:func:`_deliver` for re-layout and shuffle transfers: settles
+    each fate and stamps ``sent_s``, moving no byte."""
+
+    def attempt(pending, round_idx, round_start):
+        lost = []
+        for x in pending:
+            if x.fate == "corrupt" and not _caught(
+                injector, gather_segments(x.src, x.src_segs), op_id, op,
+                x.t.src_element, x.subfile, round_idx,
+            ):
+                x.fate = "ok"
+            if x.fate == "ok":
+                x.sent_s = round_start + x.delay_s
+            else:
+                lost.append(x)
+        return lost
+
+    return _deliver(injector, policy, op, op_id, transfers, attempt)
 
 
 #: Histogram handles per op, cached because the registry lookup (name
@@ -211,18 +315,13 @@ def _stage_hists(op: str) -> Tuple:
 
 
 def _observe_op(root: Span, op: str, nbytes: int) -> None:
-    """Record an operation's wall time on its ``engine.<op>.op_s``
-    histogram, with the trace id and byte count as the exemplar.
-
-    A root still open (a return from inside its ``with`` block) is
-    measured up to now — the close happens microseconds later."""
+    """Record a closed operation root's wall time on its
+    ``engine.<op>.op_s`` histogram, with the trace id and byte count as
+    the exemplar."""
     if not obs_metrics.stage_histograms_enabled():
         return
-    if root.wall_start_s is None:
-        return
-    end = root.wall_end_s if root.wall_end_s is not None else time.perf_counter()
     _stage_hists(op)[3].observe(
-        end - root.wall_start_s,
+        root.wall_end_s - root.wall_start_s,
         trace_id=root.attrs.get("trace_id"),
         bytes=nbytes,
     )
@@ -276,11 +375,9 @@ class IOEngine:
     shuffles go through the module-level :func:`run_shuffle` (no
     cluster needed).
 
-    A :class:`~repro.faults.FaultInjector` and/or a replicated file
-    add work to the one round loop — payload CRC32s, retransmission
-    rounds under ``retry_policy`` (default
-    :class:`~repro.faults.RetryPolicy`), replica fan-out on writes and
-    failover on reads — they do not select a different one.
+    A :class:`~repro.faults.FaultInjector` (retried under
+    ``retry_policy``) and a replicated file add work to the same
+    :func:`_deliver` rounds; they select no other path.
     """
 
     def __init__(
@@ -395,122 +492,87 @@ class IOEngine:
         requests: Sequence[WriteRequest],
         disk: bool,
     ) -> OperationResult:
-        """The round loop behind :meth:`write` and :meth:`read`.
-
-        Round 0 sends every message; a round's drops/corruptions are
-        retransmitted in the next round, which starts ``timeout_s +
-        backoff_s(round)`` later on the modelled clock.  With no
+        """The round loop behind :meth:`write` and :meth:`read`: each
+        :func:`_deliver` round sends the pending messages with their
+        subfile's fate, serves them and logs the attempts.  With no
         injector and ``replication=1`` this is one round, one replica
         per message, every fate ok.
         """
         write = op == "write"
-        injector = self.injector
-        policy = self.retry_policy
         k = cfile.replication
         op_id, attrs = _begin_op(
-            injector, op, op=op, **{"to_disk" if write else "from_disk": disk}
+            self.injector, op, op=op,
+            **{"to_disk" if write else "from_disk": disk},
         )
         with open_span(f"parallel_{op}", **attrs) as root:
-            pending = self._prepare(requests, write)
-            n_messages = 0
-            payload_bytes = 0
-            degraded = False
-            # Replica liveness and server bindings are functions of
-            # (subfile, op_id) only — constant across messages and retry
-            # rounds of one operation — so resolve each subfile once.
+            messages = self._prepare(requests, write)
+            # Replica liveness is a function of (subfile, op_id) only, so
+            # every message keeps its targets through the retry rounds:
+            # all live replicas on writes, the first on reads.
             live_by_subfile: Dict[int, Sequence[Tuple[int, int, float]]] = {}
+            for msg in messages:
+                live = live_by_subfile.get(msg.subfile)
+                if live is None:
+                    live = live_by_subfile[msg.subfile] = (
+                        self._live_replicas(msg.subfile, k, op_id)
+                    )
+                msg.targets = live if write else live[:1]
+                if not write and live[0][0]:
+                    self._fail_over(root, msg.subfile, live[0])
             servers: Dict[Tuple[int, int], IOServer] = {}
             log: List[Tuple[float, Tuple[Attempt, ...]]] = []
             stats = self.cluster.network.stats
             header = self.cluster.config.header_bytes
-            round_start = 0.0
-            round_idx = 0
-            while True:
-                if round_idx > policy.max_retries:
-                    raise RetryBudgetExceeded(
-                        f"{op} op {op_id}: {len(pending)} message(s) still "
-                        f"failing after {policy.max_retries} retries"
-                    )
-                group = (
-                    open_span("retry", round=round_idx, messages=len(pending))
-                    if round_idx
-                    else contextlib.nullcontext(root)
-                )
-                with group as group_span:
-                    if round_idx:
-                        obs_metrics.inc("faults.retry.rounds")
-                        obs_metrics.inc("faults.retry.messages", len(pending))
+            n_messages = payload_bytes = 0
+
+            def attempt(pending, round_idx, round_start):
+                nonlocal n_messages, payload_bytes
+                if write:
                     for msg in pending:
-                        live = live_by_subfile.get(msg.subfile)
-                        if live is None:
-                            live = live_by_subfile[msg.subfile] = (
-                                self._live_replicas(msg.subfile, k, op_id)
-                            )
-                        msg.fate, msg.delay_s = (
-                            injector.message_fate(
-                                op_id, op, msg.compute, msg.subfile, round_idx
-                            )
-                            if injector is not None
-                            else ("ok", 0.0)
-                        )
-                        if write:
-                            msg.targets = live
-                            if len(live) < k:
-                                degraded = True
-                            self._send_request(msg, op_id, round_idx)
-                        else:
-                            msg.targets = live[:1]
-                            if live[0][0] and round_idx == 0:
-                                self._fail_over(root, msg.subfile, live[0])
-                    # A dropped request never reaches a server; a read
-                    # request always does — it is the *reply* that
-                    # meets the fate.
-                    shipped = (
-                        [m for m in pending if m.fate != "drop"]
-                        if write
-                        else pending
-                    )
-                    self._serve(
-                        op, cfile, shipped, disk, round_idx, servers,
-                        group_span,
-                    )
-                    failed: List[_Message] = []
-                    attempts: List[Attempt] = []
-                    for msg in pending:
-                        if not write:
-                            self._receive_reply(root, msg, op_id, round_idx)
-                        lost = msg.fate != "ok"
-                        if lost:
-                            failed.append(msg)
-                        size = int(msg.payload.size)
-                        nodes = tuple(node for _r, node, _f in msg.targets)
-                        # A header and a payload message per target.
-                        src = f"compute{msg.compute}"
-                        for node in nodes:
-                            dst = self.cluster.io[node].name
-                            stats.record(src, dst, header)
-                            stats.record(src, dst, size)
-                        n_messages += (2 if size else 1) * len(nodes)
-                        payload_bytes += size * len(nodes)
-                        # Snapshot the attempt: ``msg`` is rewritten
-                        # next round.
-                        attempts.append((
-                            msg.compute, msg.access.runs, size, msg.delay_s,
-                            lost, nodes, () if lost else tuple(msg.costs),
-                        ))
-                    log.append((round_start, tuple(attempts)))
-                    dropped = sum(len(msg.targets) for msg in failed)
-                    if dropped:
-                        obs_metrics.inc("faults.transport.dropped", dropped)
-                if not failed:
-                    break
-                # Only an injector fails a message, so one exists here.
-                round_start += policy.timeout_s + policy.backoff_s(
-                    round_idx, seed=injector.plan.seed, token=(op, op_id)
+                        self._send_request(msg, op_id, round_idx)
+                # A dropped request never reaches a server; a read
+                # request always does — it is the *reply* that meets
+                # the fate.
+                shipped = (
+                    [m for m in pending if m.fate != "drop"] if write
+                    else pending
                 )
-                pending = failed
-                round_idx += 1
+                self._serve(op, cfile, shipped, disk, round_idx, servers)
+                lost: List[_Message] = []
+                attempts: List[Attempt] = []
+                for msg in pending:
+                    if not write:
+                        self._receive_reply(root, msg, op_id, round_idx)
+                    failed = msg.fate != "ok"
+                    if failed:
+                        lost.append(msg)
+                    size = int(msg.payload.size)
+                    nodes = tuple(node for _r, node, _f in msg.targets)
+                    # A header and a payload message per target.
+                    src = f"compute{msg.compute}"
+                    for node in nodes:
+                        dst = self.cluster.io[node].name
+                        stats.record(src, dst, header)
+                        stats.record(src, dst, size)
+                    n_messages += (2 if size else 1) * len(nodes)
+                    payload_bytes += size * len(nodes)
+                    # Snapshot the attempt: ``msg`` is rewritten next
+                    # round.
+                    attempts.append((
+                        msg.compute, msg.access.runs, size, msg.delay_s,
+                        failed, nodes, () if failed else tuple(msg.costs),
+                    ))
+                log.append((round_start, tuple(attempts)))
+                dropped = sum(len(msg.targets) for msg in lost)
+                if dropped:
+                    obs_metrics.inc("faults.transport.dropped", dropped)
+                return lost
+
+            _deliver(
+                self.injector, self.retry_policy, op, op_id, messages, attempt
+            )
             if write:
+                degraded = any(len(v) < k for v in live_by_subfile.values())
                 root.annotate(degraded=degraded)
                 if degraded:
                     obs_metrics.inc("faults.degraded.writes")
@@ -520,13 +582,8 @@ class IOEngine:
 
     def _send_request(self, msg: _Message, op_id, round_idx: int) -> None:
         """Write direction: put the payload on the wire, corrupted when
-        the attempt's fate says so.
-
-        CRCs are stamped lazily, only once a message actually meets
-        corruption: for intact payloads the verify is a tautology (the
-        injector is the sole corruption source), so hashing them would
-        tax every fault-free run.
-        """
+        the attempt's fate says so; the CRC the server verifies is
+        stamped lazily, as in :func:`_caught`."""
         msg.wire = msg.payload
         if msg.fate != "corrupt":
             return
@@ -545,16 +602,11 @@ class IOEngine:
         the wire and scatter it into the user buffer (measured, the
         mirror of the write-side gather)."""
         payload = msg.payload = msg.wire
-        if msg.fate == "corrupt":
-            # Lazy CRC, as in _send_request: only a corrupted reply
-            # needs the reference checksum.
-            received = self.injector.corrupt_payload(
-                payload, op_id, "read", msg.compute, msg.subfile, round_idx
-            )
-            if checksum(received) != checksum(payload):
-                obs_metrics.inc("faults.checksum_failures")
-            else:
-                msg.fate = "ok"  # empty reply: nothing to flip
+        if msg.fate == "corrupt" and not _caught(
+            self.injector, payload, op_id, "read", msg.compute, msg.subfile,
+            round_idx,
+        ):
+            msg.fate = "ok"
         if msg.fate != "ok":
             return
         req, acc = msg.req, msg.access
@@ -617,17 +669,16 @@ class IOEngine:
         disk: bool,
         attempt: int,
         servers: Dict[Tuple[int, int], IOServer],
-        parent_span: Span,
     ) -> None:
         """Hand one round's messages to their I/O servers, leaving each
         message's ``costs`` (and, for reads, the reply on its ``wire``).
 
         The only step that knows where servers live: in this process,
         or in the worker pool (one command per busy worker per round;
-        worker span trees graft under ``parent_span``).
+        worker span trees graft under the round's span).
         """
         if self.backend is not None:
-            self._serve_in_pool(op, cfile, shipped, disk, attempt, parent_span)
+            self._serve_in_pool(op, cfile, shipped, disk, attempt)
             return
         for msg in shipped:
             replicas = []
@@ -663,7 +714,6 @@ class IOEngine:
         shipped: List[_Message],
         disk: bool,
         attempt: int,
-        parent_span: Span,
     ) -> None:
         """Group the round's server jobs by owning worker and run them
         in one pool round.
@@ -706,6 +756,7 @@ class IOEngine:
                 }
             )
             routed[w].append(msg)
+        parent_span = current_span()
         with backend.lock:
             if op == "write":
                 costs = backend.exchange_write(
@@ -760,103 +811,82 @@ class IOEngine:
         old: Partition,
         new_physical: Partition,
         length: int,
-        src_stores: Sequence,
-        dst_stores: Sequence,
-        src_mirrors: Optional[Sequence[Sequence]] = None,
-        dst_mirrors: Optional[Sequence[Sequence]] = None,
+        src_replicas: Sequence[Sequence],
+        dst_replicas: Sequence[Sequence],
     ) -> Tuple[int, int, float, Span]:
         """The per-transfer loop of a physical re-layout: copy from the
         source subfile into the destination subfile, priced as a read at
         the source, a wire between distinct I/O nodes and a write at the
         destination — data movement real, timing simulated.
 
-        Each transfer reads from the first live source replica, retries
-        dropped/corrupt attempts under the retry policy, and writes
-        every live destination replica.  Its copy is resolved once and
-        run store to store into each replica, with no packed payload in
-        between; the source bytes never change mid-relayout, so only the
-        *wire* fate is re-drawn per attempt, and the payload is packed
-        only when a corrupt attempt needs its checksum.  No injector and
-        no mirrors is the case of one source, one destination, zero
-        retries.
+        ``src_replicas[e]`` / ``dst_replicas[e]`` hold element ``e``'s
+        stores, primary first.  Each transfer reads from the first live
+        source replica and is copied store to store, one resolved copy,
+        into every live destination replica once its fate is delivered
+        (:func:`_deliver_transfers`); it is sent when its delivered
+        round starts.
 
         Returns ``(bytes_moved, cross_node_messages, makespan_s,
         trace)``.
         """
-        injector = self.injector
         op_id, attrs = _begin_op(
-            injector, "relayout", transfers=len(plan.transfers), length=length
+            self.injector, "relayout", transfers=len(plan.transfers),
+            length=length,
         )
         with open_span("relayout", **attrs) as root:
-            sim_msgs: List[SimMessage] = []
-            bytes_moved = 0
-            cross = 0
-            degraded = False
+            moves = []
             for t in plan.transfers:
                 src_len = old.element_length(t.src_element, length)
-                dst_len = new_physical.element_length(t.dst_element, length)
-                if src_len == 0 or dst_len == 0:
-                    continue
                 src_segs = t.src_projection.segments_in(0, src_len - 1)
-                dst_segs = t.dst_projection.segments_in(0, dst_len - 1)
-                nbytes = int(src_segs[1].sum()) if src_segs[1].size else 0
-                if nbytes == 0:
+                if not src_segs[1].sum():
                     continue
+                # The first live source replica serves the copy.
+                replicas = src_replicas[t.src_element]
+                src = self._live_replicas(
+                    t.src_element, len(replicas), op_id, "source "
+                )[0]
+                if src[0]:
+                    self._fail_over(root, t.src_element, src)
+                view = replicas[src[0]].view(0, src_len - 1)
+                x = _Transfer(t.dst_element, t, view, src_segs)
+                moves.append((x, src))
+            _deliver_transfers(
+                self.injector, self.retry_policy, "relayout", op_id,
+                [x for x, _src in moves],
+            )
 
-                # Source side: first live replica serves the gather.
-                src_replicas = [src_stores[t.src_element]]
-                if src_mirrors:
-                    src_replicas += src_mirrors[t.src_element]
-                src_live = self._live_replicas(
-                    t.src_element, len(src_replicas), op_id, "source "
-                )
-                r_src, src_node_idx, src_factor = src_live[0]
-                src_node = self.cluster.io[src_node_idx]
-                if r_src != 0:
-                    self._fail_over(root, t.src_element, src_live[0])
-
-                # Destination side: every live replica gets the bytes.
-                dst_replicas = [dst_stores[t.dst_element]]
-                if dst_mirrors:
-                    dst_replicas += dst_mirrors[t.dst_element]
+            sim_msgs: List[SimMessage] = []
+            bytes_moved = cross = 0
+            degraded = False
+            for x, (_r, src_node_idx, src_factor) in moves:
+                t, src_segs = x.t, x.src_segs
+                nbytes = int(src_segs[1].sum())
+                # A transfer carrying bytes has a non-empty destination.
+                dst_len = new_physical.element_length(t.dst_element, length)
+                dst_segs = t.dst_projection.segments_in(0, dst_len - 1)
+                # Every live destination replica gets the bytes.
+                replicas = dst_replicas[t.dst_element]
                 dst_live = self._live_replicas(
-                    t.dst_element, len(dst_replicas), op_id, "destination "
+                    t.dst_element, len(replicas), op_id, "destination "
                 )
-                if len(dst_live) < len(dst_replicas):
-                    degraded = True
-
+                degraded |= len(dst_live) < len(replicas)
                 # Real data movement: store to store, one copy per live
                 # destination replica (fresh stores never alias the source).
                 with open_span(
-                    "move",
-                    src=t.src_element,
-                    dst=t.dst_element,
-                    bytes=nbytes,
-                ) as mv:
-                    src_view = src_replicas[r_src].view(0, src_len - 1)
-                    retries, delay_s, backoff_s = _transfer_retries(
-                        injector,
-                        self.retry_policy,
-                        op_id,
-                        "relayout",
-                        t.src_element,
-                        t.dst_element,
-                        lambda: gather_segments(src_view, src_segs),
+                    "move", src=t.src_element, dst=t.dst_element, bytes=nbytes
+                ):
+                    copy = resolve_copy(
+                        dst_len, dst_segs, x.src.size, src_segs
                     )
-                    if retries:
-                        obs_metrics.inc("faults.retry.rounds", retries)
-                        mv.child("retry", messages=retries, rounds=retries)
-                    copy = resolve_copy(dst_len, dst_segs, src_len, src_segs)
                     for r_dst, _node, _factor in dst_live:
-                        run_copy(
-                            dst_replicas[r_dst].view(0, dst_len - 1),
-                            src_view,
-                            copy,
-                        )
+                        dst = replicas[r_dst].view(0, dst_len - 1)
+                        run_copy(dst, x.src, copy)
                 bytes_moved += nbytes
 
                 # Simulated timing: read once at the live source, wire
-                # to each live destination replica, write there.
+                # to each live destination replica, write there, sent
+                # when the delivered round started.
+                src_node = self.cluster.io[src_node_idx]
                 read_s = src_factor * write_time_for_segments(
                     src_node.disk,
                     zip(src_segs[0].tolist(), src_segs[1].tolist()),
@@ -879,7 +909,7 @@ class IOEngine:
                             key=t.dst_element,
                             lane=("disk-read", src_node_idx),
                             lane_s=read_s if j == 0 else 0.0,
-                            post_lane_s=wire_s + delay_s + backoff_s,
+                            post_lane_s=wire_s + x.sent_s,
                             stages=((dst_node.disk_queue, write_s, "disk"),),
                         )
                     )
@@ -901,59 +931,6 @@ class IOEngine:
         return bytes_moved, cross, makespan_s, root
 
 
-def _transfer_retries(
-    injector: Optional[FaultInjector],
-    policy: RetryPolicy,
-    op_id,
-    op: str,
-    src: int,
-    dst: int,
-    packed,
-) -> Tuple[int, float, float]:
-    """Draw one transfer's wire fates until an attempt is delivered.
-
-    A re-layout or shuffle transfer re-sends the same packed bytes (its
-    source is never modified mid-operation), so only the fate is
-    re-drawn per attempt; ``packed()`` yields those bytes and is called
-    only if an attempt is corrupted (the CRC is stamped lazily).  Fates
-    are a pure function of ``(seed, op_id, transfer, attempt)``.
-
-    Returns ``(retries, delay_s, backoff_s)``: retransmissions needed,
-    the injected delay of the delivered attempt, and the modelled
-    timeout + backoff the failed ones cost.  No injector: ``(0, 0, 0)``.
-    """
-    if injector is None:
-        return 0, 0.0, 0.0
-    payload = crc = None
-    attempt = 0
-    backoff_s = 0.0
-    while True:
-        fate, delay_s = injector.message_fate(op_id, op, src, dst, attempt)
-        if fate == "corrupt":
-            if crc is None:
-                payload = packed()
-                crc = checksum(payload)
-            received = injector.corrupt_payload(
-                payload, op_id, op, src, dst, attempt
-            )
-            if checksum(received) == crc:
-                fate = "ok"  # empty: nothing to flip
-            else:
-                obs_metrics.inc("faults.checksum_failures")
-        if fate == "ok":
-            return attempt, delay_s, backoff_s
-        attempt += 1
-        if attempt > policy.max_retries:
-            raise RetryBudgetExceeded(
-                f"{op} transfer {src}->{dst} still failing after "
-                f"{policy.max_retries} retries"
-            )
-        obs_metrics.inc("faults.retry.messages")
-        backoff_s += policy.timeout_s + policy.backoff_s(
-            attempt - 1, seed=injector.plan.seed, token=(op, op_id, src, dst)
-        )
-
-
 # --------------------------------------------------------------------------
 # Memory-memory shuffle (collective phase 1, checkpoint resharding)
 # --------------------------------------------------------------------------
@@ -971,43 +948,6 @@ class ShuffleResult:
     trace: Optional[Span] = None
     #: Transfer retransmissions forced by injected faults.
     retries: int = 0
-
-
-def _shuffle_fate_accounting(
-    plan: RedistributionPlan,
-    src_buffers: Sequence[np.ndarray],
-    injector: FaultInjector,
-    policy: RetryPolicy,
-    op_id: int,
-    root,
-) -> int:
-    """Draw each transfer's wire fates without moving any bytes.
-
-    Fates are a pure function of ``(seed, op_id, transfer, attempt)``,
-    so settling them first leaves the executor's one copy per byte
-    untouched; a transfer's packed payload is gathered only to answer a
-    corrupt attempt's checksum question."""
-    retries = 0
-    for t in plan.transfers:
-        src = src_buffers[t.src_element]
-        if src.size == 0:
-            continue
-        src_segs = t.src_projection.segments_in(0, src.size - 1)
-        if not (src_segs[1].size and int(src_segs[1].sum())):
-            continue
-        attempts, _delay_s, _backoff_s = _transfer_retries(
-            injector,
-            policy,
-            op_id,
-            "shuffle",
-            t.src_element,
-            t.dst_element,
-            lambda: gather_segments(src, src_segs),
-        )
-        if attempts:
-            retries += attempts
-            root.child("retry", messages=attempts)
-    return retries
 
 
 def run_shuffle(
@@ -1029,12 +969,8 @@ def run_shuffle(
     worker mode: with no wire between source and destination, a pool
     would only add passes over the bytes.
 
-    With an injector, each transfer's wire fate is drawn per attempt
-    before any byte moves; dropped/corrupt transfers re-send the same
-    packed bytes (source buffers are never modified by the shuffle, so
-    the re-gather is idempotent) until the retry budget runs out.  Fate
-    draws depend only on the plan seed, the operation id and the
-    transfer identity, so retry counts are reproducible.
+    With an injector, every transfer's fate is settled before any byte
+    moves (:func:`_deliver_transfers`).
     """
     op_id, attrs = _begin_op(
         injector,
@@ -1044,16 +980,18 @@ def run_shuffle(
     )
     retries = 0
     with open_span("shuffle", **attrs) as root:
+        if injector is not None:
+            transfers = []
+            for t in plan.transfers:
+                src = src_buffers[t.src_element]
+                segs = t.src_projection.segments_in(0, src.size - 1)
+                if segs[1].sum():
+                    transfers.append(_Transfer(t.dst_element, t, src, segs))
+            retries = _deliver_transfers(
+                injector, retry_policy or RetryPolicy(), "shuffle", op_id,
+                transfers,
+            )
         with open_span("move"):
-            if injector is not None:
-                retries = _shuffle_fate_accounting(
-                    plan,
-                    src_buffers,
-                    injector,
-                    retry_policy or RetryPolicy(),
-                    op_id,
-                    root,
-                )
             buffers = execute_plan(plan, src_buffers, file_length)
         messages, off_node_bytes, time_s = DirectTransport(network).cost(
             (t.src_element, t.dst_element, t.bytes_in_file(file_length))

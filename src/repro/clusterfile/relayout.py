@@ -92,10 +92,8 @@ def relayout(
         old,
         new_physical,
         length,
-        cfile.stores,
-        new_stores,
-        src_mirrors=cfile.mirrors if cfile.replication > 1 else None,
-        dst_mirrors=new_mirrors if cfile.replication > 1 else None,
+        [cfile.replica_stores(s) for s in range(old.num_elements)],
+        [[st, *mirrors] for st, mirrors in zip(new_stores, new_mirrors)],
     )
 
     # Swap in the new layout; file-backed old subfiles (and their

@@ -65,7 +65,7 @@ __all__ = ["DEFAULT_CONFIG", "default_plan", "deploy", "replay", "run",
            "stream"]
 
 DEFAULT_CONFIG = dict(nprocs=4, files=2, ops=48, replication=2,
-                      mode="thread", snapshot_every=10)
+                      mode="thread", snapshot_every=10, views="disjoint")
 #: View offsets are drawn below DOMAIN, lengths up to MAX_LEN; every
 #: view is read back over its first SPAN bytes (whole logical periods).
 DOMAIN, MAX_LEN, CHUNK = 2048, 96, 16
@@ -93,6 +93,7 @@ def _config(config: Optional[dict]) -> dict:
     cluster = ClusterConfig()
     if not (
         out["mode"] in ("thread", "process")
+        and out["views"] in ("disjoint", "shared")
         and 1 <= out["nprocs"] <= cluster.compute_nodes
         and 1 <= out["replication"] <= cluster.io_nodes
         and min(out["files"], out["ops"]) >= 1
@@ -126,9 +127,13 @@ def stream(config: dict, seed: int) -> List[Op]:
     return ops
 
 
-def _set_views(fs: Clusterfile, name: str, nprocs: int) -> None:
+def _set_views(fs: Clusterfile, name: str, config: dict) -> None:
+    """Each node views its element of one cyclic-CHUNK partition
+    (``disjoint``), or every node views the whole file (``shared``)."""
+    nprocs, shared = config["nprocs"], config["views"] == "shared"
+    logical = _cyclic(1 if shared else nprocs, CHUNK)
     for node in range(nprocs):
-        fs.set_view(name, node, _cyclic(nprocs, CHUNK), element=node)
+        fs.set_view(name, node, logical, element=0 if shared else node)
 
 
 def deploy(config: dict, injector=None, journal=None) -> Clusterfile:
@@ -140,7 +145,7 @@ def deploy(config: dict, injector=None, journal=None) -> Clusterfile:
     for name in _names(config):
         physical = _cyclic(config["nprocs"], 2 * CHUNK)
         fs.create(name, physical, replication=config["replication"])
-        _set_views(fs, name, config["nprocs"])
+        _set_views(fs, name, config)
         if journal is not None:
             journal.register_file(fs, name)
     return fs
@@ -211,8 +216,9 @@ def default_plan(
 
 def _rounds(ops: List[Op]):
     """Each file's ops cut into write calls of distinct compute nodes
-    (their views are disjoint, so a call equals the serial replay) and
-    at each checkpoint, which is yielded as ``(file, None)``."""
+    and at each checkpoint, which is yielded as ``(file, None)``.  A
+    call's requests land in list order, so it equals the serial replay
+    even where shared views make them overlap."""
     pending: Dict[str, list] = {}
     for op in ops:
         calls = pending.setdefault(op.file, [])
@@ -273,7 +279,7 @@ def _in_process(config: dict, ops: List[Op], plan: Optional[FaultPlan]):
         for f, calls in _rounds(ops):
             if calls is None:  # a checkpoint: a same-layout re-layout
                 results.append(relayout(fs, f, fs.open(f).physical))
-                _set_views(fs, f, nprocs)
+                _set_views(fs, f, config)
             else:
                 results.append(fs.write(f, calls, to_disk=True))
         return read_back(fs, results)
@@ -282,7 +288,7 @@ def _in_process(config: dict, ops: List[Op], plan: Optional[FaultPlan]):
         results = []
         for f in names:
             results.append(relayout(fs, f, target))
-            _set_views(fs, f, nprocs)
+            _set_views(fs, f, config)
         return read_back(fs, results)
 
     def collective(fs):
@@ -408,7 +414,7 @@ def _sigkill(config, seed, ops, pert, workdir) -> dict:
     for name in names:
         if name not in fs.files:  # nothing was ever committed
             fs.create(name, _cyclic(nprocs, 2 * CHUNK))
-        _set_views(fs, name, nprocs)
+        _set_views(fs, name, config)
         views = fs.read(name, [(n, 0, SPAN) for n in range(nprocs)])
         covered = all(a <= stamps[name] for a in acked[name])
         same = _matches(fs, name, views, want[name])

@@ -10,8 +10,9 @@ package:
   schedule of message drops, delays, payload corruption, I/O-node
   crashes, and slow disks (JSON round-trippable, so CI can save a
   failing plan and a developer can replay it);
-* :class:`FaultInjector` — evaluates a plan deterministically per
-  message attempt (BLAKE2b of seed + message identity; no RNG state);
+* :class:`FaultInjector` — evaluates a plan deterministically, one
+  fate per operation, subfile and round (BLAKE2b of seed + that
+  identity; no RNG state);
 * :func:`checksum` — CRC32 payload checksums, verified *before* any
   scatter (stamped lazily: the injector is the simulation's only
   corruption source, so never-corrupted messages skip the hash);

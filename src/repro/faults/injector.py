@@ -1,19 +1,21 @@
 """The fault injector: deterministic fault decisions from a plan.
 
-The injector is consulted by the I/O engine on every message attempt
-and answers three questions:
+The injector is consulted by the I/O engine once per subfile and
+retry round of an operation, and answers three questions:
 
 * **message fate** — delivered intact, dropped, or corrupted (plus any
-  injected delay);
+  injected delay), shared by every message to that subfile in that
+  round;
 * **node state** — is this I/O node crashed for the current operation,
   and how slow is its disk;
 * **how exactly** to corrupt a payload (always a *copy* — the sender's
   buffer is never touched, which is what makes retransmission
   idempotent).
 
-Every answer is a pure function of ``(plan.seed, rule index, operation
-id, message identity, attempt)`` through BLAKE2b, so a fault schedule
-is reproducible across processes and machines; there is no hidden RNG
+A fate is a pure function of ``(plan.seed, rule index, operation id,
+operation kind, subfile, round)`` through BLAKE2b, and where a corrupt
+byte lands is one of the message's own token, so a fault schedule is
+reproducible across processes and machines; there is no hidden RNG
 state.  Injected faults are counted in the process-wide metrics
 registry under ``faults.injected.*``.
 """
@@ -125,9 +127,14 @@ class FaultInjector:
     # -- message fate --------------------------------------------------------
 
     def message_fate(
-        self, op_id: int, op: str, compute: int, subfile: int, attempt: int
+        self, op_id: int, op: str, subfile: int, attempt: int
     ) -> tuple:
-        """Decide one message attempt's fate.
+        """Decide the fate of every message one operation sends to one
+        subfile in one round (``attempt``).
+
+        The sender is not part of the draw: all messages to a subfile
+        in a round are delivered or lost together, so a retried round
+        re-sends them in request order.
 
         Returns ``(fate, delay_s)`` with ``fate`` one of ``"ok"``,
         ``"drop"``, ``"corrupt"``.  Delay rules are additive and
@@ -142,13 +149,9 @@ class FaultInjector:
         for index, rule in self._message_rules:
             if rule.op is not None and rule.op != op:
                 continue
-            if rule.compute is not None and rule.compute != compute:
-                continue
             if rule.subfile is not None and rule.subfile != subfile:
                 continue
-            draw = _unit(
-                self.plan.seed, index, op_id, op, compute, subfile, attempt
-            )
+            draw = _unit(self.plan.seed, index, op_id, op, subfile, attempt)
             if draw >= rule.rate:
                 continue
             obs_metrics.inc(f"faults.injected.{rule.kind}")

@@ -2,10 +2,11 @@
 
 A :class:`FaultPlan` is pure data — a seed plus a tuple of
 :class:`FaultRule` — and is the *entire* source of nondeterminism in a
-chaos run: the injector derives every decision (does this message
-drop? where does the corrupt bit land? how long is the jitter?) from a
-cryptographic hash of ``(seed, rule index, operation id, message
-identity, attempt)``.  The same plan therefore reproduces the same
+chaos run: the injector derives every decision (do this round's
+messages to a subfile drop? where does the corrupt bit land? how long
+is the jitter?) from a cryptographic hash of the seed and the
+decision's identity, for a fate ``(rule index, operation id, operation
+kind, subfile, round)``.  The same plan therefore reproduces the same
 fault schedule on any machine, in any process, in any test order —
 which is what lets CI upload a failing plan as an artifact and a
 developer replay it locally byte for byte.
@@ -20,9 +21,12 @@ Rule kinds and their fields:
 ``slow_disk``  I/O node ``io_node``'s disk service times scaled by ``factor``
 =============  ==============================================================
 
-``op`` / ``compute`` / ``subfile`` optionally scope a message rule to
-one operation kind (``write``/``read``/``shuffle``/``relayout``), one
-sender, or one subfile.
+``op`` / ``subfile`` optionally scope a message rule to one operation
+kind (``write``/``read``/``shuffle``/``relayout``) or one subfile (the
+destination element for ``shuffle`` and ``relayout``).  A rule has no
+sender scope: every message to one subfile in one round shares its
+fate, whichever compute node sent it, so a plan JSON that names
+``compute`` does not load.
 """
 
 from __future__ import annotations
@@ -44,11 +48,10 @@ class FaultRule:
     """One declarative fault source; see the module docstring table."""
 
     kind: str
-    #: Probability per message attempt (message kinds only).
+    #: Probability per subfile and round (message kinds only).
     rate: float = 1.0
     #: Scope filters for message kinds; ``None`` matches everything.
     op: Optional[str] = None
-    compute: Optional[int] = None
     subfile: Optional[int] = None
     #: Target for node kinds.
     io_node: Optional[int] = None

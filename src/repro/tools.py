@@ -521,6 +521,11 @@ def main(argv=None) -> int:
         "--snapshot-every", type=int,
         help="a checkpoint boundary every N ops (0: never)",
     )
+    pc.add_argument(
+        "--views", choices=["disjoint", "shared"],
+        help="each node views its own element (disjoint, the default) or "
+        "the whole file, so one write call's requests overlap (shared)",
+    )
     pc.add_argument("--drop", type=float, default=0.05)
     pc.add_argument("--corrupt", type=float, default=0.05)
     pc.add_argument("--delay", type=float, default=0.0)

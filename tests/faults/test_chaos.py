@@ -223,8 +223,10 @@ class TestResultAccounting:
 
     def test_shuffle_retries_counted_on_the_result(self):
         plan, src_buffers, length = _shuffle_case()
+        # Two destination elements, so two fates a round: seed 1 loses
+        # some of them.
         faults = FaultPlan(
-            seed=7,
+            seed=1,
             rules=(
                 FaultRule(kind="drop", rate=0.25, op="shuffle"),
                 FaultRule(kind="corrupt", rate=0.25, op="shuffle"),

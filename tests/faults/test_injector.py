@@ -44,6 +44,13 @@ class TestFaultPlan:
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
 
+    def test_a_sender_scope_does_not_load(self):
+        """Every message to one subfile in one round shares its fate,
+        so a rule cannot single out one compute node."""
+        text = '{"seed": 0, "rules": [{"kind": "drop", "compute": 1}]}'
+        with pytest.raises(TypeError):
+            FaultPlan.from_json(text)
+
     def test_crashed_nodes_respects_after_ops(self):
         plan = FaultPlan(rules=(FaultRule(kind="crash", io_node=1, after_ops=2),))
         assert plan.crashed_nodes(0) == frozenset()
@@ -75,9 +82,8 @@ class TestInjectorDeterminism:
     def _fates(self, injector):
         op_id = injector.begin_op("write")
         return [
-            injector.message_fate(op_id, "write", c, s, a)
-            for c in range(4)
-            for s in range(4)
+            injector.message_fate(op_id, "write", s, a)
+            for s in range(16)
             for a in range(3)
         ]
 
@@ -96,7 +102,7 @@ class TestInjectorDeterminism:
         injector = FaultInjector(self.PLAN)
         op_id = injector.begin_op("write")
         fates = {
-            injector.message_fate(op_id, "write", 0, 0, a)[0]
+            injector.message_fate(op_id, "write", 0, a)[0]
             for a in range(64)
         }
         assert len(fates) > 1  # retries eventually see a different fate
@@ -107,8 +113,8 @@ class TestInjectorDeterminism:
         )
         injector = FaultInjector(plan)
         op_id = injector.begin_op("write")
-        assert injector.message_fate(op_id, "write", 0, 0, 0)[0] == "ok"
-        assert injector.message_fate(op_id, "read", 0, 0, 0)[0] == "drop"
+        assert injector.message_fate(op_id, "write", 0, 0)[0] == "ok"
+        assert injector.message_fate(op_id, "read", 0, 0)[0] == "drop"
 
     def test_crash_memo_is_bounded_by_the_crash_rules(self):
         """The crashed set of an op depends only on which crash rules

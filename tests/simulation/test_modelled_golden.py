@@ -139,8 +139,10 @@ def test_from_disk_read_is_pinned(layout):
     assert _modelled(res) == READ_GOLDEN[layout]
 
 
+#: Fates are drawn per (subfile, round); seed 1 loses some on both
+#: the write and the read.
 FAULT_PLAN = FaultPlan(
-    seed=7,
+    seed=1,
     rules=(
         FaultRule(kind="drop", rate=0.25),
         FaultRule(kind="corrupt", rate=0.25),
@@ -157,34 +159,34 @@ FAULTED_GOLDEN = {
         16,
         (
             (
-                (22071.079329942393, 42501.79932994238),
-                (6120.777582803884, 26551.49758280388),
-                (6197.5166304229315, 23043.306666666667),
-                (6170.777582803885, 43474.026666666665),
+                (6143.942081782969, 26497.92303416392),
+                (6146.795415116302, 27128.64303416392),
+                (6149.648748449636, 27759.363034163922),
+                (6152.502081782969, 34127.18017702106),
             ),
             (
-                (22.82666666666666, 14914.986666666668),
-                (22.82666666666666, 84268.58666666667),
                 (22.82666666666666, 28104.74666666667),
-                (22.82666666666666, 21525.226666666666),
+                (22.82666666666666, 24868.58666666667),
+                (22.82666666666666, 28104.74666666667),
+                (22.82666666666666, 8304.746666666668),
             ),
         ),
     ),
     "read": (
-        5,
-        5,
+        8,
+        8,
         (
             (
-                (13339.517585973328, 33770.23758597333),
-                (6306.394290961013, 13332.318100484821),
-                (232.15238095238095, 7197.8361904761905),
-                (6301.598100484823, 7408.076190476191),
+                (6205.26946674534, 20603.28),
+                (6208.122800078672, 21234.0),
+                (6210.976133412007, 21864.72),
+                (6213.829466745339, 22495.440000000002),
             ),
             (
+                (22.82666666666666, 14904.74666666667),
+                (11.413333333333332, 22334.293333333335),
                 (11.413333333333332, 7452.373333333333),
-                (17.119999999999997, 63201.44),
-                (14.266666666666666, 14265.466666666667),
-                (17.119999999999997, 14488.800000000001),
+                (22.82666666666666, 14904.74666666667),
             ),
         ),
     ),

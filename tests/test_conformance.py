@@ -76,6 +76,32 @@ class TestReports:
             run({"mode": "gpu"}, 0, "none")
 
 
+class TestSharedViews:
+    """Every node views the whole file, so one write call carries
+    overlapping requests, and the serial replay orders them."""
+
+    def test_views_default_to_disjoint_and_unknown_views_raise(self):
+        report = run({"ops": 8}, 0, "none")
+        assert report["config"]["views"] == "disjoint"
+        with pytest.raises(ValueError, match="views"):
+            run({"views": "overlapping"}, 0, "none")
+
+    def test_overlapping_calls_equal_the_serial_replay_under_drops(self):
+        """At drop rate 0.3 a path may exhaust its retry budget (one
+        subfile lost six rounds running), which is counted; any other
+        failed verdict is a byte out of request order."""
+        exhausted = 0
+        for seed in range(5):
+            plan = default_plan(seed, drop=0.3)
+            report = run({"views": "shared"}, seed, plan)
+            for name, path in report["paths"].items():
+                if "RetryBudgetExceeded" in path.get("error", ""):
+                    exhausted += 1
+                else:
+                    assert path["ok"], (seed, name, path)
+        assert exhausted <= 3, exhausted
+
+
 class TestOracleCanFail:
     def test_broken_checksum_fails_every_byte_moving_path(
         self, broken_checksum
