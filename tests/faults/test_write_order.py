@@ -19,7 +19,8 @@ from repro.simulation import ClusterConfig
 
 SEEDS = range(200)
 N = 1024
-#: At rate 0.3 a few seeds drop one subfile six rounds running.
+#: A seed that drops one subfile six rounds running exhausts the
+#: budget; none of 0-199 does today, a few may after a plan change.
 MAX_EXHAUSTED = 10
 
 
