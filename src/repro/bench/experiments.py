@@ -13,6 +13,12 @@ Reporting conventions (documented in EXPERIMENTS.md):
 * ``t_i_ref`` is the paper's own algorithm for ``t_i``, measured beside
   it as a reference: per compute node, cold INTERSECT-AUX + PROJ of its
   view against every subfile, averaged over compute nodes;
+* ``t_g_ref`` is the paper's GATHER measured the same way: per compute
+  node, one slice copy per segment of its write payload toward every
+  subfile it must gather for, averaged over compute nodes;
+  ``gather_segments`` counts those segments (the production gather
+  moves each link's segments as one strided copy, so its ``t_g``
+  follows bytes, not segments);
 * ``t_w^bc`` / ``t_w^disk`` are the *makespan* over compute nodes of the
   simulated exchange — the paper observes t_w "is limited by the slowest
   I/O server";
@@ -25,7 +31,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from statistics import mean
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from ..clusterfile.fs import Clusterfile
 from ..core.intersect_nested import intersect_elements
@@ -51,6 +59,9 @@ class Table1Row:
     t_w_bc: float
     t_w_disk: float
     t_i_ref: float = 0.0
+    t_g_ref: float = 0.0
+    #: Segments a compute node gathers for its write (a count).
+    gather_segments: float = 0.0
 
 
 @dataclass
@@ -72,20 +83,65 @@ class WorkloadResult:
     payload_bytes: int
 
 
+#: Runs of each reference algorithm per view; its column keeps the
+#: fastest, so a preemption during one run does not reorder layouts.
+REFERENCE_RUNS = 3
+
+
+def _best_of(run) -> float:
+    best = float("inf")
+    for _ in range(REFERENCE_RUNS):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def intersect_project_us(logical: Partition, physical: Partition) -> float:
     """Mean over views of the cold INTERSECT-AUX + PROJ of one view
-    against every subfile (µs): the paper's ``t_i`` algorithm, which
-    plan construction no longer runs."""
-    times = []
-    for v in range(logical.num_elements):
-        t0 = time.perf_counter()
+    against every subfile (µs, best of :data:`REFERENCE_RUNS`): the
+    paper's ``t_i`` algorithm, which plan construction no longer runs
+    (it keeps no state between runs)."""
+
+    def one_view(v):
         for s in range(physical.num_elements):
             inter = intersect_elements(logical, v, physical, s)
             if not inter.is_empty:
                 project(inter, logical, v)
                 project(inter, physical, s)
-        times.append(time.perf_counter() - t0)
-    return mean(times) * 1e6
+
+    return mean(
+        _best_of(lambda: one_view(v)) for v in range(logical.num_elements)
+    ) * 1e6
+
+
+def per_segment_gather(fs: Clusterfile, name: str, accesses) -> Tuple[float, float]:
+    """``(t_g_ref, gather_segments)``: the mean over compute nodes of the
+    paper's GATHER of each write access — one slice copy per segment of
+    the view's projection on every subfile whose bytes are not one run
+    (µs, best of :data:`REFERENCE_RUNS`) — and of the segments so
+    copied."""
+    times, counts = [], []
+    for node, offset, buf in accesses:
+        view = fs.view_of(name, node)
+        lo, hi = offset, offset + buf.size - 1
+        lists = []
+        for link in view.links.values():
+            starts, lengths = link.proj_view.segments_in(lo, hi)
+            if starts.size > 1:  # one run is sent without a gather
+                lists.append(((starts - lo).tolist(), lengths.tolist()))
+
+        def gather():
+            for starts, lengths in lists:
+                out = np.empty(sum(lengths), dtype=np.uint8)
+                pos = 0
+                for a, n in zip(starts, lengths):
+                    out[pos : pos + n] = buf[a : a + n]
+                    pos += n
+
+        times.append(_best_of(gather) if lists else 0.0)
+        counts.append(sum(len(starts) for starts, _ in lists))
+    return mean(times) * 1e6, mean(counts)
 
 
 def run_workload(
@@ -112,14 +168,14 @@ def run_workload(
         fs.create("m", physical)
         for c in range(workload.nprocs):
             fs.set_view("m", c, logical)
-        result = fs.write("m", workload.view_accesses(data), to_disk=True)
+        accesses = workload.view_accesses(data)
+        result = fs.write("m", accesses, to_disk=True)
         if verify and rep == 0:
-            import numpy as np
-
             got = fs.linear_contents("m", data.size)
             if not np.array_equal(got, data):  # pragma: no cover
                 raise AssertionError(f"data corruption in {workload.label}")
         bds = list(result.per_compute.values())
+        t_g_ref, gather_segments = per_segment_gather(fs, "m", accesses)
         t1_acc.append(
             Table1Row(
                 size=workload.n,
@@ -131,6 +187,8 @@ def run_workload(
                 t_w_bc=max(b.t_w_bc for b in bds),
                 t_w_disk=max(b.t_w_disk for b in bds),
                 t_i_ref=intersect_project_us(logical, physical),
+                t_g_ref=t_g_ref,
+                gather_segments=gather_segments,
             )
         )
         ios = list(result.per_io.values())
@@ -154,7 +212,10 @@ def run_workload(
         workload.logical_layout,
         *(
             avg(t1_acc, f)
-            for f in ("t_i", "t_m", "t_g", "t_w_bc", "t_w_disk", "t_i_ref")
+            for f in (
+                "t_i", "t_m", "t_g", "t_w_bc", "t_w_disk", "t_i_ref", "t_g_ref",
+                "gather_segments",
+            )
         ),
     )
     t2 = Table2Row(

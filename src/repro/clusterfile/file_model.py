@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.mapping import unmap_offset
 from ..core.partition import Partition
-from ..redistribution.gather_scatter import scatter_segments
+from ..redistribution.gather_scatter import resolve_packed, resolve_view, run_copy
 
 __all__ = ["SubfileStore", "ClusterFile"]
 
@@ -154,7 +154,12 @@ class ClusterFile:
             if store.length == 0:
                 continue
             # Behind a store's last byte its element is a hole.
-            last = unmap_offset(self.physical, s, store.length - 1)
-            segs = self.physical.element_segments(s, 0, min(last, length - 1))
-            scatter_segments(out, segs, store.data)
+            hi = min(unmap_offset(self.physical, s, store.length - 1), length - 1)
+            view = self.physical.element_view(s, 0, hi)
+            if view is None:
+                segs = self.physical.element_segments(s, 0, hi)
+                copy = resolve_packed(length, segs, False)
+            else:
+                copy = resolve_view(length, *view, False)
+            run_copy(out, store.data[: copy.nbytes], copy)
         return out

@@ -192,6 +192,10 @@ class Clusterfile:
         if not 0 <= compute_node < self.config.compute_nodes:
             raise ValueError(f"no compute node {compute_node}")
         e = compute_node if element is None else element
+        if not 0 <= e < logical.num_elements:
+            raise ValueError(
+                f"no element {e} in a {logical.num_elements}-element partition"
+            )
         key = (logical.structure_key(), e, f.physical.structure_key())
         layouts = self._layout_tables.setdefault(key, {})
         view = set_view(compute_node, logical, e, f.physical, layouts)

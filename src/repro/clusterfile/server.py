@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.periodic import PeriodicFallsSet
+from ..core.segments import LazySegments
 from ..faults import ChecksumError, checksum
 from ..obs import metrics as obs_metrics
 from ..obs.span import open_span
@@ -72,27 +73,30 @@ class IOServer:
     def _segments(
         l_s: int, r_s: int, proj_subfile: Union[PeriodicFallsSet, Segments],
         copy: Optional[ResolvedCopy],
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
+    ) -> Tuple[Segments, int, int]:
+        """``(segments, runs, nbytes)``; a lazy list is not expanded
+        here."""
         if r_s < l_s:
             raise ValueError(f"bad subfile window [{l_s}, {r_s}]")
-        if isinstance(proj_subfile, tuple):
-            starts, lengths = proj_subfile
+        if isinstance(proj_subfile, PeriodicFallsSet):
+            proj_subfile = proj_subfile.segments_in(l_s, r_s)
+        if isinstance(proj_subfile, LazySegments):
+            runs = proj_subfile.runs
         else:
-            starts, lengths = proj_subfile.segments_in(l_s, r_s)
-        nbytes = int(lengths.sum()) if copy is None else copy.nbytes
-        return starts, lengths, nbytes
+            runs = int(proj_subfile[1].size)
+        nbytes = int(proj_subfile[1].sum()) if copy is None else copy.nbytes
+        return proj_subfile, runs, nbytes
 
-    def _cache_cost(self, l_s, r_s, lengths, nbytes) -> Tuple[int, float]:
-        """``(runs, cache_s)``: one run covering the window may go
-        straight between NIC and cache (``contiguous_write_optimized``)."""
-        runs = int(lengths.size)
+    def _cache_cost(self, l_s, r_s, runs, nbytes) -> float:
+        """One run covering the window may go straight between NIC and
+        cache (``contiguous_write_optimized``)."""
         if (
             runs == 1
-            and lengths[0] == r_s - l_s + 1
+            and nbytes == r_s - l_s + 1
             and self.config.contiguous_write_optimized
         ):
-            return runs, 0.0
-        return runs, self.config.memory.copy_time(nbytes, runs=runs)
+            return 0.0
+        return self.config.memory.copy_time(nbytes, runs=runs)
 
     # -- write ---------------------------------------------------------------
 
@@ -115,7 +119,7 @@ class IOServer:
         subfile store untouched, so the engine's retransmit is
         idempotent.
         """
-        starts, lengths, nbytes = self._segments(l_s, r_s, proj_subfile, copy)
+        segments, runs, nbytes = self._segments(l_s, r_s, proj_subfile, copy)
         if nbytes != payload.size:
             raise ValueError(
                 f"payload holds {payload.size} bytes but the projection "
@@ -130,14 +134,10 @@ class IOServer:
             return RequestCost(0.0, 0.0, 0, 0)
         window = self.store.view(l_s, r_s)
         if copy is None:
-            copy = resolve_packed(window.size, (starts - l_s, lengths), False)
+            copy = resolve_packed(window.size, _relative(segments, l_s), False)
         run_copy(window, payload, copy)
-        runs, cache_s = self._cache_cost(l_s, r_s, lengths, nbytes)
-        disk_s = 0.0
-        if to_disk:
-            disk_s = write_time_for_segments(
-                self.node.disk, zip(starts.tolist(), lengths.tolist())
-            )
+        cache_s = self._cache_cost(l_s, r_s, runs, nbytes)
+        disk_s = self._disk_cost(segments) if to_disk else 0.0
         return RequestCost(cache_s, disk_s, nbytes, runs)
 
     # -- read ----------------------------------------------------------------
@@ -153,21 +153,28 @@ class IOServer:
         """Handle one read request: gather the projected bytes of the
         window into a reply payload, each byte copied once, straight out
         of the store (past EOF the window reads as zeros)."""
-        starts, lengths, nbytes = self._segments(l_s, r_s, proj_subfile, copy)
+        segments, runs, nbytes = self._segments(l_s, r_s, proj_subfile, copy)
         if nbytes == 0:
             return np.empty(0, dtype=np.uint8), RequestCost(0.0, 0.0, 0, 0)
         window = self.store.read_bytes(l_s, r_s)
         if copy is None:
-            copy = resolve_packed(window.size, (starts - l_s, lengths), True)
+            copy = resolve_packed(window.size, _relative(segments, l_s), True)
         payload = np.empty(nbytes, dtype=np.uint8)
         run_copy(payload, window, copy)
-        runs, cache_s = self._cache_cost(l_s, r_s, lengths, nbytes)
-        disk_s = 0.0
-        if from_disk:
-            disk_s = write_time_for_segments(
-                self.node.disk, zip(starts.tolist(), lengths.tolist())
-            )
+        cache_s = self._cache_cost(l_s, r_s, runs, nbytes)
+        disk_s = self._disk_cost(segments) if from_disk else 0.0
         return payload, RequestCost(cache_s, disk_s, nbytes, runs)
+
+    def _disk_cost(self, segments: Segments) -> float:
+        starts, lengths = segments
+        return write_time_for_segments(
+            self.node.disk, zip(starts.tolist(), lengths.tolist())
+        )
+
+
+def _relative(segments: Segments, l_s: int) -> Segments:
+    starts, lengths = segments
+    return starts - l_s, lengths
 
 
 def serve_request(

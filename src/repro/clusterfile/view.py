@@ -42,7 +42,7 @@ import numpy as np
 from ..core.mapping import map_offset, unmap_offset
 from ..core.partition import Partition
 from ..core.periodic import PeriodicFallsSet
-from ..core.segments import SegmentArrays
+from ..core.segments import LazySegments, ProductSegments, SegmentArrays
 from ..obs.span import Span, open_span
 from ..redistribution.gather_scatter import ResolvedCopy, resolve_packed
 from ..redistribution.plan_cache import get_plan
@@ -81,9 +81,12 @@ class LinkAccess(NamedTuple):
     #: the client's gather (write) or scatter (read).
     client: Union[int, ResolvedCopy]
     #: PROJ_S(V ∩ S) in ``[l_s, r_s]`` (absolute subfile offsets), which
-    #: the server prices and the journal records, and the server's
-    #: scatter (write) or gather (read) between payload and window.
-    segments: SegmentArrays
+    #: disk pricing, the journal and process-mode jobs read: for a
+    #: product window a :class:`~repro.core.segments.LazySegments`
+    #: expanded on first read, its run count known without it.
+    segments: Union[SegmentArrays, LazySegments]
+    #: The server's scatter (write) or gather (read) between payload
+    #: and window.
     server: ResolvedCopy
 
     @property
@@ -172,8 +175,8 @@ class View:
         for link in self.links.values():
             # Which view-space bytes of this link fall in the window
             # (line 2's emptiness test, and the client copy's segments).
-            starts, lengths = link.proj_view.segments_in(lo, hi)
-            if starts.size == 0:
+            view_side, runs, start = _window(link.proj_view, lo, hi)
+            if not runs:
                 continue
             if link.is_identity:
                 # MAP_S(MAP_V^{-1}(y)) == y: the paper's t_m = 0 case.
@@ -186,18 +189,41 @@ class View:
                             unmap_offset(self.logical, self.element, hi),
                         )
                     l_s, r_s = _map_extremities(self, link, *unmapped)
-            segments = link.proj_subfile.segments_in(l_s, r_s)
             client = (
-                int(starts[0]) - lo
-                if starts.size == 1
-                else resolve_packed(hi - lo + 1, (starts - lo, lengths), write)
+                start - lo
+                if runs == 1
+                else resolve_packed(hi - lo + 1, _relative(view_side, lo), write)
             )
-            window = (segments[0] - l_s, segments[1])
-            server = resolve_packed(r_s - l_s + 1, window, not write)
+            segments, _, _ = _window(link.proj_subfile, l_s, r_s)
+            server = resolve_packed(
+                r_s - l_s + 1, _relative(segments, l_s), not write
+            )
+            if isinstance(segments, ProductSegments):
+                segments = LazySegments(segments.runs, segments.arrays)
             yield LinkAccess(
-                link.subfile, l_s, r_s, int(starts.size), client, segments,
-                server,
+                link.subfile, l_s, r_s, runs, client, segments, server,
             )
+
+
+def _window(pfs: PeriodicFallsSet, lo: int, hi: int):
+    """``(selection, runs, start)``: the bytes ``pfs`` selects in ``[lo,
+    hi]`` — as rows x columns when its factors give them
+    (:meth:`PeriodicFallsSet.product_in`), else as segments — with their
+    merged run count and first offset."""
+    product = pfs.product_in(lo, hi)
+    if product is not None:
+        runs = product.runs
+        return product, runs, product.start if runs else 0
+    starts, lengths = segs = pfs.segments_in(lo, hi)
+    return segs, int(starts.size), int(starts[0]) if starts.size else 0
+
+
+def _relative(selection, origin: int):
+    """``selection`` with its offsets taken from ``origin``."""
+    if isinstance(selection, ProductSegments):
+        first, rows, width, cols = selection
+        return ProductSegments(first - origin, rows, width, cols)
+    return selection[0] - origin, selection[1]
 
 
 def set_view(

@@ -64,6 +64,17 @@ def _prefix_sizes(falls_seq: Sequence[Falls]) -> List[int]:
     return [0, *accumulate(f.size() for f in falls_seq)]
 
 
+def _index(node, falls_seq: Sequence[Falls]):
+    """``(lefts, prefix sizes)`` of the FALLS sequence ``node`` holds (a
+    FALLS' inner sequence, or an element's): the MAP recursion's binary
+    search table, computed once per node like its SIZE."""
+    index = node.__dict__.get("_map_index")
+    if index is None:
+        index = ([f.l for f in falls_seq], _prefix_sizes(falls_seq))
+        node.__dict__["_map_index"] = index
+    return index
+
+
 def _map_aux_seq(
     falls_seq: Sequence[Falls],
     lefts: Sequence[int],
@@ -101,9 +112,7 @@ def _map_aux_seq(
         return base + per_block if mode == "next" else base + per_block - 1
     if f.is_leaf:
         return base + o
-    inner_lefts = [g.l for g in f.inner]
-    inner_cum = _prefix_sizes(f.inner)
-    r = _map_aux_seq(f.inner, inner_lefts, inner_cum, o, mode)
+    r = _map_aux_seq(f.inner, *_index(f, f.inner), o, mode)
     if r is None:
         return None
     # next/prev sentinels (per_block and -1) shift into "first byte of the
@@ -114,9 +123,7 @@ def _map_aux_seq(
 def map_aux(element: FallsSet, y: int, mode: Mode = "exact") -> Optional[int]:
     """The paper's MAP-AUX_S: rank of pattern-relative offset ``y`` within
     element ``S`` (with next/prev sentinels as documented above)."""
-    lefts = [f.l for f in element.falls]
-    cum = _prefix_sizes(element.falls)
-    return _map_aux_seq(element.falls, lefts, cum, y, mode)
+    return _map_aux_seq(element.falls, *_index(element, element.falls), y, mode)
 
 
 def count_below(element: FallsSet, limit: int) -> int:
@@ -169,7 +176,7 @@ def _unmap_aux_seq(
     k, o = divmod(r - cum[j], per_block)
     if f.is_leaf:
         return f.l + k * f.s + o
-    return f.l + k * f.s + _unmap_aux_seq(f.inner, _prefix_sizes(f.inner), o)
+    return f.l + k * f.s + _unmap_aux_seq(f.inner, _index(f, f.inner)[1], o)
 
 
 def unmap_offset(partition: Partition, element: int, y: int) -> int:
@@ -179,7 +186,7 @@ def unmap_offset(partition: Partition, element: int, y: int) -> int:
     S = partition.elements[element]
     ssize = S.size()
     q, rem = divmod(y, ssize)
-    within = _unmap_aux_seq(S.falls, _prefix_sizes(S.falls), rem)
+    within = _unmap_aux_seq(S.falls, _index(S, S.falls)[1], rem)
     return partition.displacement + q * partition.size + within
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .falls import FallsSet
 from .normalize import falls_set_from_segments
 from .segments import (
+    ProductSegments,
     SegmentArrays,
     clip_segments,
     leaf_segment_arrays_set,
@@ -182,6 +183,46 @@ class PeriodicFallsSet:
             if len(memo) > _WINDOW_MEMO_CAPACITY:
                 memo.popitem(last=False)
         return result
+
+    def product_in(self, lo: int, hi: int) -> ProductSegments | None:
+        """:meth:`segments_in` as rows x columns, read from the factors of
+        a set built by :meth:`from_product` without expanding them:
+        the rows of the window that hold selected bytes, the set's column
+        list and the row width.  ``None`` when the set keeps no factors
+        or the window cuts a selected row short (those windows take
+        :meth:`segments_in`)."""
+        factors = self.__dict__.get("_factors")
+        if factors is None or self.is_empty:
+            return None
+        rows, width, cols = factors
+        lo = max(lo, self.displacement)
+        row_lo, col_lo = divmod(lo - self.displacement, width)
+        row_hi, col_hi = divmod(hi - self.displacement, width)
+        per_period = self.period // width
+        k_first, k_last = row_lo // per_period, row_hi // per_period
+        # Rows count from the first period the window touches.
+        base = k_first * per_period
+        row_lo, row_hi = row_lo - base, row_hi - base
+        first = rows[0].item(0)
+        last = rows[0].item(-1) + rows[1].item(-1) - 1
+        if k_last > k_first or row_lo > first or row_hi < last:
+            # The window holds less, or more, than one period's rows.
+            if k_last > k_first:
+                rows = tile_segment_arrays(rows, per_period, k_last - k_first + 1)
+                if first == 0 and last == per_period - 1:
+                    rows = merge_segment_arrays(rows)
+            rows = clip_segments(*rows, row_lo, row_hi)
+            if not rows[0].size:
+                return ProductSegments(0, rows, width, cols)
+            first = rows[0].item(0)
+            last = rows[0].item(-1) + rows[1].item(-1) - 1
+        if (first == row_lo and col_lo > cols[0].item(0)) or (
+            last == row_hi and col_hi < cols[0].item(-1) + cols[1].item(-1) - 1
+        ):
+            return None
+        return ProductSegments(
+            self.displacement + base * width, rows, width, cols
+        )
 
     def _count_below(self, x: int) -> int:
         """Selected bytes at absolute offsets in ``[displacement, x)``.

@@ -11,7 +11,7 @@ crossed with the inner starts (outer[:, None] + inner[None, :]).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .falls import Falls, LineSegment
 
 __all__ = [
     "SegmentArrays",
+    "LazySegments",
+    "ProductSegments",
     "clip_segments",
     "leaf_segment_arrays",
     "leaf_segment_arrays_set",
@@ -166,6 +168,71 @@ def product_segment_arrays(
     if col_starts[0] == 0 and col_starts[-1] + col_lengths[-1] == width:
         return merge_segment_arrays((starts, lengths))  # runs over row ends
     return starts, lengths
+
+
+class ProductSegments(NamedTuple):
+    """The bytes ``first + row * width + col`` for every row of the merged
+    list ``rows`` and every column of the merged list ``cols`` (inside
+    ``[0, width)``): a rows x columns selection kept as its two factors."""
+
+    first: int
+    rows: SegmentArrays
+    width: int
+    cols: SegmentArrays
+
+    @property
+    def runs(self) -> int:
+        """Merged segments, counted from the factors: one per (row,
+        column run), less one per pair of adjacent rows when the columns
+        run on across the row end."""
+        (row_starts, row_lengths), (col_starts, col_lengths) = self.rows, self.cols
+        # Factor lists are short: Python sums them faster than numpy.
+        rows = sum(row_lengths.tolist())
+        runs = rows * col_starts.size
+        if col_starts.item(0) == 0 and (
+            col_starts.item(-1) + col_lengths.item(-1) == self.width
+        ):
+            runs -= rows - row_starts.size
+        return runs
+
+    @property
+    def start(self) -> int:
+        """Offset of the first selected byte."""
+        return self.first + self.rows[0].item(0) * self.width + self.cols[0].item(0)
+
+    def arrays(self) -> SegmentArrays:
+        """The merged segment list, expanded."""
+        starts, lengths = product_segment_arrays(self.rows, self.width, self.cols)
+        return starts + self.first, lengths
+
+
+class LazySegments:
+    """A segment list whose run count is known up front and whose arrays
+    are built on first read, at most once (a race builds equal arrays
+    twice and keeps either).  It unpacks, indexes and pickles as the
+    ``(starts, lengths)`` pair."""
+
+    __slots__ = ("runs", "_build", "_arrays")
+
+    def __init__(self, runs: int, build: Callable[[], SegmentArrays]):
+        self.runs = runs
+        self._build = build
+        self._arrays = None
+
+    @property
+    def arrays(self) -> SegmentArrays:
+        if self._arrays is None:
+            self._arrays = self._build()
+        return self._arrays
+
+    def __iter__(self):
+        return iter(self.arrays)
+
+    def __getitem__(self, i):
+        return self.arrays[i]
+
+    def __reduce__(self):
+        return tuple, (self.arrays,)
 
 
 def intersect_segment_arrays(a: SegmentArrays, b: SegmentArrays) -> SegmentArrays:

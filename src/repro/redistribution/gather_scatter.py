@@ -15,7 +15,14 @@ the bytes, as often as the caller keeps it.  Only the resolve half
 chooses how they move: a slice per piece for one run or a few long
 pieces, one ``np.copyto`` between strided views when each side is one
 flat FALLS (equal lengths, starts in arithmetic progression: array
-partitions), and one fancy-index copy for many short pieces.
+partitions), and one fancy-index copy for many short pieces.  A product
+of rows and columns (:class:`~repro.core.segments.ProductSegments`, the
+window of a set a product plan built, paper §5's pattern repeated
+through the linear space) is resolved from its two factor lists without
+expanding them: when each is one flat FALLS, to one ``np.copyto``
+between views of up to four dimensions (row blocks, rows, column
+blocks, columns), or to the very copy its segment list would resolve
+to when that list is one run or one flat FALLS.
 :func:`gather_segments`, :func:`scatter_segments`, :func:`copy_segments`
 and the paper's :func:`gather` and :func:`scatter` resolve and run in
 one call.
@@ -28,7 +35,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..core.periodic import PeriodicFallsSet
-from ..core.segments import SegmentArrays
+from ..core.segments import ProductSegments, SegmentArrays
 
 __all__ = [
     "gather",
@@ -37,6 +44,7 @@ __all__ = [
     "scatter_segments",
     "copy_segments",
     "resolve_packed",
+    "resolve_view",
 ]
 
 #: Below this many segments, slice copies win over index construction.
@@ -44,6 +52,9 @@ _FANCY_THRESHOLD = 32
 #: ... and so they do from this mean segment length up: the index costs
 #: 8 bytes and ~10 ns per *byte*, a slice ~0.35 us per *segment*.
 _FANCY_MEAN_BYTES = 32
+#: Up to this many segments, Python lists test a flat FALLS faster than
+#: numpy's per-call overhead allows.
+_SHORT_LIST = 64
 
 
 def as_flat_bytes(data, what: str) -> np.ndarray:
@@ -78,27 +89,34 @@ def _flat_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return reps + (ramp - resets)
 
 
-def _flat_falls(
-    size: int, starts: np.ndarray, lengths: np.ndarray
+def _arithmetic(
+    starts: np.ndarray, lengths: np.ndarray
 ) -> Optional[Tuple[int, int, int, int]]:
-    """``(first, stride, n, seg_len)`` when the segments are one flat
-    FALLS — equal lengths, starts in arithmetic progression — inside a
-    buffer of ``size`` bytes; None otherwise."""
-    n = int(starts.size)
+    """``(first, stride, n, seg_len)`` when the non-empty segment list is
+    one flat FALLS — equal lengths, starts in arithmetic progression;
+    None otherwise."""
+    n = starts.size
+    if n == 1:
+        seg_len = lengths.item(0)
+        return starts.item(0), seg_len, 1, seg_len
+    short = n <= _SHORT_LIST
+    if short:
+        starts, lengths = starts.tolist(), lengths.tolist()
     first, seg_len = int(starts[0]), int(lengths[0])
-    stride = seg_len
-    if n > 1:
-        stride = int(starts[1]) - first
-        if (
-            stride <= 0
-            # The ends first: most irregular lists fail here, in O(1).
-            or int(starts[-1]) - first != (n - 1) * stride
-            or int(lengths[-1]) != seg_len
-            or (lengths != seg_len).any()
-            or (starts[1:] - starts[:-1] != stride).any()
+    stride = int(starts[1]) - first
+    if (
+        stride <= 0
+        # The ends first: most irregular lists fail here, in O(1).
+        or int(starts[-1]) - first != (n - 1) * stride
+        or int(lengths[-1]) != seg_len
+    ):
+        return None
+    if short:
+        if lengths.count(seg_len) != n or starts != list(
+            range(first, first + n * stride, stride)
         ):
             return None
-    if first < 0 or first + (n - 1) * stride + seg_len > size:
+    elif (lengths != seg_len).any() or (starts[1:] - starts[:-1] != stride).any():
         return None
     return first, stride, n, seg_len
 
@@ -183,8 +201,10 @@ def resolve_copy(
         )
     if nbytes == 0:
         return ResolvedCopy(0, src_size, dst_size, "slices", (), (), ())
-    s_flat = _flat_falls(src_size, s_starts, s_lengths)
-    d_flat = _flat_falls(dst_size, d_starts, d_lengths)
+    _check_inside("source", src_size, s_starts, s_lengths)
+    _check_inside("destination", dst_size, d_starts, d_lengths)
+    s_flat = _arithmetic(s_starts, s_lengths)
+    d_flat = _arithmetic(d_starts, d_lengths)
     # One run onto one run is one slice assignment, cheaper than views.
     if s_flat and d_flat and s_starts.size + d_starts.size > 2:
         inner, outer = sorted((s_flat[3], d_flat[3]))
@@ -196,8 +216,6 @@ def resolve_copy(
                 _rows_view(d_flat, m, inner),
                 (nbytes // outer, m, inner),
             )
-    _check_inside("source", src_size, s_starts, s_lengths)
-    _check_inside("destination", dst_size, d_starts, d_lengths)
     if min(s_starts.size, d_starts.size) == 1:
         # One side is one run (a gather's payload, a scatter's source):
         # the pieces are the other side's non-empty segments.
@@ -255,37 +273,110 @@ def _fancy_index(side, copy: ResolvedCopy):
     return _flat_indices(side, copy.extent)
 
 
-def resolve_packed(size: int, segs: SegmentArrays, gather: bool) -> ResolvedCopy:
+def _product_view(p: ProductSegments):
+    """``(first, dims)`` of the bytes of a product whose two factors are
+    each one flat FALLS — row blocks, rows, column blocks, columns — as
+    :func:`resolve_view` takes them; None when a factor is irregular or
+    empty."""
+    if not p.rows[0].size:
+        return None
+    rows, cols = _arithmetic(*p.rows), _arithmetic(*p.cols)
+    if rows is None or cols is None:
+        return None
+    (r0, r_stride, r_n, r_len), (c0, c_stride, c_n, c_len) = rows, cols
+    w = p.width
+    dims = ((r_n, r_stride * w), (r_len, w), (c_n, c_stride), (c_len, 1))
+    return p.first + r0 * w + c0, dims
+
+
+def resolve_view(size: int, first: int, dims, gather: bool) -> ResolvedCopy:
+    """:func:`resolve_packed` for the bytes ``first + sum(i_k * step_k)``
+    of a ``size``-byte buffer, ``0 <= i_k < count_k`` for each
+    ``(count_k, step_k)`` of ``dims`` (outer to inner, in that order):
+    unit dimensions are dropped and each pair that steps evenly from one
+    to the next folded into one, so the copy is one slice when the bytes
+    are one run, the flat-FALLS view :func:`resolve_packed` gives a
+    segment list when they are one flat FALLS, and one strided view of
+    the remaining dimensions otherwise."""
+    shape, strides = [], []
+    for n, step in dims:
+        if n == 1:
+            continue
+        if strides and strides[-1] == n * step:
+            shape[-1] *= n
+            strides[-1] = step
+        else:
+            shape.append(n)
+            strides.append(step)
+    if not strides or strides[-1] != 1:
+        shape.append(1)
+        strides.append(1)
+    return _packed_view(size, first, shape, strides, gather)
+
+
+def resolve_packed(size: int, segs, gather: bool) -> ResolvedCopy:
     """:func:`resolve_copy` between ``segs`` of a ``size``-byte buffer
     and a contiguous payload: packing them into it (``gather``) or
     unpacking it onto them.  One segment resolves to a slice and one
-    flat FALLS to a strided view; any other list is bounds-checked once
-    and its pieces are the segments themselves, on the slice or the
-    index path by :func:`_prefer_fancy`."""
+    flat FALLS to a strided view.  ``segs`` may also be a
+    :class:`~repro.core.segments.ProductSegments`: when both its factors
+    are flat FALLS it resolves from them, without expanding, to the
+    slice or flat-FALLS view its segment list would, or else to one
+    strided view of up to four dimensions.  Any other list is
+    bounds-checked once and its pieces are the segments themselves, on
+    the slice or the index path by :func:`_prefer_fancy`."""
+    if isinstance(segs, ProductSegments):
+        view = _product_view(segs)
+        if view is not None:
+            return resolve_view(size, *view, gather)
+        segs = segs.arrays()
     starts, lengths = segs
     nbytes = int(lengths.sum())
     if nbytes == 0:
         side = payload = extent = ()
         kind = "slices"
     else:
-        flat = _flat_falls(size, starts, lengths)
+        flat = _arithmetic(starts, lengths)
         if flat is not None:
             first, stride, n, seg_len = flat
             if n == 1:
-                side, payload, kind, extent = (first,), (0,), "slices", (nbytes,)
-            else:
-                side = (first, (n * stride, stride, 1))
-                payload, kind = (0, (nbytes, seg_len, 1)), "strided"
-                extent = (1, n, seg_len)
+                return _packed_view(size, first, (seg_len,), (1,), gather)
+            return _packed_view(size, first, (n, seg_len), (stride, 1), gather)
+        _check_inside("source" if gather else "destination", size, starts, lengths)
+        if _prefer_fancy(int(starts.size), nbytes):
+            # The payload side is one run: a slice, not a byte index.
+            side, payload, kind, extent = starts, 0, "fancy", lengths
         else:
-            _check_inside("source" if gather else "destination", size, starts, lengths)
-            if _prefer_fancy(int(starts.size), nbytes):
-                # The payload side is one run: a slice, not a byte index.
-                side, payload, kind, extent = starts, 0, "fancy", lengths
-            else:
-                side, extent = tuple(starts.tolist()), tuple(lengths.tolist())
-                payload = tuple((np.cumsum(lengths) - lengths).tolist())
-                kind = "slices"
+            side, extent = tuple(starts.tolist()), tuple(lengths.tolist())
+            payload = tuple((np.cumsum(lengths) - lengths).tolist())
+            kind = "slices"
+    if gather:
+        return ResolvedCopy(nbytes, size, nbytes, kind, side, payload, extent)
+    return ResolvedCopy(nbytes, nbytes, size, kind, payload, side, extent)
+
+
+def _packed_view(size: int, first: int, shape, strides, gather: bool) -> ResolvedCopy:
+    """The copy between a ``size``-byte buffer's view ``first, shape,
+    strides`` (last stride 1) and a contiguous payload: one slice for
+    one run, else one ``np.copyto`` (a flat FALLS keeps a leading unit
+    dimension, as ``(1, n, seg_len)``)."""
+    nbytes, last = 1, first
+    for n, step in zip(shape, strides):
+        nbytes *= n
+        last += (n - 1) * step
+    if first < 0 or last >= size:
+        what = "source" if gather else "destination"
+        raise ValueError(f"{what} segments leave its {size}-byte buffer")
+    if len(shape) == 1:
+        side, payload, kind, extent = (first,), (0,), "slices", (nbytes,)
+    else:
+        if len(shape) == 2:
+            shape, strides = (1, *shape), (shape[0] * strides[0], *strides)
+        packed = [1] * len(shape)
+        for i in range(len(shape) - 1, 0, -1):
+            packed[i - 1] = packed[i] * shape[i]
+        side, payload = (first, tuple(strides)), (0, tuple(packed))
+        kind, extent = "strided", tuple(shape)
     if gather:
         return ResolvedCopy(nbytes, size, nbytes, kind, side, payload, extent)
     return ResolvedCopy(nbytes, nbytes, size, kind, payload, side, extent)

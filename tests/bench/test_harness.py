@@ -56,6 +56,16 @@ class TestRunWorkload:
         assert res.table1.t_i_ref > 0
         assert "t_i_ref" in format_table1([res.table1])
 
+    def test_reference_t_g_is_measured(self):
+        # One slice per segment of the same payloads, and their count:
+        # a 64-row view gathers 16 rows from each of 4 column blocks.
+        res = run_workload(MatrixWorkload(64, "c"), repeats=1)
+        assert res.table1.t_g_ref > 0
+        assert res.table1.gather_segments == 64
+        assert "t_g_ref" in format_table1([res.table1])
+        matched = run_workload(MatrixWorkload(64, "r"), repeats=1).table1
+        assert matched.t_g_ref == matched.gather_segments == 0
+
     def test_repeats_validation(self):
         with pytest.raises(ValueError):
             run_workload(MatrixWorkload(64, "c"), repeats=0)
@@ -88,6 +98,7 @@ class TestTablesSmall:
         # are asserted at full scale by benchmarks/bench_table1.py.
         for name in (
             "t_g zero for r-r",
+            "segments per gather c>b>r",
             "t_m near zero for r-r",
             "t_w_disk best for r-r at small size",
         ):

@@ -15,7 +15,16 @@ from repro.bench.reporting import (
 
 
 def t1(size, ph, t_i, t_m, t_g, bc, disk):
-    return Table1Row(size, ph, "r", t_i, t_m, t_g, bc, disk)
+    """A row whose reference columns are its own ``t_i`` and ``t_g`` (the
+    paper timed its own INTERSECT-AUX + PROJ and per-segment GATHER) and
+    whose segment count is the §8.2 geometry: a row-block view gathers
+    one segment per matrix row from each of the four column blocks, from
+    two square blocks, from one row block none."""
+    segments = {"c": size, "b": size // 2, "r": 0}[ph]
+    return Table1Row(
+        size, ph, "r", t_i, t_m, t_g, bc, disk,
+        t_i_ref=t_i, t_g_ref=t_g, gather_segments=segments,
+    )
 
 
 def t2(size, ph, bc, disk):
@@ -82,6 +91,34 @@ class TestChecksRejectContradictions:
         assert not shape_checks_table1(rows)[
             "t_w_disk best for r-r at small size"
         ]
+
+    @pytest.mark.parametrize(
+        "field,check",
+        [
+            ("t_i_ref", "t_i ordering c>b>r"),
+            ("t_g_ref", "t_g ordering c>b"),
+            ("gather_segments", "segments per gather c>b>r"),
+        ],
+    )
+    def test_inverted_reference_ordering_detected(self, field, check):
+        """The orderings read the reference columns and the segment
+        count: b overtaking c there fails them, in production ``t_i``
+        and ``t_g`` it does not."""
+        rows = paper_rows_table1()
+        for r in rows:
+            if r.physical == "b" and r.size == 1024:
+                setattr(r, field, 3 * getattr(r, field))
+        assert not shape_checks_table1(rows)[check]
+        rows = paper_rows_table1()
+        for r in rows:
+            if r.physical == "c":
+                r.t_i, r.t_g = r.t_i / 3, r.t_g / 3
+        assert all(shape_checks_table1(rows).values())
+
+    def test_production_t_i_above_reference_detected(self):
+        rows = paper_rows_table1()
+        rows[0].t_i = 2 * rows[0].t_i_ref
+        assert not shape_checks_table1(rows)["t_i at most t_i_ref"]
 
     def test_non_convergence_detected(self):
         rows = []

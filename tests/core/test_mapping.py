@@ -174,3 +174,41 @@ class TestElementMapper:
         np.testing.assert_array_equal(
             mapper.unmap_many(np.array([0, 1, 2, 3, 4])), np.array([3, 4, 7, 8, 11])
         )
+
+
+class TestBookkeepingOnce:
+    """The MAP recursion's binary-search tables (left indices and prefix
+    sizes) are computed once per FALLS node, like its SIZE."""
+
+    def _counting(self, monkeypatch):
+        from repro.core import mapping
+
+        calls = []
+        real = mapping._prefix_sizes
+
+        def counting(seq):
+            calls.append(len(seq))
+            return real(seq)
+
+        monkeypatch.setattr(mapping, "_prefix_sizes", counting)
+        return calls
+
+    def test_second_identical_map_computes_no_prefix_sums(
+        self, nested_partition, monkeypatch
+    ):
+        calls = self._counting(monkeypatch)
+        # Offset 20 sits in the first FALLS' inner structure: the
+        # recursion descends a level.
+        first = map_offset(nested_partition, 0, 20)
+        assert calls
+        del calls[:]
+        assert map_offset(nested_partition, 0, 20) == first
+        assert calls == []
+
+    def test_unmap_reuses_the_tables_map_built(self, nested_partition, monkeypatch):
+        calls = self._counting(monkeypatch)
+        for y in range(8):
+            unmap_offset(nested_partition, 0, y)
+            map_offset(nested_partition, 0, unmap_offset(nested_partition, 0, y))
+        # One table for the element and one for its nested FALLS.
+        assert len(calls) == 2

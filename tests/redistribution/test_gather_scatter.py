@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Falls, FallsSet, PeriodicFallsSet
-from repro.core.segments import segments_from_pairs
+from repro.core.segments import ProductSegments, segments_from_pairs
 from repro.distributions import BlockCyclic, matrix_partition, multidim_partition
 from repro.redistribution.gather_scatter import (
     copy_segments,
@@ -173,28 +173,39 @@ class TestSegmentsOutsideTheBuffer:
 
 class TestWhereTheKernelChooses:
     """``resolve_packed`` alone picks how a gather or scatter moves its
-    bytes, by the shape of the segment list."""
+    bytes, by the shape of the segment list, or of a product's two
+    factor lists."""
 
     @pytest.mark.parametrize(
         "partition,kind",
         [
             (matrix_partition("r", 64, 64, 4), "slices"),  # one run
             (matrix_partition("c", 64, 64, 4), "strided"),  # one flat FALLS
-            # products of 1-D block-cyclic lists: many 1-byte pieces go
-            # through one index, eight 64-byte pieces stay slices
-            (multidim_partition((64, 64), 1, (BlockCyclic(1),) * 2, (2, 2)), "fancy"),
+            # products of 1-D block-cyclic lists, resolved from their
+            # factors: 1-byte pieces on a 2 x 2 grid and eight 64-byte
+            # pieces are each one strided view
+            (multidim_partition((64, 64), 1, (BlockCyclic(1),) * 2, (2, 2)), "strided"),
             (
                 multidim_partition(
                     (8, 192), 1, (BlockCyclic(4), BlockCyclic(64)), (2, 2)
                 ),
-                "slices",
+                "strided",
             ),
         ],
     )
     @pytest.mark.parametrize("gather_side", [True, False])
     def test_kind_follows_shape(self, partition, kind, gather_side):
-        segs = partition.element_segments(0, 0, partition.size - 1)
-        copy = resolve_packed(partition.size, segs, gather_side)
+        # Element 0 as rows x columns over one pattern.
+        width = partition.row_width
+        rows, cols, cells = partition.factors(width)
+        r, c = cells[0]
+        product = ProductSegments(
+            0,
+            rows.element_segments(r, 0, rows.size - 1),
+            width,
+            cols.element_segments(c, 0, width - 1),
+        )
+        copy = resolve_packed(partition.size, product, gather_side)
         assert copy.kind == kind
         assert copy.nbytes == partition.element_size(0)
 

@@ -115,6 +115,23 @@ class TestClusterfileEdges:
         with pytest.raises(ValueError):
             WriteRequest(fs.view_of("f", 0), 5, 4, np.zeros(0, np.uint8))
 
+    def test_view_on_a_missing_element_rejected(self, make_fs):
+        """Node 1's default element does not exist in the one-element
+        ``round_robin(1, 64)``: setting that view raises, as a bad compute
+        node does, instead of a later write storing nothing."""
+        fs = make_fs()
+        fs.create("f", round_robin(4, 16))
+        whole = round_robin(1, 64)
+        with pytest.raises(ValueError, match="no element 1"):
+            fs.set_view("f", 1, whole)
+        with pytest.raises(ValueError, match="no element -1"):
+            fs.set_view("f", 0, whole, element=-1)
+        assert ("f", 1) not in fs.views
+        fs.set_view("f", 1, whole, element=0)
+        data = np.arange(64, dtype=np.uint8)
+        assert fs.write("f", [(1, 0, data)]).messages > 0
+        np.testing.assert_array_equal(fs.linear_contents("f"), data)
+
     def test_buffer_interval_mismatch_rejected(self, make_fs):
         fs = make_fs()
         fs.create("f", round_robin(4, 4))
