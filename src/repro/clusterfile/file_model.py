@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.mapping import unmap_offset
 from ..core.partition import Partition
-from ..redistribution.gather_scatter import resolve_packed, resolve_view, run_copy
+from ..redistribution.gather_scatter import scatter_segments
 
 __all__ = ["SubfileStore", "ClusterFile"]
 
@@ -155,11 +155,8 @@ class ClusterFile:
                 continue
             # Behind a store's last byte its element is a hole.
             hi = min(unmap_offset(self.physical, s, store.length - 1), length - 1)
-            view = self.physical.element_view(s, 0, hi)
-            if view is None:
+            segs = self.physical.element_set(s).product_in(0, hi)
+            if segs is None:
                 segs = self.physical.element_segments(s, 0, hi)
-                copy = resolve_packed(length, segs, False)
-            else:
-                copy = resolve_view(length, *view, False)
-            run_copy(out, store.data[: copy.nbytes], copy)
+            scatter_segments(out, segs, store.data)
         return out

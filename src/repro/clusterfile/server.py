@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.periodic import PeriodicFallsSet
-from ..core.segments import LazySegments
+from ..core.segments import LazySegments, relative_to
 from ..faults import ChecksumError, checksum
 from ..obs import metrics as obs_metrics
 from ..obs.span import open_span
@@ -134,7 +134,7 @@ class IOServer:
             return RequestCost(0.0, 0.0, 0, 0)
         window = self.store.view(l_s, r_s)
         if copy is None:
-            copy = resolve_packed(window.size, _relative(segments, l_s), False)
+            copy = resolve_packed(window.size, relative_to(segments, l_s), False)
         run_copy(window, payload, copy)
         cache_s = self._cache_cost(l_s, r_s, runs, nbytes)
         disk_s = self._disk_cost(segments) if to_disk else 0.0
@@ -158,7 +158,7 @@ class IOServer:
             return np.empty(0, dtype=np.uint8), RequestCost(0.0, 0.0, 0, 0)
         window = self.store.read_bytes(l_s, r_s)
         if copy is None:
-            copy = resolve_packed(window.size, _relative(segments, l_s), True)
+            copy = resolve_packed(window.size, relative_to(segments, l_s), True)
         payload = np.empty(nbytes, dtype=np.uint8)
         run_copy(payload, window, copy)
         cache_s = self._cache_cost(l_s, r_s, runs, nbytes)
@@ -170,11 +170,6 @@ class IOServer:
         return write_time_for_segments(
             self.node.disk, zip(starts.tolist(), lengths.tolist())
         )
-
-
-def _relative(segments: Segments, l_s: int) -> Segments:
-    starts, lengths = segments
-    return starts - l_s, lengths
 
 
 def serve_request(

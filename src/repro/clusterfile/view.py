@@ -42,9 +42,18 @@ import numpy as np
 from ..core.mapping import map_offset, unmap_offset
 from ..core.partition import Partition
 from ..core.periodic import PeriodicFallsSet
-from ..core.segments import LazySegments, ProductSegments, SegmentArrays
+from ..core.segments import (
+    LazySegments,
+    ProductSegments,
+    SegmentArrays,
+    relative_to,
+)
 from ..obs.span import Span, open_span
-from ..redistribution.gather_scatter import ResolvedCopy, resolve_packed
+from ..redistribution.gather_scatter import (
+    ResolvedCopy,
+    resolve_packed,
+    resolve_product,
+)
 from ..redistribution.plan_cache import get_plan
 
 __all__ = ["SubfileLink", "LinkAccess", "View", "set_view"]
@@ -192,14 +201,24 @@ class View:
             client = (
                 start - lo
                 if runs == 1
-                else resolve_packed(hi - lo + 1, _relative(view_side, lo), write)
+                else resolve_packed(hi - lo + 1, relative_to(view_side, lo), write)
             )
             segments, _, _ = _window(link.proj_subfile, l_s, r_s)
-            server = resolve_packed(
-                r_s - l_s + 1, _relative(segments, l_s), not write
-            )
+            server = None
             if isinstance(segments, ProductSegments):
-                segments = LazySegments(segments.runs, segments.arrays)
+                server = resolve_product(
+                    r_s - l_s + 1, relative_to(segments, l_s), not write
+                )
+                # Factors that resolve stay unexpanded until a reader
+                # needs the arrays; others are expanded here, once.
+                segments = (
+                    segments.arrays() if server is None
+                    else LazySegments(segments.runs, segments.arrays)
+                )
+            if server is None:
+                server = resolve_packed(
+                    r_s - l_s + 1, relative_to(segments, l_s), not write
+                )
             yield LinkAccess(
                 link.subfile, l_s, r_s, runs, client, segments, server,
             )
@@ -216,14 +235,6 @@ def _window(pfs: PeriodicFallsSet, lo: int, hi: int):
         return product, runs, product.start if runs else 0
     starts, lengths = segs = pfs.segments_in(lo, hi)
     return segs, int(starts.size), int(starts[0]) if starts.size else 0
-
-
-def _relative(selection, origin: int):
-    """``selection`` with its offsets taken from ``origin``."""
-    if isinstance(selection, ProductSegments):
-        first, rows, width, cols = selection
-        return ProductSegments(first - origin, rows, width, cols)
-    return selection[0] - origin, selection[1]
 
 
 def set_view(

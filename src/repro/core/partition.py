@@ -253,48 +253,35 @@ class Partition:
             self.elements[idx], self.displacement, self.size
         ).segments_in(lo, hi)
 
-    def element_view(self, idx: int, lo: int, hi: int):
-        """:meth:`element_segments` as strided dimensions ``(first,
-        dims)`` (:func:`repro.redistribution.gather_scatter.resolve_view`)
-        read off the element's FALLS tree, never expanded: when the tree
-        is one chain (each FALLS holding at most one inner FALLS, a
-        nested strided pattern) and the window holds every period's bytes
-        of the element whole or not at all, the whole periods are one
-        more dimension.  None otherwise."""
-        chain = self._chains[idx]
-        if chain is None:
-            return None
-        first, last, dims = chain
-        base, period = self.displacement, self.size
-        k_lo = max(0, -((base + first - lo) // period))
-        k_hi = (hi - base - last) // period
-        if k_hi < k_lo or (
-            k_lo and base + (k_lo - 1) * period + last >= lo
-        ) or base + (k_hi + 1) * period + first <= hi:
-            return None
-        return base + k_lo * period + first, ((k_hi - k_lo + 1, period), *dims)
+    def element_set(self, idx: int) -> PeriodicFallsSet:
+        """Element ``idx`` tiled from the displacement, built as rows x
+        columns (:meth:`PeriodicFallsSet.from_product`) when
+        :meth:`factors` reads the pattern at :attr:`row_width`, so that
+        :meth:`PeriodicFallsSet.product_in` answers its windows without
+        expanding them."""
+        return self._element_sets[idx]
 
     @cached_property
-    def _chains(self) -> list:
-        """Per element, ``(first, last, dims)`` of its bytes in one
-        pattern when its tree is one chain, else None."""
-        chains = []
-        for element in self.elements:
-            f = element.falls[0] if len(element.falls) == 1 else None
-            first, dims = 0, []
-            while f is not None:
-                first += f.l
-                dims.append((f.n, f.s))
-                if f.is_leaf:
-                    dims.append((f.block_length, 1))
-                    break
-                f = f.inner[0] if len(f.inner) == 1 else None
-            if f is None:
-                chains.append(None)
-            else:
-                last = first + sum((n - 1) * step for n, step in dims)
-                chains.append((first, last, dims))
-        return chains
+    def _element_sets(self) -> Tuple[PeriodicFallsSet, ...]:
+        width = self.row_width
+        factors = self.factors(width) if width > 1 else None
+        if factors is None:
+            return tuple(
+                PeriodicFallsSet(e, self.displacement, self.size)
+                for e in self.elements
+            )
+        rows, cols, cells = factors
+        return tuple(
+            PeriodicFallsSet.from_product(
+                e,
+                rows.element_segments(r, 0, rows.size - 1),
+                width,
+                cols.element_segments(c, 0, width - 1),
+                self.displacement,
+                self.size,
+            )
+            for e, (r, c) in zip(self.elements, cells)
+        )
 
     def structure_key(self) -> str:
         """A stable content hash identifying this partition structurally.

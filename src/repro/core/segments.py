@@ -21,6 +21,7 @@ __all__ = [
     "SegmentArrays",
     "LazySegments",
     "ProductSegments",
+    "relative_to",
     "clip_segments",
     "leaf_segment_arrays",
     "leaf_segment_arrays_set",
@@ -204,6 +205,15 @@ class ProductSegments(NamedTuple):
         """The merged segment list, expanded."""
         starts, lengths = product_segment_arrays(self.rows, self.width, self.cols)
         return starts + self.first, lengths
+
+
+def relative_to(selection, origin: int):
+    """A segment list or :class:`ProductSegments` with its offsets taken
+    from ``origin``."""
+    if isinstance(selection, ProductSegments):
+        return selection._replace(first=selection.first - origin)
+    starts, lengths = selection
+    return starts - origin, lengths
 
 
 class LazySegments:

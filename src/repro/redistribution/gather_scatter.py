@@ -44,7 +44,7 @@ __all__ = [
     "scatter_segments",
     "copy_segments",
     "resolve_packed",
-    "resolve_view",
+    "resolve_product",
 ]
 
 #: Below this many segments, slice copies win over index construction.
@@ -52,9 +52,6 @@ _FANCY_THRESHOLD = 32
 #: ... and so they do from this mean segment length up: the index costs
 #: 8 bytes and ~10 ns per *byte*, a slice ~0.35 us per *segment*.
 _FANCY_MEAN_BYTES = 32
-#: Up to this many segments, Python lists test a flat FALLS faster than
-#: numpy's per-call overhead allows.
-_SHORT_LIST = 64
 
 
 def as_flat_bytes(data, what: str) -> np.ndarray:
@@ -99,9 +96,6 @@ def _arithmetic(
     if n == 1:
         seg_len = lengths.item(0)
         return starts.item(0), seg_len, 1, seg_len
-    short = n <= _SHORT_LIST
-    if short:
-        starts, lengths = starts.tolist(), lengths.tolist()
     first, seg_len = int(starts[0]), int(lengths[0])
     stride = int(starts[1]) - first
     if (
@@ -109,14 +103,9 @@ def _arithmetic(
         # The ends first: most irregular lists fail here, in O(1).
         or int(starts[-1]) - first != (n - 1) * stride
         or int(lengths[-1]) != seg_len
+        or (lengths != seg_len).any()
+        or (starts[1:] - starts[:-1] != stride).any()
     ):
-        return None
-    if short:
-        if lengths.count(seg_len) != n or starts != list(
-            range(first, first + n * stride, stride)
-        ):
-            return None
-    elif (lengths != seg_len).any() or (starts[1:] - starts[:-1] != stride).any():
         return None
     return first, stride, n, seg_len
 
@@ -273,11 +262,19 @@ def _fancy_index(side, copy: ResolvedCopy):
     return _flat_indices(side, copy.extent)
 
 
-def _product_view(p: ProductSegments):
-    """``(first, dims)`` of the bytes of a product whose two factors are
-    each one flat FALLS — row blocks, rows, column blocks, columns — as
-    :func:`resolve_view` takes them; None when a factor is irregular or
-    empty."""
+def resolve_product(
+    size: int, p: ProductSegments, gather: bool
+) -> Optional[ResolvedCopy]:
+    """:func:`resolve_packed` for a product of a ``size``-byte buffer,
+    read from its two factor lists without expanding them; None when a
+    factor is not one flat FALLS or the product is empty (its segment
+    list then takes :func:`resolve_packed`).  The bytes are four
+    dimensions — row blocks, rows, column blocks, columns — of which
+    unit ones are dropped and each pair that steps evenly from one to
+    the next folded into one, so the copy is one slice when they are
+    one run, the flat-FALLS view their segment list would resolve to
+    when they are one flat FALLS, and one strided view of the remaining
+    dimensions otherwise."""
     if not p.rows[0].size:
         return None
     rows, cols = _arithmetic(*p.rows), _arithmetic(*p.cols)
@@ -285,21 +282,8 @@ def _product_view(p: ProductSegments):
         return None
     (r0, r_stride, r_n, r_len), (c0, c_stride, c_n, c_len) = rows, cols
     w = p.width
-    dims = ((r_n, r_stride * w), (r_len, w), (c_n, c_stride), (c_len, 1))
-    return p.first + r0 * w + c0, dims
-
-
-def resolve_view(size: int, first: int, dims, gather: bool) -> ResolvedCopy:
-    """:func:`resolve_packed` for the bytes ``first + sum(i_k * step_k)``
-    of a ``size``-byte buffer, ``0 <= i_k < count_k`` for each
-    ``(count_k, step_k)`` of ``dims`` (outer to inner, in that order):
-    unit dimensions are dropped and each pair that steps evenly from one
-    to the next folded into one, so the copy is one slice when the bytes
-    are one run, the flat-FALLS view :func:`resolve_packed` gives a
-    segment list when they are one flat FALLS, and one strided view of
-    the remaining dimensions otherwise."""
     shape, strides = [], []
-    for n, step in dims:
+    for n, step in ((r_n, r_stride * w), (r_len, w), (c_n, c_stride), (c_len, 1)):
         if n == 1:
             continue
         if strides and strides[-1] == n * step:
@@ -311,7 +295,7 @@ def resolve_view(size: int, first: int, dims, gather: bool) -> ResolvedCopy:
     if not strides or strides[-1] != 1:
         shape.append(1)
         strides.append(1)
-    return _packed_view(size, first, shape, strides, gather)
+    return _packed_view(size, p.first + r0 * w + c0, shape, strides, gather)
 
 
 def resolve_packed(size: int, segs, gather: bool) -> ResolvedCopy:
@@ -319,16 +303,14 @@ def resolve_packed(size: int, segs, gather: bool) -> ResolvedCopy:
     and a contiguous payload: packing them into it (``gather``) or
     unpacking it onto them.  One segment resolves to a slice and one
     flat FALLS to a strided view.  ``segs`` may also be a
-    :class:`~repro.core.segments.ProductSegments`: when both its factors
-    are flat FALLS it resolves from them, without expanding, to the
-    slice or flat-FALLS view its segment list would, or else to one
-    strided view of up to four dimensions.  Any other list is
-    bounds-checked once and its pieces are the segments themselves, on
-    the slice or the index path by :func:`_prefer_fancy`."""
+    :class:`~repro.core.segments.ProductSegments`, resolved from its
+    factors when :func:`resolve_product` can, else expanded.  Any other
+    list is bounds-checked once and its pieces are the segments
+    themselves, on the slice or the index path by :func:`_prefer_fancy`."""
     if isinstance(segs, ProductSegments):
-        view = _product_view(segs)
-        if view is not None:
-            return resolve_view(size, *view, gather)
+        copy = resolve_product(size, segs, gather)
+        if copy is not None:
+            return copy
         segs = segs.arrays()
     starts, lengths = segs
     nbytes = int(lengths.sum())

@@ -9,9 +9,9 @@
   from the factors; its copy moves the same bytes as the segment list's
   and, when that list is one run or one flat FALLS, is the very same
   :class:`ResolvedCopy`.
-* An element whose FALLS tree is one chain resolves a window of whole
-  periods straight from the tree (:meth:`Partition.element_view`), to a
-  copy of the bytes of its segments.
+* An element that reads as rows x columns (:meth:`Partition.element_set`)
+  answers a window with the segments :meth:`Partition.element_segments`
+  gives, and its copy moves their bytes.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from repro.clusterfile import Clusterfile
 from repro.redistribution import build_plan
 from repro.redistribution.gather_scatter import (
     resolve_packed,
-    resolve_view,
+    resolve_product,
     run_copy,
 )
 from repro.simulation import ClusterConfig
@@ -138,9 +138,9 @@ def test_product_windows_resolve_as_their_segments(pair, data):
     st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_element_views_select_the_element_segments(partition, periods, data):
-    """Where an element's tree is one chain and the window holds whole
-    periods of it, its strided view moves the bytes of its segments."""
+def test_element_sets_select_the_element_segments(partition, periods, data):
+    """Where an element reads as rows x columns, a window of its set
+    that cuts no selected row is its segments, and moves their bytes."""
     span = partition.displacement + periods * partition.size
     rng = np.random.default_rng(4)
     src = rng.integers(0, 256, span, dtype=np.uint8)
@@ -150,16 +150,17 @@ def test_element_views_select_the_element_segments(partition, periods, data):
         else:
             lo = data.draw(st.integers(0, span - 1))
             hi = data.draw(st.integers(lo, span - 1))
-        view = partition.element_view(e, lo, hi)
-        if view is None:
+        product = partition.element_set(e).product_in(lo, hi)
+        if product is None:
             continue
         starts, lengths = partition.element_segments(e, lo, hi)
+        got_starts, got_lengths = product.arrays()
+        np.testing.assert_array_equal(got_starts, starts)
+        np.testing.assert_array_equal(got_lengths, lengths)
+        if not starts.size:
+            continue
+        got = resolve_packed(span, product, True)
         want = resolve_packed(span, (starts, lengths), True)
-        got = resolve_view(span, *view, True)
-        if want.kind == "strided" or (
-            want.kind == "slices" and len(want.extent) == 1
-        ):
-            assert got == want
         a = np.empty(got.nbytes, dtype=np.uint8)
         b = np.empty(want.nbytes, dtype=np.uint8)
         run_copy(a, src, got)
@@ -167,10 +168,11 @@ def test_element_views_select_the_element_segments(partition, periods, data):
         np.testing.assert_array_equal(a, b)
 
 
-def test_matrix_elements_are_views_over_whole_files():
+def test_matrix_elements_resolve_from_their_factors():
     from repro.distributions import matrix_partition
 
     for kind in "rcb":
         p = matrix_partition(kind, 64, 64, 4)
         for e in range(4):
-            assert p.element_view(e, 0, 2 * p.size - 1) is not None
+            product = p.element_set(e).product_in(0, 2 * p.size - 1)
+            assert resolve_product(2 * p.size, product, False) is not None

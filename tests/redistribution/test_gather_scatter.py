@@ -176,25 +176,45 @@ class TestWhereTheKernelChooses:
     bytes, by the shape of the segment list, or of a product's two
     factor lists."""
 
+    BLOCK_CYCLIC = (
+        multidim_partition((64, 64), 1, (BlockCyclic(1),) * 2, (2, 2)),
+        multidim_partition((8, 192), 1, (BlockCyclic(4), BlockCyclic(64)), (2, 2)),
+    )
+
     @pytest.mark.parametrize(
         "partition,kind",
         [
             (matrix_partition("r", 64, 64, 4), "slices"),  # one run
             (matrix_partition("c", 64, 64, 4), "strided"),  # one flat FALLS
-            # products of 1-D block-cyclic lists, resolved from their
-            # factors: 1-byte pieces on a 2 x 2 grid and eight 64-byte
-            # pieces are each one strided view
-            (multidim_partition((64, 64), 1, (BlockCyclic(1),) * 2, (2, 2)), "strided"),
-            (
-                multidim_partition(
-                    (8, 192), 1, (BlockCyclic(4), BlockCyclic(64)), (2, 2)
-                ),
-                "strided",
-            ),
+            # products of 1-D block-cyclic lists: many 1-byte pieces go
+            # through one index, eight 64-byte pieces stay slices
+            (BLOCK_CYCLIC[0], "fancy"),
+            (BLOCK_CYCLIC[1], "slices"),
         ],
     )
     @pytest.mark.parametrize("gather_side", [True, False])
     def test_kind_follows_shape(self, partition, kind, gather_side):
+        segs = partition.element_segments(0, 0, partition.size - 1)
+        copy = resolve_packed(partition.size, segs, gather_side)
+        assert copy.kind == kind
+        assert copy.nbytes == partition.element_size(0)
+
+    @pytest.mark.parametrize(
+        "partition,kind,as_list",
+        [
+            # one run and one flat FALLS: the very copy of the segments
+            (matrix_partition("r", 64, 64, 4), "slices", True),
+            (matrix_partition("c", 64, 64, 4), "strided", True),
+            # the same two block-cyclic elements, given as rows x
+            # columns: each is one strided view
+            (BLOCK_CYCLIC[0], "strided", False),
+            (BLOCK_CYCLIC[1], "strided", False),
+        ],
+    )
+    @pytest.mark.parametrize("gather_side", [True, False])
+    def test_product_resolves_from_its_factors(
+        self, partition, kind, as_list, gather_side
+    ):
         # Element 0 as rows x columns over one pattern.
         width = partition.row_width
         rows, cols, cells = partition.factors(width)
@@ -208,6 +228,9 @@ class TestWhereTheKernelChooses:
         copy = resolve_packed(partition.size, product, gather_side)
         assert copy.kind == kind
         assert copy.nbytes == partition.element_size(0)
+        if as_list:
+            segs = partition.element_segments(0, 0, partition.size - 1)
+            assert copy == resolve_packed(partition.size, segs, gather_side)
 
 
 def _falls(first, seg_len, stride, n):
