@@ -25,7 +25,12 @@ import numpy as np
 
 from .falls import Falls, FallsSet
 from .periodic import PeriodicFallsSet
-from .segments import SegmentArrays, leaf_segment_arrays_set, run_heads
+from .segments import (
+    SegmentArrays,
+    leaf_segment_arrays_set,
+    merge_segment_arrays,
+    run_heads,
+)
 
 __all__ = ["Partition", "PartitionError"]
 
@@ -271,14 +276,13 @@ class Partition:
                 for e in self.elements
             )
         rows, cols, cells = factors
+        lists = [
+            [merge_segment_arrays(leaf_segment_arrays_set(e.falls)) for e in p.elements]
+            for p in (rows, cols)
+        ]
         return tuple(
             PeriodicFallsSet.from_product(
-                e,
-                rows.element_segments(r, 0, rows.size - 1),
-                width,
-                cols.element_segments(c, 0, width - 1),
-                self.displacement,
-                self.size,
+                e, lists[0][r], width, lists[1][c], self.displacement, self.size
             )
             for e, (r, c) in zip(self.elements, cells)
         )
