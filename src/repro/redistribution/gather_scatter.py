@@ -19,10 +19,10 @@ partitions), and one fancy-index copy for many short pieces.  A product
 of rows and columns (:class:`~repro.core.segments.ProductSegments`, the
 window of a set a product plan built, paper §5's pattern repeated
 through the linear space) is resolved from its two factor lists without
-expanding them: when each is one flat FALLS, to one ``np.copyto``
-between views of up to four dimensions (row blocks, rows, column
-blocks, columns), or to the very copy its segment list would resolve
-to when that list is one run or one flat FALLS.
+expanding them (:func:`resolve_product`): when each is one flat FALLS,
+to one ``np.copyto`` between views of up to four dimensions (row
+blocks, rows, column blocks, columns), or to the very copy its segment
+list would resolve to when that list is one run or one flat FALLS.
 :func:`gather_segments`, :func:`scatter_segments`, :func:`copy_segments`
 and the paper's :func:`gather` and :func:`scatter` resolve and run in
 one call.
