@@ -27,6 +27,7 @@ from .falls import Falls, FallsSet
 from .periodic import PeriodicFallsSet
 from .segments import (
     SegmentArrays,
+    flat_falls,
     leaf_segment_arrays_set,
     merge_segment_arrays,
     run_heads,
@@ -261,14 +262,17 @@ class Partition:
     def element_set(self, idx: int) -> PeriodicFallsSet:
         """Element ``idx`` tiled from the displacement, built as rows x
         columns (:meth:`PeriodicFallsSet.from_product`) when
-        :meth:`factors` reads the pattern at :attr:`row_width`, so that
+        :meth:`factors` reads the pattern as a product, so that
         :meth:`PeriodicFallsSet.product_in` answers its windows without
-        expanding them."""
+        expanding them.  The width is one :meth:`factors` already read
+        the pattern at (a plan's, say: the bytes are the same at any),
+        else :attr:`row_width`."""
         return self._element_sets[idx]
 
     @cached_property
     def _element_sets(self) -> Tuple[PeriodicFallsSet, ...]:
-        width = self.row_width
+        known = [w for w, f in self.__dict__.get("_factors", {}).items() if f]
+        width = max(known, default=self.row_width)
         factors = self.factors(width) if width > 1 else None
         if factors is None:
             return tuple(
@@ -280,9 +284,11 @@ class Partition:
             [merge_segment_arrays(leaf_segment_arrays_set(e.falls)) for e in p.elements]
             for p in (rows, cols)
         ]
+        flat = [[flat_falls(*segs) for segs in side] for side in lists]
         return tuple(
             PeriodicFallsSet.from_product(
-                e, lists[0][r], width, lists[1][c], self.displacement, self.size
+                e, lists[0][r], width, lists[1][c], self.displacement, self.size,
+                (flat[0][r], flat[1][c]),
             )
             for e, (r, c) in zip(self.elements, cells)
         )

@@ -9,15 +9,22 @@ queries the redistribution and Clusterfile layers need — "which byte
 segments fall in this interval?", "how many bytes per period?", "is the
 selection contiguous over this interval?" — without ever materialising
 per-byte indices.
+
+The pattern repeats throughout the linear space, so a product of rows
+and columns (every multidimensional array layout) is its two 1-D
+factors: a set built from them (:meth:`PeriodicFallsSet.from_product`)
+answers every query from the two lists, and so does a set built from
+one period's segments (:meth:`PeriodicFallsSet.from_segments`).  Either
+builds its nested-FALLS tree (the paper's PROJ answer) only when
+``falls`` is read.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Tuple
+from functools import cached_property, partial
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .segments import (
     ProductSegments,
     SegmentArrays,
     clip_segments,
+    flat_falls,
     leaf_segment_arrays_set,
     merge_segment_arrays,
     product_segment_arrays,
@@ -45,30 +53,41 @@ _WINDOW_MEMO_CAPACITY = 8
 _MEMO_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
 class PeriodicFallsSet:
     """A nested-FALLS family tiled with a fixed period.
 
     ``falls`` describes one period in period-relative coordinates
     ``[0, period)``; the family selects
     ``{displacement + k * period + b}`` for every ``k >= 0`` and every
-    byte ``b`` selected by ``falls``.
+    byte ``b`` selected by ``falls``.  A set built from one period's
+    segments (:meth:`from_segments`) or from its row and column factors
+    (:meth:`from_product`) builds ``falls`` when it is first read: its
+    queries, size and emptiness read the segments or factors.  Sets are
+    immutable; two are equal when their trees, displacements and periods
+    are.
     """
 
-    falls: FallsSet
-    displacement: int
-    period: int
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        falls: FallsSet | Callable[[], FallsSet],
+        displacement: int,
+        period: int,
+        **state,
+    ) -> None:
+        """``falls`` is the tree, or a callable that builds it when it is
+        first read; ``state`` is what :meth:`from_segments` or
+        :meth:`from_product` keeps to answer without it."""
+        tree = {"_build": falls} if callable(falls) else {"falls": falls}
+        self.__dict__.update(state, **tree, displacement=displacement, period=period)
         if self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
         if self.displacement < 0:
             raise ValueError(
                 f"displacement must be >= 0, got {self.displacement}"
             )
-        if self.falls and self.falls.extent_stop >= self.period:
+        if self._extent_stop() >= self.period:
             raise ValueError(
-                f"period structure extends to {self.falls.extent_stop}, "
+                f"period structure extends to {self._extent_stop()}, "
                 f"beyond period {self.period}"
             )
 
@@ -76,42 +95,98 @@ class PeriodicFallsSet:
     def from_segments(
         cls, segs: SegmentArrays, displacement: int, period: int
     ) -> "PeriodicFallsSet":
-        """One period's sorted, disjoint ``segs``, compressed once; their
-        merged form (``segs`` itself if already merged: do not write to it
-        later) is kept, so :meth:`segments_in` never re-expands the tree."""
-        out = cls(falls_set_from_segments(segs), displacement, period)
-        starts, lengths = segs
+        """One period's sorted, disjoint ``segs``: their merged form
+        (``segs`` itself if already merged: do not write to it later) is
+        kept for the queries, and ``segs`` compressed into the tree when
+        ``falls`` is first read."""
+        starts, lengths = merged = segs
         if np.any(starts[1:] == starts[:-1] + lengths[:-1]):
-            segs = merge_segment_arrays(segs)
-        out.__dict__["_period_segments"] = segs
-        return out
+            merged = merge_segment_arrays(segs)
+        return cls(
+            partial(falls_set_from_segments, segs),
+            displacement,
+            period,
+            _period_segments=merged,
+        )
 
     @classmethod
     def from_product(
         cls,
-        falls: FallsSet,
+        falls: FallsSet | Callable[[], FallsSet],
         rows: SegmentArrays,
         width: int,
         cols: SegmentArrays,
         displacement: int,
         period: int,
+        flat: tuple,
     ) -> "PeriodicFallsSet":
-        """``falls`` selecting the bytes ``row * width + col`` of one period
-        for every row in ``rows`` and every column in ``cols`` (merged
-        segment lists): the period's segments are broadcast from the two
-        lists when a query first needs them."""
-        out = cls(falls, displacement, period)
-        out.__dict__["_factors"] = (rows, width, cols)
-        return out
+        """``falls`` (or its builder) selecting the bytes ``row * width +
+        col`` of one period for every row in ``rows`` and every column in
+        ``cols`` (merged segment lists): the period's segments are
+        broadcast from the two lists when a query first needs them.
+        ``flat`` is each list's :func:`~repro.core.segments.flat_falls`,
+        which :meth:`product_in` hands on with the lists."""
+        return cls(
+            falls, displacement, period, _factors=(rows, width, cols), _flat=flat
+        )
+
+    @cached_property
+    def falls(self) -> FallsSet:
+        """One period's nested-FALLS tree (paper §5), for a set built from
+        segments or factors built here, on first read."""
+        return self._build()
+
+    def _extent_stop(self) -> int:
+        """Last byte of one period's structure (-1 when empty), read from
+        the tree when the set was given one, else without building it."""
+        state = self.__dict__
+        if "falls" in state:
+            return self.falls.extent_stop
+        if "_factors" in state:
+            (row_starts, row_lengths), width, (col_starts, col_lengths) = (
+                state["_factors"]
+            )
+            if not (row_starts.size and col_starts.size):
+                return -1
+            last_row = row_starts.item(-1) + row_lengths.item(-1) - 1
+            return last_row * width + col_starts.item(-1) + col_lengths.item(-1) - 1
+        starts, lengths = self._period_segments
+        return starts.item(-1) + lengths.item(-1) - 1 if starts.size else -1
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.falls, self.displacement, self.period
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"PeriodicFallsSet(disp={self.displacement}, period={self.period}, "
+            f"{self.falls})"
+        )
 
     @property
     def is_empty(self) -> bool:
-        return self.falls.is_empty
+        return not self.size_per_period
 
     @cached_property
     def size_per_period(self) -> int:
         """Bytes selected in each period."""
-        return self.falls.size()
+        state = self.__dict__
+        if "_factors" in state:
+            rows, _, cols = state["_factors"]
+            return int(rows[1].sum()) * int(cols[1].sum())
+        if "falls" in state:
+            return self.falls.size()
+        return int(self._period_segments[1].sum())
 
     @cached_property
     def _period_segments(self) -> SegmentArrays:
@@ -188,8 +263,10 @@ class PeriodicFallsSet:
         """:meth:`segments_in` as rows x columns, read from the factors of
         a set built by :meth:`from_product` without expanding them:
         the rows of the window that hold selected bytes, the set's column
-        list and the row width.  ``None`` when the set keeps no factors
-        or the window cuts a selected row short (those windows take
+        list and the row width, with each list's flatness (recorded by
+        :meth:`from_product`, re-tested only for a row list the window
+        tiles or clips).  ``None`` when the set keeps no factors or the
+        window cuts a selected row short (those windows take
         :meth:`segments_in`)."""
         factors = self.__dict__.get("_factors")
         if factors is None or self.is_empty:
@@ -220,8 +297,11 @@ class PeriodicFallsSet:
             last == row_hi and col_hi < cols[0].item(-1) + cols[1].item(-1) - 1
         ):
             return None
+        flat = self._flat
+        if rows is not factors[0]:
+            flat = (flat_falls(*rows), flat[1])
         return ProductSegments(
-            self.displacement + base * width, rows, width, cols
+            self.displacement + base * width, rows, width, cols, flat
         )
 
     def _count_below(self, x: int) -> int:
@@ -292,9 +372,3 @@ class PeriodicFallsSet:
 
     def shifted(self, delta: int) -> "PeriodicFallsSet":
         return PeriodicFallsSet(self.falls, self.displacement + delta, self.period)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PeriodicFallsSet(disp={self.displacement}, period={self.period}, "
-            f"{self.falls})"
-        )

@@ -21,6 +21,7 @@ __all__ = [
     "SegmentArrays",
     "LazySegments",
     "ProductSegments",
+    "flat_falls",
     "relative_to",
     "clip_segments",
     "leaf_segment_arrays",
@@ -171,6 +172,30 @@ def product_segment_arrays(
     return starts, lengths
 
 
+def flat_falls(
+    starts: np.ndarray, lengths: np.ndarray
+) -> Tuple[int, int, int, int] | None:
+    """``(first, stride, n, seg_len)`` when the non-empty segment list is
+    one flat FALLS — equal lengths, starts in arithmetic progression;
+    None otherwise."""
+    n = starts.size
+    if n == 1:
+        seg_len = lengths.item(0)
+        return starts.item(0), seg_len, 1, seg_len
+    first, seg_len = int(starts[0]), int(lengths[0])
+    stride = int(starts[1]) - first
+    if (
+        stride <= 0
+        # The ends first: most irregular lists fail here, in O(1).
+        or int(starts[-1]) - first != (n - 1) * stride
+        or int(lengths[-1]) != seg_len
+        or (lengths != seg_len).any()
+        or (starts[1:] - starts[:-1] != stride).any()
+    ):
+        return None
+    return first, stride, n, seg_len
+
+
 class ProductSegments(NamedTuple):
     """The bytes ``first + row * width + col`` for every row of the merged
     list ``rows`` and every column of the merged list ``cols`` (inside
@@ -180,6 +205,8 @@ class ProductSegments(NamedTuple):
     rows: SegmentArrays
     width: int
     cols: SegmentArrays
+    #: Each list's :func:`flat_falls`, when known (else None).
+    flat: Tuple[tuple | None, tuple | None] | None = None
 
     @property
     def runs(self) -> int:

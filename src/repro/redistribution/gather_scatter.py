@@ -30,12 +30,12 @@ one call.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..core.periodic import PeriodicFallsSet
-from ..core.segments import ProductSegments, SegmentArrays
+from ..core.segments import ProductSegments, SegmentArrays, flat_falls
 
 __all__ = [
     "gather",
@@ -84,30 +84,6 @@ def _flat_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     ramp = np.arange(total, dtype=np.int64)
     resets = np.repeat(np.cumsum(lengths) - lengths, lengths)
     return reps + (ramp - resets)
-
-
-def _arithmetic(
-    starts: np.ndarray, lengths: np.ndarray
-) -> Optional[Tuple[int, int, int, int]]:
-    """``(first, stride, n, seg_len)`` when the non-empty segment list is
-    one flat FALLS — equal lengths, starts in arithmetic progression;
-    None otherwise."""
-    n = starts.size
-    if n == 1:
-        seg_len = lengths.item(0)
-        return starts.item(0), seg_len, 1, seg_len
-    first, seg_len = int(starts[0]), int(lengths[0])
-    stride = int(starts[1]) - first
-    if (
-        stride <= 0
-        # The ends first: most irregular lists fail here, in O(1).
-        or int(starts[-1]) - first != (n - 1) * stride
-        or int(lengths[-1]) != seg_len
-        or (lengths != seg_len).any()
-        or (starts[1:] - starts[:-1] != stride).any()
-    ):
-        return None
-    return first, stride, n, seg_len
 
 
 def _prefer_fancy(pieces: int, total: int) -> bool:
@@ -192,8 +168,8 @@ def resolve_copy(
         return ResolvedCopy(0, src_size, dst_size, "slices", (), (), ())
     _check_inside("source", src_size, s_starts, s_lengths)
     _check_inside("destination", dst_size, d_starts, d_lengths)
-    s_flat = _arithmetic(s_starts, s_lengths)
-    d_flat = _arithmetic(d_starts, d_lengths)
+    s_flat = flat_falls(s_starts, s_lengths)
+    d_flat = flat_falls(d_starts, d_lengths)
     # One run onto one run is one slice assignment, cheaper than views.
     if s_flat and d_flat and s_starts.size + d_starts.size > 2:
         inner, outer = sorted((s_flat[3], d_flat[3]))
@@ -266,7 +242,8 @@ def resolve_product(
     size: int, p: ProductSegments, gather: bool
 ) -> Optional[ResolvedCopy]:
     """:func:`resolve_packed` for a product of a ``size``-byte buffer,
-    read from its two factor lists without expanding them; None when a
+    read from its two factor lists without expanding them (and their
+    flatness from ``p.flat`` when the product carries it); None when a
     factor is not one flat FALLS or the product is empty (its segment
     list then takes :func:`resolve_packed`).  The bytes are four
     dimensions — row blocks, rows, column blocks, columns — of which
@@ -277,7 +254,7 @@ def resolve_product(
     dimensions otherwise."""
     if not p.rows[0].size:
         return None
-    rows, cols = _arithmetic(*p.rows), _arithmetic(*p.cols)
+    rows, cols = p.flat or (flat_falls(*p.rows), flat_falls(*p.cols))
     if rows is None or cols is None:
         return None
     (r0, r_stride, r_n, r_len), (c0, c_stride, c_n, c_len) = rows, cols
@@ -318,7 +295,7 @@ def resolve_packed(size: int, segs, gather: bool) -> ResolvedCopy:
         side = payload = extent = ()
         kind = "slices"
     else:
-        flat = _arithmetic(starts, lengths)
+        flat = flat_falls(starts, lengths)
         if flat is not None:
             first, stride, n, seg_len = flat
             if n == 1:

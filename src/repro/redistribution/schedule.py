@@ -39,6 +39,7 @@ from ..core.normalize import falls_set_from_segments, node_floor, product_falls
 from ..core.partition import Partition
 from ..core.periodic import PeriodicFallsSet
 from ..core.segments import (
+    flat_falls,
     merge_segment_arrays,
     product_segment_arrays,
     run_heads,
@@ -239,7 +240,8 @@ def _linear(p: Partition, e: int, lo: int, period: int) -> Tuple[int, int]:
 
 def _swept_transfers(src, dst, lo, period) -> List[Transfer]:
     """Transfers from one sweep of the flattened window ``[lo, lo +
-    period)``, each pair's byte lists re-nested by period detection."""
+    period)``, each pair's byte lists kept and re-nested by period
+    detection when a tree is read."""
     return [
         Transfer(
             i,
@@ -266,18 +268,69 @@ def _chain(falls) -> bool:
     return len(falls) < 2 and all(_chain(f.inner) for f in falls)
 
 
+def _tree(starts, size, unit=False) -> tuple:
+    """A 1-D list's tree; rows one by one if ``unit``."""
+    if unit and size.size == 1:  # one block of rows
+        return (Falls(int(starts[0]), int(starts[0]), 1, int(size[0])),)
+    return falls_set_from_segments(
+        unit_segments((starts, size)) if unit else (starts, size)
+    ).falls
+
+
+def _product_tree(rows, cols, width, w) -> FallsSet:
+    """The tree of one set of a product plan at ``w`` bytes per row, from
+    its row and column pairs' pieces (window positions, lengths and
+    offsets on the set's side; rows of ``width`` window bytes).
+
+    It is rows x columns (:func:`repro.core.normalize.product_falls`) of
+    the two lists, each compressed once: the rows one by one unless the
+    pair owns whole rows, as the flattened sweep cuts them, so period
+    detection on the flattened list would find the row tree's levels
+    again.  Where runs may also carry on from one row into the next
+    (below a row level of several FALLS, or where the columns wrap
+    round), the flattened sweep's list is built and its tree kept if
+    smaller: no tree is larger than the sweep's."""
+    (row_at, row_size, row_off), (col_at, col_size, col_off) = rows, cols
+    unit = not (col_size.size == 1 and col_size[0] == width)
+    wraps = unit and col_at[0] == 0 and col_at[-1] + col_size[-1] == width and (
+        row_size.max() > 1
+    )
+    row_tree, col_tree = _tree(row_off, row_size, unit), _tree(col_off, col_size)
+    falls = product_falls(row_tree, w, col_tree)
+    chain = _chain(row_tree)
+    if not chain:  # whole blocks of rows may nest better
+        falls = min(
+            falls, product_falls(_tree(row_off, row_size), w, col_tree), key=_nodes
+        )
+    one_segment = len(col_tree) == 1 and col_tree[0].n == 1 and not col_tree[0].inner
+    if wraps or not (chain or one_segment):
+        # One piece per merged segment of the intersection, at its
+        # offset on this side.
+        starts, size = product_segment_arrays(
+            (row_at, row_size), width, (col_at, col_size)
+        )
+        offset = 0
+        for (at, off), x, scale in zip(
+            ((row_at, row_off), (col_at, col_off)), np.divmod(starts, width), (w, 1)
+        ):
+            run = np.searchsorted(at, x, "right") - 1
+            offset = offset + (off[run] + x - at[run]) * scale
+        if node_floor((offset, size)) < _nodes(falls):
+            falls = min(
+                falls, falls_set_from_segments((offset, size)).falls, key=_nodes
+            )
+    return FallsSet(falls)
+
+
 def _product_transfers(src, dst, lo, period, width) -> List[Transfer]:
     """Transfers of two products at ``width`` bytes per row
     (:meth:`Partition.factors`), swept once per dimension.
 
-    A set is rows x columns (:func:`repro.core.normalize.product_falls`)
-    of its row and column pairs' lists, each compressed once: the rows
-    one by one unless the pair owns whole rows, as the flattened sweep
-    cuts them, so period detection on the flattened list would find the
-    row tree's levels again.  Where runs may also carry on from one row
-    into the next (below a row level of several FALLS, or where the
-    columns wrap round), the flattened list is built and its tree kept
-    if smaller: no tree is larger than the sweep's."""
+    Every set is its factors (:meth:`PeriodicFallsSet.from_product`): the
+    merged row and column lists of its row and column pairs, on its own
+    side, with their flatness.  Its tree is built by
+    :func:`_product_tree` from the two pairs' pieces only when something
+    reads ``falls``."""
     (src_rows, src_cols, src_cells), (dst_rows, dst_cols, dst_cells) = (
         src.factors(width),
         dst.factors(width),
@@ -291,56 +344,26 @@ def _product_transfers(src, dst, lo, period, width) -> List[Transfer]:
         )
     ]
 
-    def segs(dim, pair, k):
-        """List ``k`` (window positions, source or destination offsets)
-        of a row (``dim`` 0) or column pair."""
+    @functools.cache
+    def factor(dim, pair, k):
+        """A row (``dim`` 0) or column pair's pieces (window positions,
+        lengths and list ``k``'s starts: window positions, source or
+        destination offsets), and list ``k`` merged, with its flatness."""
         at, size, *offsets = pieces[dim][pair]
-        return (at, *offsets)[k], size
-
-    @functools.cache
-    def tree(dim, pair, k, unit=False):
-        """List ``k``'s tree; rows one by one if ``unit``."""
-        starts, size = segs(dim, pair, k)
-        if unit and size.size == 1:  # one block of rows
-            return (Falls(int(starts[0]), int(starts[0]), 1, int(size[0])),)
-        return falls_set_from_segments(
-            unit_segments((starts, size)) if unit else (starts, size)
-        ).falls
-
-    @functools.cache
-    def merged(dim, pair, k):
-        starts, size = segs(dim, pair, k)
+        starts = (at, *offsets)[k]
+        merged = (starts, size)
         if k and size.size > 1:  # pieces apart in the window may abut in an element
-            return merge_segment_arrays((starts, size))
-        return starts, size
+            merged = merge_segment_arrays(merged)
+        return (at, size, starts), merged, flat_falls(*merged)
 
-    def swept(rp, cp, k, w):
-        """The flattened sweep's list ``k``: one piece per merged segment
-        of the intersection, at its offset on side ``k``."""
-        starts, size = product_segment_arrays(segs(0, rp, 0), width, segs(1, cp, 0))
-        if k:
-            offset = 0
-            for (at, _, *off), x, scale in zip(
-                (pieces[0][rp], pieces[1][cp]), np.divmod(starts, width), (w, 1)
-            ):
-                run = np.searchsorted(at, x, "right") - 1
-                offset = offset + (off[k - 1][run] + x - at[run]) * scale
-            starts = offset
-        return starts, size
-
-    def assemble(rp, cp, k, w, disp, per, unit, wraps):
-        rows, cols = tree(0, rp, k, unit), tree(1, cp, k)
-        falls = product_falls(rows, w, cols)
-        chain = _chain(rows)
-        if not chain:  # whole blocks of rows may nest better
-            falls = min(falls, product_falls(tree(0, rp, k), w, cols), key=_nodes)
-        one_segment = len(cols) == 1 and cols[0].n == 1 and not cols[0].inner
-        if wraps or not (chain or one_segment):
-            flat = swept(rp, cp, k, w)
-            if node_floor(flat) < _nodes(falls):
-                falls = min(falls, falls_set_from_segments(flat).falls, key=_nodes)
+    def product_set(rp, cp, k, w, disp, per):
+        (row_pieces, rows, row_flat), (col_pieces, cols, col_flat) = (
+            factor(0, rp, k),
+            factor(1, cp, k),
+        )
+        tree = functools.partial(_product_tree, row_pieces, col_pieces, width, w)
         return PeriodicFallsSet.from_product(
-            FallsSet(falls), merged(0, rp, k), w, merged(1, cp, k), disp, per
+            tree, rows, w, cols, disp, per, (row_flat, col_flat)
         )
 
     src_of = {cell: e for e, cell in enumerate(src_cells)}
@@ -351,18 +374,13 @@ def _product_transfers(src, dst, lo, period, width) -> List[Transfer]:
         for a, b in pieces[0]
         for c, d in pieces[1]
     ):
-        at, size = pieces[1][cp][:2]
-        unit = not (size.size == 1 and size[0] == width)
-        wraps = unit and at[0] == 0 and at[-1] + size[-1] == width and (
-            pieces[0][rp][1].max() > 1
-        )
         sides = (
             (width, lo, period),
             (src_cols.element_size(src_cells[i][1]), *_linear(src, i, lo, period)),
             (dst_cols.element_size(dst_cells[j][1]), *_linear(dst, j, lo, period)),
         )
         transfers.append(Transfer(i, j, *(
-            assemble(rp, cp, k, *side, unit, wraps) for k, side in enumerate(sides)
+            product_set(rp, cp, k, *side) for k, side in enumerate(sides)
         )))
     return transfers
 
@@ -382,17 +400,18 @@ def build_plan(src: Partition, dst: Partition) -> RedistributionPlan:
     When both partitions are products of rows and columns at one row
     width, read from their FALLS trees (:meth:`Partition.factors`), the
     window is swept once over the row factors and once over the column
-    factors, and every transfer is assembled as rows x columns
+    factors, and every set is its row and column lists
     (:func:`_product_transfers`): no list of the window's size is built,
-    and a set expands its segments only when a query first needs them.
+    a set expands its segments only when a query first needs them, and
+    builds its nested-FALLS tree only when ``falls`` is read.
     Any other pair sweeps the flattened window, cutting it at both
-    sides' same-owner runs (:attr:`Partition.runs`) and re-nesting each
-    pair's byte lists by period detection (:func:`_swept_transfers`),
-    the reference the product path matches segment for segment.  So do
-    two partitions whose every element is one block
-    (:attr:`Partition.contiguous`, such as row blocks against row
-    blocks): their window is only P + Q pieces, cheaper than two factor
-    sweeps.
+    sides' same-owner runs (:attr:`Partition.runs`), and keeps each
+    pair's byte lists, re-nested by period detection when a tree is read
+    (:func:`_swept_transfers`): the reference the product path matches
+    segment for segment.  So do two partitions whose every element is
+    one block (:attr:`Partition.contiguous`, such as row blocks against
+    row blocks): their window is only P + Q pieces, cheaper than two
+    factor sweeps.
     """
     candidates = src.num_elements * dst.num_elements
     lo = max(src.displacement, dst.displacement)
