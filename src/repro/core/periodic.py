@@ -146,8 +146,6 @@ class PeriodicFallsSet:
             (row_starts, row_lengths), width, (col_starts, col_lengths) = (
                 state["_factors"]
             )
-            if not (row_starts.size and col_starts.size):
-                return -1
             last_row = row_starts.item(-1) + row_lengths.item(-1) - 1
             return last_row * width + col_starts.item(-1) + col_lengths.item(-1) - 1
         starts, lengths = self._period_segments
