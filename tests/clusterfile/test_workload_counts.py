@@ -3,9 +3,10 @@
 A ``cold_views`` op (create, four view sets, a whole-matrix write and
 ``linear_contents``) builds its plan from the layouts' row and column
 factors and never a nested-FALLS tree; each partition is factored once.
-The warm workloads build their plans, layouts and trees before the timed
-loop and nothing in it.  The configurations are read from
-``benchmarks/e2e/workloads.py``'s ``SPECS``.
+The warm workloads build their plans and trees before the timed loop,
+and an access layout only on the first access of its interval.  The
+configurations are read from ``benchmarks/e2e/workloads.py``'s
+``SPECS``.
 """
 
 import dataclasses
